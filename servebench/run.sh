@@ -2,7 +2,7 @@
 # Builds stencil-serve and the benchmark from source, then runs the benchmark
 # from the repository root:
 #
-#   bash servebench/run.sh --workload hit_serve --seed 1 --seconds 10 --trace 0
+#   bash servebench/run.sh --workload hit_serve --seed 1 --seconds 20 --trace 0
 #
 # Build output goes to $CARGO_TARGET_DIR (default .bench_build).  Everything
 # cargo prints goes to stderr, so the last stdout line is the result JSON.

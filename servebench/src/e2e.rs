@@ -9,7 +9,7 @@ use stencil_serve::json::Value;
 
 use crate::load::{closed_loop, open_loop, send_sequential};
 use crate::oracle::{hit_form, judge};
-use crate::procs::{clock_ticks_per_second, steal_ticks, Cluster, RunDir};
+use crate::procs::{clock_ticks_per_second, Cluster, RunDir};
 use crate::workload::{Load, Pick, Topology, Workload};
 use crate::Outcome;
 
@@ -18,14 +18,15 @@ const TAIL_SAMPLES: usize = 10;
 
 /// The tail percentiles reported, highest first.  A coarse ladder keeps
 /// the reported percentile the same from run to run when the sample count
-/// wobbles (`cold_viem` completes 400–600 requests: always p95).
+/// wobbles.
 const TAIL_LADDER: [u32; 4] = [99, 95, 90, 50];
 
-/// The highest percentile of [`TAIL_LADDER`] with at least
+/// The highest percentile of [`TAIL_LADDER`], up to `cap`, with at least
 /// [`TAIL_SAMPLES`] of `n` samples beyond it.
-fn tail_percentile(n: usize) -> u32 {
+fn tail_percentile(n: usize, cap: u32) -> u32 {
     TAIL_LADDER
         .into_iter()
+        .filter(|&p| p <= cap)
         .find(|&p| n as f64 * (100 - p) as f64 / 100.0 >= TAIL_SAMPLES as f64)
         .unwrap_or(50)
 }
@@ -71,7 +72,6 @@ pub fn run(wl: &Workload, bin: &Path, dir: &RunDir, seconds: f64) -> Result<Outc
     let refs_hit: Vec<Option<Vec<u8>>> = refs.iter().map(|r| r.as_deref().map(hit_form)).collect();
 
     let cpu_before = cluster.cpu_ticks()?;
-    let steal_before = steal_ticks();
     let (mut capture, start) = match &wl.load {
         Load::Closed { conns, pick } => {
             closed_loop(cluster.front(), wl, &refs_hit, *conns, pick, seconds)?
@@ -81,7 +81,6 @@ pub fn run(wl: &Workload, bin: &Path, dir: &RunDir, seconds: f64) -> Result<Outc
         }
     };
     let cpu_ticks = cluster.cpu_ticks()? - cpu_before;
-    let steal_s = steal_ticks().saturating_sub(steal_before) as f64 / clock_ticks_per_second();
     let rss_kib = cluster.peak_rss_kib()?;
     // the quality totals need a fixed prefix of fresh keys; on a host too
     // slow to serve it in the timed phase, the rest is requested untimed
@@ -117,50 +116,18 @@ pub fn run(wl: &Workload, bin: &Path, dir: &RunDir, seconds: f64) -> Result<Outc
         .max()
         .map_or(0.0, |end| end.duration_since(start).as_secs_f64());
     let lat = &capture.latencies_ms;
-    let open = matches!(wl.load, Load::Open { .. });
-    let pct = tail_percentile(lat.len());
-    let q = pct as f64 / 100.0;
-    // latencies by window of `secs` whole seconds of the timed phase
-    let by_window = |secs: u64| -> Vec<Vec<f64>> {
-        let mut windows = vec![Vec::new(); (elapsed / secs as f64).floor() as usize];
-        for (d, &l) in capture.done.iter().zip(lat) {
-            let w = d.duration_since(start).as_secs() / secs;
-            if let Some(w) = windows.get_mut(w as usize) {
-                w.push(l);
-            }
+    // every figure covers the whole timed phase: a stall the program causes
+    // (a persist compaction, a slow miss) shows however short it is
+    let pct = tail_percentile(lat.len(), wl.tail);
+    let throughput = completed as f64 / elapsed;
+    let p50 = stats::median(lat);
+    let tail = stats::quantile(lat, pct as f64 / 100.0);
+    let mut per_second = vec![0u64; elapsed.ceil() as usize];
+    for d in &capture.done {
+        if let Some(n) = per_second.get_mut(d.duration_since(start).as_secs() as usize) {
+            *n += 1;
         }
-        windows
-    };
-    // The shortest windows in which every window supports the run's tail
-    // percentile, if there are at least three: the p50 and the tail (and a
-    // closed loop's rate) are then medians over the windows, so one stall
-    // of the shared host moves them little.  An open loop's rate is the
-    // offered rate, so it is always the overall rate.
-    let windowed = (1..=(elapsed / 3.0).floor() as u64)
-        .map(|secs| (secs, by_window(secs)))
-        .find(|(_, ws)| ws.len() >= 3 && ws.iter().all(|w| tail_percentile(w.len()) == pct));
-    let (throughput, p50, tail) = match &windowed {
-        Some((secs, ws)) => {
-            let median_of = |f: &dyn Fn(&[f64]) -> f64| {
-                stats::median(&ws.iter().map(|w| f(w)).collect::<Vec<_>>())
-            };
-            let rate = if open {
-                completed as f64 / elapsed
-            } else {
-                median_of(&|w| w.len() as f64) / *secs as f64
-            };
-            (
-                rate,
-                median_of(&|w| stats::median(w)),
-                median_of(&|w| stats::quantile(w, q)),
-            )
-        }
-        None => (
-            completed as f64 / elapsed,
-            stats::median(lat),
-            stats::quantile(lat, q),
-        ),
-    };
+    }
     let setup = stats::Summary::of_filtered(&setup_s);
     let filtered = stats::Summary::of_filtered(lat);
     let metrics = vec![
@@ -201,12 +168,6 @@ pub fn run(wl: &Workload, bin: &Path, dir: &RunDir, seconds: f64) -> Result<Outc
             "latency_ms",
             Value::obj(vec![
                 ("n", num(lat.len() as f64)),
-                (
-                    "window_s",
-                    windowed
-                        .as_ref()
-                        .map_or(Value::Null, |(secs, _)| num(*secs as f64)),
-                ),
                 ("p50", num(p50)),
                 ("tail_percentile", Value::str(format!("p{pct}"))),
                 ("tail", num(tail)),
@@ -217,10 +178,9 @@ pub fn run(wl: &Workload, bin: &Path, dir: &RunDir, seconds: f64) -> Result<Outc
             ]),
         ),
         ("timed_s", num(elapsed)),
-        ("host_steal_s", num(steal_s)),
         (
             "completed_per_second",
-            Value::Arr(by_window(1).iter().map(|w| num(w.len() as f64)).collect()),
+            Value::Arr(per_second.into_iter().map(|n| num(n as f64)).collect()),
         ),
         ("completed", num(completed as f64)),
         ("deviant_answers", num(capture.deviants.len() as f64)),

@@ -72,9 +72,8 @@ pub fn clock_ticks_per_second() -> f64 {
 }
 
 /// Clock ticks the hypervisor gave to other guests while this one's CPUs
-/// wanted to run (`steal` in `/proc/stat`; 0 where unavailable).  A run
-/// with much steal measured the host more than the code.
-pub fn steal_ticks() -> u64 {
+/// wanted to run (`steal` in `/proc/stat`; 0 where unavailable).
+fn steal_ticks() -> u64 {
     std::fs::read_to_string("/proc/stat")
         .ok()
         .and_then(|stat| {
@@ -83,6 +82,31 @@ pub fn steal_ticks() -> u64 {
             line.split_whitespace().nth(8)?.parse().ok()
         })
         .unwrap_or(0)
+}
+
+/// Hypervisor steal over a stretch of time.  A stretch with much steal
+/// measured the host more than the code.
+pub struct StealClock {
+    ticks: u64,
+    start: Instant,
+}
+
+impl StealClock {
+    pub fn start() -> StealClock {
+        StealClock {
+            ticks: steal_ticks(),
+            start: Instant::now(),
+        }
+    }
+
+    /// Stolen seconds since `start`, and their share of the CPU-seconds
+    /// all CPUs had in that time.
+    pub fn read(&self) -> (f64, f64) {
+        let stolen = steal_ticks().saturating_sub(self.ticks) as f64 / clock_ticks_per_second();
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cpu_seconds = cpus as f64 * self.start.elapsed().as_secs_f64();
+        (stolen, stolen / cpu_seconds.max(1e-9))
+    }
 }
 
 /// One spawned server.  Killed (SIGKILL) and reaped on drop.

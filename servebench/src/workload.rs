@@ -15,8 +15,8 @@ use stencil_mapping::MappingProblem;
 pub const NAMES: [&str; 3] = ["hit_serve", "cold_viem", "routed_mixed"];
 
 /// Open-loop arrival rate of `routed_mixed` in requests per second: about
-/// half the closed-loop capacity of the 2-core host the benchmark was
-/// calibrated on (see README.md).
+/// half the capacity of the 2-core host the benchmark was calibrated on
+/// (see README.md).  Recalibrating means editing this constant.
 pub const ROUTED_RATE: f64 = 450.0;
 
 /// Every `VIEM_EVERY`-th `routed_mixed` request is a fresh viem miss (2%).
@@ -206,6 +206,8 @@ pub struct Workload {
     /// With `Pick::Fresh`, only the first this-many fresh lines count toward
     /// the quality totals.
     pub quality_limit: Option<usize>,
+    /// The highest latency percentile the run reports as its tail.
+    pub tail: u32,
     /// The lines the traced run replays in process, in order.
     pub trace_sequence: Vec<usize>,
 }
@@ -430,12 +432,12 @@ const ROUTED_SIZES: [(&[usize], usize); 16] = [
 /// backends each backend owns about 160 of the 240 keys, and holds 128.
 const ROUTED_CACHE_CAPACITY: usize = 128;
 
-pub fn build(name: &str, seed: u64, seconds: u64, rate: Option<f64>) -> Result<Workload, String> {
+pub fn build(name: &str, seed: u64, seconds: u64) -> Result<Workload, String> {
     let seconds = seconds.max(1) as usize;
     match name {
         "hit_serve" => Ok(hit_serve(seed, seconds)),
         "cold_viem" => Ok(cold_viem(seed, seconds)),
-        "routed_mixed" => Ok(routed_mixed(seed, seconds, rate.unwrap_or(ROUTED_RATE))),
+        "routed_mixed" => Ok(routed_mixed(seed, seconds)),
         other => Err(format!(
             "unknown workload {other:?} (expected one of {})",
             NAMES.join(", ")
@@ -525,6 +527,7 @@ fn hit_serve(seed: u64, seconds: usize) -> Workload {
         },
         setups: 5,
         quality_limit: None,
+        tail: 99,
         trace_sequence,
     }
 }
@@ -557,16 +560,20 @@ fn cold_viem(seed: u64, seconds: usize) -> Workload {
         topology: Topology::Single { cache_capacity: 64 },
         setups: 5,
         quality_limit: Some(COLD_QUALITY_PER_SECOND * seconds),
+        // a 20 s run completes 900–1000 misses, where p99 (10 samples
+        // beyond it from 1000 on) would come and go with the host's speed
+        tail: 95,
         trace_sequence,
     }
 }
 
 /// Zipf-skewed traffic over 240 rank-local instances (5 mappers × 16 sizes ×
 /// 3 stencils, two request variants each) plus a fresh viem p = 4800 miss
-/// every 50th request, sent open loop at `rate` through a router with two
-/// replicas per key over three persisting backends whose caches are smaller
-/// than the working set.
-fn routed_mixed(seed: u64, seconds: usize, rate: f64) -> Workload {
+/// every 50th request, sent open loop at [`ROUTED_RATE`] through a router
+/// with two replicas per key over three persisting backends whose caches
+/// are smaller than the working set.
+fn routed_mixed(seed: u64, seconds: usize) -> Workload {
+    let rate = ROUTED_RATE;
     let mut b = Builder::new(seed);
     // classes[2c] / classes[2c + 1] = the table / short lines of size
     // class c
@@ -655,6 +662,7 @@ fn routed_mixed(seed: u64, seconds: usize, rate: f64) -> Workload {
         },
         setups: 3,
         quality_limit: None,
+        tail: 99,
         trace_sequence,
     }
 }
