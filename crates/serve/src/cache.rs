@@ -330,16 +330,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
             .is_some()
     }
 
-    /// Whether `key` is resident, without bumping recency or counting
-    /// towards the hit/miss statistics.  The absorb path (a router streaming
-    /// moved key ranges during a reshard) uses this to skip entries the
-    /// backend already holds without perturbing eviction order.
-    pub fn contains(&self, key: &K) -> bool {
-        self.shards[self.shard_of(key)]
+    /// The value of `key` if resident, without bumping recency or counting
+    /// towards the hit/miss statistics.  The absorb path (skipping entries
+    /// the backend already holds) and the export path (copying a
+    /// just-served entry to the other replicas) read through this, so
+    /// neither perturbs eviction order.
+    pub fn peek(&self, key: &K) -> Option<V> {
+        let shard = self.shards[self.shard_of(key)]
             .lock()
-            .expect("cache shard poisoned")
+            .expect("cache shard poisoned");
+        shard
             .map
-            .contains_key(key)
+            .get(key)
+            .map(|&idx| shard.slots[idx].value.clone())
     }
 
     /// Inserts (or refreshes) `key` with a unit recompute cost, evicting the

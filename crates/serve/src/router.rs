@@ -38,13 +38,19 @@
 //! *distinct* successor backends on the ring ([`Ring::replica_indices`]).
 //! Reads go to the primary and fail over in ring order to the next replica
 //! when a backend is down, timed out, or mid-backoff; a served **miss**
-//! (`"cached":false`) is written through to the remaining replicas (same
-//! raw line, responses discarded), so every replica computes and caches
-//! the identical entry.  Converged replica caches are what keep routed
-//! transcripts byte-identical through a failover: the replica answers
-//! `"cached":true` exactly as the lost primary — and a single process —
-//! would.  Killing any one backend with R ≥ 2 therefore yields zero
-//! `backend unavailable` lines and no cold recompute storm.
+//! (`"cached":false`) is written through to the remaining replicas: the
+//! serving backend answers `{"admin":"export"}` with the persistence insert
+//! records of the entries the request resolved to, and the router forwards
+//! that log unchanged as `{"admin":"absorb"}` to each other replica.  The
+//! mapping is computed once; the replicas parse a record instead of
+//! running the mapper, and hold the identical entry.  (When the export
+//! fails or comes back empty — the serving backend died or evicted the key
+//! in between — the raw request line goes out instead and the replica
+//! computes the entry itself.)  Converged replica caches are what keep
+//! routed transcripts byte-identical through a failover: the replica
+//! answers `"cached":true` exactly as the lost primary — and a single
+//! process — would.  Killing any one backend with R ≥ 2 therefore yields
+//! zero `backend unavailable` lines and no cold recompute storm.
 //!
 //! **Live resharding**: `{"admin":"reshard","add":ADDR}` (or `"remove"`)
 //! is answered by the router itself.  It builds the new ring, pulls
@@ -271,12 +277,15 @@ struct BackendConn {
 
 impl BackendConn {
     /// Writes one request line (terminator appended) with the remaining
-    /// deadline as the write timeout.
+    /// deadline as the write timeout.  Line and terminator go out in one
+    /// write: the socket is `TCP_NODELAY`, so two writes would cost two
+    /// segments.
     fn write_line(&mut self, line: &str, deadline: Instant) -> std::io::Result<()> {
         self.stream.set_write_timeout(Some(remaining(deadline)?))?;
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+        self.stream.write_all(&buf)
     }
 
     /// Reads one newline-terminated response line (terminator stripped),
@@ -443,8 +452,8 @@ pub struct RouterStats {
     /// Lines answered by a non-primary replica because the primary (or an
     /// earlier replica) was down, timed out, or mid-backoff.
     pub failovers: u64,
-    /// Write-through copies of a miss response delivered to the remaining
-    /// replicas (one count per secondary reached, not per miss).
+    /// Write-through copies of a missed entry delivered to the remaining
+    /// replicas (one count per secondary that accepted it, not per miss).
     pub fanouts: u64,
 }
 
@@ -658,16 +667,18 @@ impl Router {
     /// first replica to answer wins, and an answer from a non-primary
     /// counts as a failover.  When the winning response is a cache **miss**
     /// (`"cached":false` anywhere in the line) and the set has more than
-    /// one member, the line is written through to the remaining replicas
-    /// (best effort, responses discarded) so every replica computes and
-    /// caches the entry — the write-through that keeps replica caches
-    /// converged, which is what makes a later failover read answer
-    /// `"cached":true` byte-identically to a single process.
+    /// one member, the entries the serving replica just computed are
+    /// written through to the remaining replicas ([`Router::fan_out`]) —
+    /// the write-through that keeps replica caches converged, which is what
+    /// makes a later failover read answer `"cached":true` byte-identically
+    /// to a single process.  `request` is the JSON text of the request
+    /// object `line` carries (the line itself, or the one batch item).
     fn forward_replicated(
         &self,
         inner: &RouterInner,
         targets: &[usize],
         line: &str,
+        request: &str,
     ) -> Result<String, ()> {
         for (attempt, &idx) in targets.iter().enumerate() {
             match self.forward(&inner.backends[idx], line) {
@@ -676,7 +687,7 @@ impl Router {
                         self.failovers.fetch_add(1, Ordering::Relaxed);
                     }
                     if targets.len() > 1 && response.contains("\"cached\":false") {
-                        self.fan_out(inner, targets, idx, line);
+                        self.fan_out(inner, targets, idx, line, request);
                     }
                     return Ok(response);
                 }
@@ -686,15 +697,50 @@ impl Router {
         Err(())
     }
 
-    /// Write-through of a missed line to every replica other than `served`.
-    /// Failures are ignored: a down replica warms up later via its own miss
-    /// path (or a reshard absorb), it never blocks the winning response.
-    fn fan_out(&self, inner: &RouterInner, targets: &[usize], served: usize, line: &str) {
+    /// Write-through of a miss to every replica other than `served`: the
+    /// serving backend exports the entries `request` resolves to
+    /// (`{"admin":"export"}`), and each other replica absorbs that log
+    /// unchanged, so the mapping is computed once, not once per replica.
+    /// When the export fails or comes back empty (the serving backend died
+    /// or evicted the key in between), the raw `line` is sent instead and
+    /// the replica computes the entry itself.  Failures are ignored: a down
+    /// replica warms up later via its own miss path (or a reshard absorb),
+    /// it never blocks the winning response.
+    fn fan_out(
+        &self,
+        inner: &RouterInner,
+        targets: &[usize],
+        served: usize,
+        line: &str,
+        request: &str,
+    ) {
         faultpoint::reach("router.replica_fanout_partial");
+        let export = format!("{{\"admin\":\"export\",\"request\":{request}}}");
+        let log = self
+            .forward(&inner.backends[served], &export)
+            .ok()
+            .and_then(|resp| ok_reply(&resp))
+            .and_then(|r| r.get("log").and_then(Value::as_str).map(str::to_string))
+            .filter(|log| !log.is_empty());
         for &idx in targets.iter().filter(|&&idx| idx != served) {
-            if self.forward(&inner.backends[idx], line).is_ok() {
+            let backend = &inner.backends[idx];
+            let delivered = match &log {
+                Some(log) => self.absorb(backend, log).is_ok(),
+                None => self.forward(backend, line).is_ok(),
+            };
+            if delivered {
                 self.fanouts.fetch_add(1, Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Sends an already base64-encoded persistence log to `backend` as one
+    /// `{"admin":"absorb"}` line and checks it was accepted.
+    fn absorb(&self, backend: &Backend, log: &str) -> Result<(), ()> {
+        let line = format!("{{\"admin\":\"absorb\",\"log\":\"{log}\"}}");
+        match ok_reply(&self.forward(backend, &line)?) {
+            Some(_) => Ok(()),
+            None => Err(()),
         }
     }
 
@@ -724,7 +770,8 @@ impl Router {
             wrapped.push_str("{\"batch\":[");
             item.write_into(&mut wrapped);
             wrapped.push_str("]}");
-            match self.forward_replicated(inner, &targets, &wrapped) {
+            let request = &wrapped["{\"batch\":[".len()..wrapped.len() - "]}".len()];
+            match self.forward_replicated(inner, &targets, &wrapped, request) {
                 Ok(response) => {
                     // strip the single-item wrapper and relay the item
                     // response verbatim; an unwrapped response (e.g. the
@@ -768,8 +815,7 @@ impl Router {
             let reply = self
                 .forward(backend, "{\"admin\":\"stats\"}")
                 .ok()
-                .and_then(|resp| Value::parse(&resp).ok())
-                .filter(|r| r.get("status").and_then(Value::as_str) == Some("ok"));
+                .and_then(|resp| ok_reply(&resp));
             match reply {
                 Some(r) => {
                     up += 1;
@@ -933,8 +979,7 @@ impl Router {
             let image = self
                 .forward(backend, "{\"admin\":\"handoff\"}")
                 .ok()
-                .and_then(|resp| Value::parse(&resp).ok())
-                .filter(|r| r.get("status").and_then(Value::as_str) == Some("ok"))
+                .and_then(|resp| ok_reply(&resp))
                 .and_then(|r| {
                     r.get("log")
                         .and_then(Value::as_str)
@@ -1000,20 +1045,17 @@ impl Router {
     /// Streams one chunk of raw persistence-log lines into `backend` as an
     /// `{"admin":"absorb"}` line and checks it was accepted.
     fn stream_absorb(&self, backend: &Backend, chunk: &str) -> Result<(), ()> {
-        let line = format!(
-            "{{\"admin\":\"absorb\",\"log\":\"{}\"}}",
-            base64_encode(chunk.as_bytes())
-        );
-        let resp = self.forward(backend, &line)?;
+        self.absorb(backend, &base64_encode(chunk.as_bytes()))?;
         faultpoint::reach("router.handoff_streamed");
-        match Value::parse(&resp)
-            .ok()
-            .filter(|r| r.get("status").and_then(Value::as_str) == Some("ok"))
-        {
-            Some(_) => Ok(()),
-            None => Err(()),
-        }
+        Ok(())
     }
+}
+
+/// A backend's answer parsed, when it is a `"status":"ok"` line.
+fn ok_reply(resp: &str) -> Option<Value> {
+    Value::parse(resp)
+        .ok()
+        .filter(|r| r.get("status").and_then(Value::as_str) == Some("ok"))
 }
 
 impl LineHandler for Router {
@@ -1059,7 +1101,7 @@ impl LineHandler for Router {
                 .ring
                 .replica_indices(fnv1a_64(line.as_bytes()), self.replicas),
         };
-        match self.forward_replicated(&inner, &targets, line) {
+        match self.forward_replicated(&inner, &targets, line, line) {
             Ok(response) => out.push_str(&response),
             Err(()) => {
                 let id = parsed.as_ref().and_then(|v| v.get("id")).cloned();
@@ -1293,6 +1335,109 @@ mod tests {
             "a permuted request (different id, different response shape) \
              must colocate with its canonical sibling"
         );
+    }
+
+    const MISS: &str =
+        r#"{"id":1,"status":"ok","algorithm":"hyperplane","cached":false,"j_sum":1,"j_max":1}"#;
+
+    /// A scripted backend serving one router connection: a request line is
+    /// answered with [`MISS`], `{"admin":"export"}` with `export`, and
+    /// `{"admin":"absorb"}` with ok.  Returns every line it read once the
+    /// router hangs up (or nothing, if no connection arrives within 10 s).
+    fn scripted_backend(
+        listener: std::net::TcpListener,
+        export: &'static str,
+    ) -> std::thread::JoinHandle<Vec<String>> {
+        use std::io::BufRead;
+        std::thread::spawn(move || {
+            listener.set_nonblocking(true).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let stream = loop {
+                match listener.accept() {
+                    Ok((stream, _)) => break stream,
+                    Err(_) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(5))
+                    }
+                    Err(_) => return Vec::new(),
+                }
+            };
+            stream.set_nonblocking(false).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut seen = Vec::new();
+            for line in std::io::BufReader::new(stream)
+                .lines()
+                .map_while(Result::ok)
+            {
+                let reply = if line.contains("\"admin\":\"export\"") {
+                    export
+                } else if line.contains("\"admin\":\"absorb\"") {
+                    r#"{"status":"ok","admin":"absorb","inserted":1,"skipped":0}"#
+                } else {
+                    MISS
+                };
+                writer.write_all(format!("{reply}\n").as_bytes()).unwrap();
+                seen.push(line);
+            }
+            seen
+        })
+    }
+
+    /// Routes one missed line through two scripted replicas whose serving
+    /// one answers the export with `export`; returns the lines each backend
+    /// read, serving one first, and the fan-out count.
+    fn write_through(export: &'static str) -> (Vec<String>, Vec<String>, u64) {
+        let listeners: Vec<_> = (0..2)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let specs: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        let r = Router::new(&specs, 2, Duration::from_secs(5)).unwrap();
+        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
+        let serving = r.route_index(&Value::parse(line).unwrap());
+        let backends: Vec<_> = listeners
+            .into_iter()
+            .map(|l| scripted_backend(l, export))
+            .collect();
+        let mut out = String::new();
+        r.handle_line_into(line, false, &mut out);
+        assert_eq!(out, MISS, "the serving replica's answer is relayed as-is");
+        let fanouts = r.stats().fanouts;
+        drop(r); // closes the pooled connections: the backends see EOF
+        let mut seen: Vec<Vec<String>> = backends.into_iter().map(|b| b.join().unwrap()).collect();
+        let other = seen.remove(1 - serving);
+        (seen.remove(0), other, fanouts)
+    }
+
+    #[test]
+    fn write_through_absorbs_the_exported_log_unchanged() {
+        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
+        let (serving, other, fanouts) =
+            write_through(r#"{"status":"ok","admin":"export","entries":1,"log":"TE9H"}"#);
+        assert_eq!(
+            serving,
+            [
+                line.to_string(),
+                format!(r#"{{"admin":"export","request":{line}}}"#)
+            ]
+        );
+        assert_eq!(other, [r#"{"admin":"absorb","log":"TE9H"}"#]);
+        assert_eq!(fanouts, 1);
+    }
+
+    #[test]
+    fn write_through_sends_the_raw_line_when_the_export_fails() {
+        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
+        for export in [
+            r#"{"status":"error","error":"unknown admin command \"export\""}"#,
+            r#"{"status":"ok","admin":"export","entries":0,"log":""}"#,
+        ] {
+            let (serving, other, fanouts) = write_through(export);
+            assert_eq!(serving.len(), 2, "request, then export: {serving:?}");
+            assert_eq!(other, [line], "after {export}");
+            assert_eq!(fanouts, 1);
+        }
     }
 
     #[test]

@@ -756,8 +756,11 @@ fn try_accept(state: &Arc<PoolState>, stream: TcpStream, peer: String, token: u6
         return None;
     }
     let live = LiveGuard(Arc::clone(state));
+    // TCP_NODELAY: without it, once two answers overlap on a connection,
+    // Nagle holds every later answer until the client's next request ACKs
     if let Err(e) = stream
         .set_nonblocking(true)
+        .and_then(|()| stream.set_nodelay(true))
         .and_then(|()| stream.set_write_timeout(Some(state.opts.write_timeout)))
     {
         eprintln!("stencil-serve: {peer}: cannot configure socket: {e}");

@@ -20,10 +20,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::cache::{CacheStats, EvictionPolicy, ShardedLru};
 use crate::faultpoint;
 use crate::json::{encode_nodes_compact, Value};
-use crate::persist::{load_and_compact, CacheSnapshotter, LoadReport, PersistLog, PersistStats};
+use crate::persist::{
+    insert_line, load_and_compact, CacheSnapshotter, LoadReport, PersistLog, PersistStats,
+};
 use crate::protocol::{
     Algorithm, Encoding, MapRequest, MapResponse, OverBudget, Payload, Query, ResponseBody,
 };
+use crate::server::MAX_LINE_BYTES;
 use stencil_mapping::baselines::Blocked;
 use stencil_mapping::canonical::{canonicalize, Canonical};
 use stencil_mapping::hyperplane::Hyperplane;
@@ -391,7 +394,7 @@ impl MappingService {
         }
     }
 
-    /// Handles an `{"admin": "..."}` control request.  Three commands:
+    /// Handles an `{"admin": "..."}` control request.  Four commands:
     ///
     /// * `"handoff"`: flush and compact the persistence log, then ship the
     ///   whole compacted log (one insert per resident entry) base64-encoded
@@ -406,6 +409,11 @@ impl MappingService {
     ///   persistence log, when enabled), **skipping keys already resident**
     ///   so a replayed image never perturbs recency of live entries.  The
     ///   router streams moved key ranges through this during a reshard.
+    /// * `"export"`: the insert records of the resident entries one
+    ///   `"request"` object resolves to (see
+    ///   [`MappingService::export_records`]), as a base64 `"log"` in the
+    ///   format `"absorb"` reads.  The router's replica write-through ships
+    ///   a served miss this way instead of recomputing it on every replica.
     fn handle_admin(&self, v: &Value, cmd: &Value, out: &mut String) {
         let id = v.get("id").cloned();
         let error = |out: &mut String, msg: String| {
@@ -486,7 +494,7 @@ impl MappingService {
                         skipped += 1;
                         continue;
                     };
-                    if self.cache.contains(&key) {
+                    if self.cache.peek(&key).is_some() {
                         skipped += 1;
                         continue;
                     }
@@ -512,14 +520,90 @@ impl MappingService {
                 fields.push(("skipped", Value::Num(skipped as f64)));
                 Value::obj(fields).write_into(out);
             }
+            Some("export") => {
+                let req = match v.get("request").map(MapRequest::from_value) {
+                    Some(Ok(req)) => req,
+                    Some(Err(e)) => {
+                        error(out, format!("export request: {e}"));
+                        return;
+                    }
+                    None => {
+                        error(out, "export needs a \"request\" object".to_string());
+                        return;
+                    }
+                };
+                let records = self.export_records(&req);
+                let mut log = String::new();
+                for record in &records {
+                    log.push_str(record);
+                    log.push('\n');
+                }
+                let log = crate::json::base64_encode(log.as_bytes());
+                // an absorb line past the line limit would be dropped
+                // unread, so refuse here: the router then sends the request
+                // itself and the replica computes the entry
+                let absorb_line = r#"{"admin":"absorb","log":""}"#.len() + log.len();
+                if absorb_line > MAX_LINE_BYTES {
+                    error(
+                        out,
+                        format!(
+                            "export needs a {absorb_line}-byte absorb line, \
+                             over the {MAX_LINE_BYTES}-byte line limit"
+                        ),
+                    );
+                    return;
+                }
+                let mut fields = Vec::new();
+                if let Some(id) = id {
+                    fields.push(("id", id));
+                }
+                fields.push(("status", Value::str("ok")));
+                fields.push(("admin", Value::str("export")));
+                fields.push(("entries", Value::Num(records.len() as f64)));
+                fields.push(("log", Value::str(log)));
+                Value::obj(fields).write_into(out);
+            }
             _ => error(
                 out,
                 format!(
-                    "unknown admin command {} (expected \"handoff\", \"stats\" or \"absorb\")",
+                    "unknown admin command {} (expected \"handoff\", \"stats\", \"absorb\" or \"export\")",
                     cmd.compact()
                 ),
             ),
         }
+    }
+
+    /// The persistence insert records ([`insert_line`]) of the resident
+    /// entries `req` resolves to, in the order
+    /// [`MappingService::handle_request`] looks them up: the requested key,
+    /// then — for an over-budget `"on_over_budget":"fallback"` request —
+    /// [`FALLBACK_ORDER`] up to the first entry within budget.  Lookup-only:
+    /// nothing is computed, and [`ShardedLru::peek`] leaves recency and the
+    /// hit/miss counters alone.  Empty when the requested key is not
+    /// resident.
+    fn export_records(&self, req: &MapRequest) -> Vec<String> {
+        let canon = canonicalize(&req.dims, &req.stencil);
+        let peek = |algorithm| {
+            let key = CacheKey::of_canonical(req, &canon, algorithm, req.seed);
+            self.cache.peek(&key).map(|entry| (key, entry))
+        };
+        let Some((key, entry)) = peek(req.algorithm) else {
+            return Vec::new();
+        };
+        let mut records = vec![insert_line(&key, &entry)];
+        if let (Some(budget), OverBudget::Fallback) = (req.max_jsum, req.on_over_budget) {
+            if entry.j_sum > budget {
+                for algorithm in FALLBACK_ORDER.into_iter().filter(|&a| a != req.algorithm) {
+                    if let Some((key, entry)) = peek(algorithm) {
+                        records.push(insert_line(&key, &entry));
+                        if entry.j_sum <= budget {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        records
     }
 
     /// Handles one parsed request object.
@@ -1080,6 +1164,135 @@ mod tests {
         let a = s.handle_line(r#"{"dims":[4,4],"nodes":4}"#);
         let b = s.handle_line_mode(r#"{"dims":[4,4],"nodes":4}"#, false);
         assert_eq!(a, b);
+    }
+
+    /// Answers `{"admin":"export","request":REQUEST}` (with an id) and
+    /// returns the answer and its decoded log lines.
+    fn export(s: &MappingService, request: &str) -> (Value, Vec<String>) {
+        let out = s.handle_line(&format!(
+            r#"{{"id":3,"admin":"export","request":{request}}}"#
+        ));
+        let v = Value::parse(&out).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(3), "{out}");
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{out}");
+        assert_eq!(v.get("admin").and_then(Value::as_str), Some("export"));
+        let log = v.get("log").and_then(Value::as_str).unwrap();
+        let text = String::from_utf8(crate::json::base64_decode(log).unwrap()).unwrap();
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        assert_eq!(
+            v.get("entries").and_then(Value::as_u64),
+            Some(lines.len() as u64)
+        );
+        (v, lines)
+    }
+
+    fn key_of(line: &str) -> CacheKey {
+        CacheKey::of_request(&MapRequest::from_value(&Value::parse(line).unwrap()).unwrap())
+    }
+
+    #[test]
+    fn export_ships_a_resident_entry_as_its_insert_record() {
+        let s = service();
+        let line = r#"{"dims":[12,8],"nodes":8,"algorithm":"kdtree"}"#;
+        let cold = s.handle_line(line);
+        // a permuted, cost-only form of the request names the same entry
+        let (v, records) = export(
+            &s,
+            r#"{"dims":[8,12],"nodes":8,"algorithm":"kdtree","want_mapping":false}"#,
+        );
+        let key = key_of(line);
+        let entry = s.cache.peek(&key).unwrap();
+        assert_eq!(records, vec![insert_line(&key, &entry)]);
+
+        // absorbing the log elsewhere serves the same bytes without compute
+        let replica = service();
+        let absorbed = replica.handle_line(&format!(
+            r#"{{"admin":"absorb","log":"{}"}}"#,
+            v.get("log").and_then(Value::as_str).unwrap()
+        ));
+        assert!(absorbed.contains("\"inserted\":1"), "{absorbed}");
+        let warm = replica.handle_line(line);
+        assert_eq!(warm, cold.replace("\"cached\":false", "\"cached\":true"));
+        assert_eq!(replica.cache_stats().misses, 0);
+    }
+
+    #[test]
+    fn export_of_an_unknown_key_is_empty_and_computes_nothing() {
+        let s = service();
+        let (_, records) = export(&s, r#"{"dims":[12,8],"nodes":8}"#);
+        assert!(records.is_empty());
+        assert_eq!(s.cache_stats().len, 0);
+        // a malformed or missing request is an error line, id echoed
+        for line in [
+            r#"{"id":4,"admin":"export","request":{"dims":[4,4]}}"#,
+            r#"{"id":4,"admin":"export","request":7}"#,
+            r#"{"id":4,"admin":"export"}"#,
+        ] {
+            let v = Value::parse(&s.handle_line(line)).unwrap();
+            assert_eq!(v.get("id").and_then(Value::as_u64), Some(4), "{line}");
+            assert_eq!(
+                v.get("status").and_then(Value::as_str),
+                Some("error"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn export_refuses_a_log_absorb_could_not_take() {
+        // a 3.1M-position table: its record, base64-encoded again as the
+        // log, needs an absorb line over the 4 MiB line limit
+        let s = service();
+        let line = r#"{"dims":[2048,1536],"nodes":48,"algorithm":"blocked","want_mapping":false}"#;
+        assert!(s.handle_line(line).contains("\"status\":\"ok\""));
+        let out = s.handle_line(&format!(r#"{{"admin":"export","request":{line}}}"#));
+        let v = Value::parse(&out).unwrap();
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+        assert!(out.contains("line limit"), "{out}");
+    }
+
+    #[test]
+    fn export_of_a_fallback_request_ships_the_requested_and_the_served_entry() {
+        let s = service();
+        let line = r#"{"dims":[16,4],"nodes":8,"algorithm":"blocked","max_jsum":100,
+            "on_over_budget":"fallback","want_mapping":false}"#;
+        let served = Value::parse(&s.handle_line(line)).unwrap();
+        let served = served.get("algorithm").and_then(Value::as_str).unwrap();
+        let (_, records) = export(&s, line);
+        let algorithms: Vec<&str> = records
+            .iter()
+            .map(|r| match crate::persist::parse_record(r).unwrap() {
+                crate::persist::Record::Insert(key, _) => key.algorithm.wire_name(),
+                other => panic!("export shipped a non-insert record {other:?}"),
+            })
+            .collect();
+        assert_eq!(algorithms.first(), Some(&"blocked"));
+        assert_eq!(algorithms.last(), Some(&served));
+        assert_ne!(served, "blocked");
+        // every entry the request created, in the order it created them
+        assert_eq!(records.len(), s.cache_stats().len);
+    }
+
+    #[test]
+    fn export_leaves_recency_and_counters_alone() {
+        let s = MappingService::new(&ServiceConfig {
+            cache_shards: 1,
+            ..ServiceConfig::default()
+        });
+        let lines = [
+            r#"{"dims":[12,8],"nodes":8,"want_mapping":false}"#,
+            r#"{"dims":[6,6],"nodes":4,"want_mapping":false}"#,
+            r#"{"dims":[9,4],"nodes":3,"want_mapping":false}"#,
+        ];
+        for line in lines {
+            s.handle_line(line);
+        }
+        s.handle_line(lines[1]);
+        let before = (s.cache_stats(), s.cache.shard_keys_mru_first(0));
+        // the least recently used key: a recency bump would move it first
+        let (_, records) = export(&s, lines[0]);
+        assert_eq!(records.len(), 1);
+        assert_eq!((s.cache_stats(), s.cache.shard_keys_mru_first(0)), before);
     }
 
     #[test]

@@ -511,6 +511,55 @@ fn replica_failover_is_invisible_and_byte_identical() {
     }
 }
 
+/// The stats answer of one backend, asked directly (not through the router).
+fn backend_stats(addr: &str) -> (u64, u64, u64) {
+    let (mut conn, mut reader) = connect(addr);
+    let reply = ask(&mut conn, &mut reader, r#"{"admin":"stats"}"#);
+    let v = Value::parse(&reply).unwrap();
+    let field = |k: &str| v.get(k).and_then(Value::as_u64).unwrap();
+    (field("hits"), field("misses"), field("entries"))
+}
+
+/// Write-through ships the entry the serving backend computed: after one
+/// viem miss through the router, the secondary holds the entry without
+/// having computed it (`misses:0`), and once the primary is SIGKILLed the
+/// secondary answers `"cached":true`, byte-equal to a single process.
+#[test]
+fn write_through_ships_the_entry_and_the_secondary_computes_nothing() {
+    let single = Server::spawn("127.0.0.1:0", &[], &[]);
+    let mut backends: Vec<Server> = (0..3)
+        .map(|_| Server::spawn("127.0.0.1:0", &[], &[]))
+        .collect();
+    let specs: Vec<String> = backends.iter().map(|b| b.addr.clone()).collect();
+    let router = Server::spawn(
+        "127.0.0.1:0",
+        &["--route", &specs.join(","), "--replicas", "2"],
+        &[],
+    );
+    let line =
+        r#"{"id":5,"dims":[24,20],"nodes":8,"algorithm":"viem","seed":3,"encoding":"compact"}"#;
+    let oracle = Router::new(&specs, 2, DEFAULT_ROUTE_TIMEOUT).unwrap();
+    let owners = oracle.replica_specs(&Value::parse(line).unwrap());
+    let index_of = |spec: &String| specs.iter().position(|s| s == spec).unwrap();
+    let (primary, secondary) = (index_of(&owners[0]), index_of(&owners[1]));
+
+    let (mut conn, mut reader) = connect(&router.addr);
+    let cold = ask(&mut conn, &mut reader, line);
+    assert!(cold.contains("\"cached\":false"), "{cold}");
+    assert_eq!(replay(&single.addr, &[line.to_string()]), [cold]);
+    assert_eq!(backend_stats(&specs[primary]), (0, 1, 1));
+    assert_eq!(
+        backend_stats(&specs[secondary]),
+        (0, 0, 1),
+        "the secondary must absorb the entry, not compute it"
+    );
+
+    backends[primary].kill9();
+    let warm = ask(&mut conn, &mut reader, line);
+    assert!(warm.contains("\"cached\":true"), "{warm}");
+    assert_eq!(replay(&single.addr, &[line.to_string()]), [warm]);
+}
+
 /// `{"admin":"stats"}` is answered by the router itself: one line
 /// aggregating every backend's cache counters and the router's own
 /// up/down/backoff view — including `up:false` for a killed backend.
