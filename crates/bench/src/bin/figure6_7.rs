@@ -10,8 +10,9 @@
 //! ```
 
 use stencil_bench::figures::{figure67, Figure67Config};
-use stencil_bench::report::json::{Json, ToJson};
+use stencil_bench::report::ToJson;
 use stencil_bench::report::{ascii_bar, format_markdown_table, format_seconds};
+use stencil_serve::json::Value;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -120,8 +121,8 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let payload = Json::obj(vec![
-            ("nodes", Json::Num(nodes as f64)),
+        let payload = Value::obj(vec![
+            ("nodes", Value::Num(nodes as f64)),
             ("scores", scores.to_json()),
             ("speedups", rows.to_json()),
         ]);

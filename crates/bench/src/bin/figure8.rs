@@ -10,7 +10,7 @@
 
 use stencil_bench::figures::{figure8, Figure8Config};
 use stencil_bench::report::format_markdown_table;
-use stencil_bench::report::json::ToJson;
+use stencil_bench::report::ToJson;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

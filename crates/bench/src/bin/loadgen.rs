@@ -56,8 +56,7 @@
 //! With `--send ADDR` it is a transcript replay client: request lines are
 //! read from stdin, pipelined over one TCP connection, and the response
 //! lines are echoed to stdout 1:1 — CI uses this to prove the TCP frontend
-//! answers a request file byte-identically under both poll backends (and
-//! identically to `--stdin` mode).
+//! answers a request file byte-identically to `--stdin` mode.
 //!
 //! With `--idle ADDR --pid P` it is the idle-cost smoke client: it parks
 //! `--conns N` keep-alive connections (each proven live with one request
@@ -70,17 +69,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use stencil_bench::report::json::Json;
+use cluster_sim::stats::{median, quantile};
+use stencil_serve::json::Value;
 use stencil_serve::service::{MappingService, ServiceConfig};
-
-/// Latency percentile over raw samples (nearest-rank on the sorted list).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 /// Replays `lines` one by one, asserting every response line succeeds, and
 /// returns the per-line latencies in seconds (in replay order).
@@ -99,20 +90,19 @@ fn replay(service: &MappingService, lines: &[String]) -> Vec<f64> {
     latencies
 }
 
-/// Summarises one mix as a flat JSON section.
-fn section(latencies: &[f64], extra: Vec<(&str, Json)>) -> Json {
+/// Summarises one mix as a flat JSON section.  `p50_s` and `p99_s` are
+/// linearly interpolated quantiles ([`cluster_sim::stats::quantile`]).
+fn section(latencies: &[f64], extra: Vec<(&str, Value)>) -> Value {
     let total: f64 = latencies.iter().sum();
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mut fields = vec![
-        ("requests", Json::Num(latencies.len() as f64)),
-        ("throughput_rps", Json::Num(latencies.len() as f64 / total)),
-        ("p50_s", Json::Num(percentile(&sorted, 0.50))),
-        ("p99_s", Json::Num(percentile(&sorted, 0.99))),
-        ("total_s", Json::Num(total)),
+        ("requests", Value::Num(latencies.len() as f64)),
+        ("throughput_rps", Value::Num(latencies.len() as f64 / total)),
+        ("p50_s", Value::Num(median(latencies))),
+        ("p99_s", Value::Num(quantile(latencies, 0.99))),
+        ("total_s", Value::Num(total)),
     ];
     fields.extend(extra);
-    Json::obj(fields)
+    Value::obj(fields)
 }
 
 /// Overload smoke client: holds `conns` simultaneous connections against a
@@ -344,24 +334,22 @@ fn tcp_section(
     line: &str,
     pipelined: usize,
     roundtrips: usize,
-    extra: Vec<(&str, Json)>,
-) -> Result<Json, String> {
+    extra: Vec<(&str, Value)>,
+) -> Result<Value, String> {
     // one request warms the entry (and proves the path end to end)
     let first = tcp_roundtrips(addr, line, 1)?;
     drop(first);
     let wall = tcp_pipeline(addr, line, pipelined)?;
     let latencies = tcp_roundtrips(addr, line, roundtrips)?;
-    let mut sorted = latencies.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mut fields = vec![
-        ("requests", Json::Num(pipelined as f64)),
-        ("throughput_rps", Json::Num(pipelined as f64 / wall)),
-        ("p50_s", Json::Num(percentile(&sorted, 0.50))),
-        ("p99_s", Json::Num(percentile(&sorted, 0.99))),
-        ("total_s", Json::Num(wall)),
+        ("requests", Value::Num(pipelined as f64)),
+        ("throughput_rps", Value::Num(pipelined as f64 / wall)),
+        ("p50_s", Value::Num(median(&latencies))),
+        ("p99_s", Value::Num(quantile(&latencies, 0.99))),
+        ("total_s", Value::Num(wall)),
     ];
     fields.extend(extra);
-    Ok(Json::obj(fields))
+    Ok(Value::obj(fields))
 }
 
 /// Total CPU time (user + system) of `pid` in clock ticks, read from
@@ -380,9 +368,9 @@ fn cpu_ticks(pid: u32) -> Option<u64> {
 
 /// Idle-cost smoke client: parks `conns` proven-live keep-alive connections
 /// against a running server and asserts the server's CPU time over `secs`
-/// stays within `cpu_budget` seconds.  With the epoll frontend the parked
-/// fleet costs nothing; the threadpoll frontend pays a poll pass per
-/// connection per millisecond, which this smoke is sized to catch.
+/// stays within `cpu_budget` seconds.  The epoll frontend parks the silent
+/// fleet until a socket turns readable, so it should cost nothing; any
+/// per-connection polling would show up here.
 fn idle(addr: &str, conns: usize, pid: u32, secs: f64, cpu_budget: f64) -> i32 {
     let request = "{\"dims\":[12,8],\"nodes\":8,\"want_mapping\":false}\n";
     let mut streams = Vec::with_capacity(conns);
@@ -496,9 +484,7 @@ fn main() {
     );
     let hit_lines: Vec<String> = vec![headline.clone(); hit_requests];
     let hit_latencies = replay(&service, &hit_lines);
-    let mut hit_sorted = hit_latencies.clone();
-    hit_sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let hit_p50 = percentile(&hit_sorted, 0.50);
+    let hit_p50 = median(&hit_latencies);
     let speedup = cold_s / hit_p50;
     eprintln!(
         "  cache_hit p=4800 (viem): cold {cold_s:.6}s, hit p50 {hit_p50:.6}s \
@@ -705,7 +691,7 @@ fn main() {
     // TCP: first by one backend directly, then through the consistent-hash
     // router fronting two backends.  The delta between the two sections is
     // the router's forwarding overhead.
-    let mut net_sections: Vec<(&str, Json)> = Vec::new();
+    let mut net_sections: Vec<(&str, Value)> = Vec::new();
     if !args.iter().any(|a| a == "--no-route") {
         let serve_bin = stencil_bench::arg_value(&args, "--serve-bin").unwrap_or_else(|| {
             let sibling = std::env::current_exe()
@@ -733,7 +719,7 @@ fn main() {
                 net_line,
                 pipelined,
                 roundtrips,
-                vec![("processes", Json::Num(4800.0))],
+                vec![("processes", Value::Num(4800.0))],
             )?;
             drop(single);
             let b1 = ServeProc::spawn(&serve_bin, &[])?;
@@ -746,8 +732,8 @@ fn main() {
                 pipelined,
                 roundtrips,
                 vec![
-                    ("processes", Json::Num(4800.0)),
-                    ("backends", Json::Num(2.0)),
+                    ("processes", Value::Num(4800.0)),
+                    ("backends", Value::Num(2.0)),
                 ],
             )?;
             drop(router);
@@ -764,9 +750,9 @@ fn main() {
                 pipelined,
                 roundtrips,
                 vec![
-                    ("processes", Json::Num(4800.0)),
-                    ("backends", Json::Num(3.0)),
-                    ("replicas", Json::Num(2.0)),
+                    ("processes", Value::Num(4800.0)),
+                    ("backends", Value::Num(3.0)),
+                    ("replicas", Value::Num(2.0)),
                 ],
             )?;
             for (name, sec) in [
@@ -774,7 +760,7 @@ fn main() {
                 ("routed_hit", &routed),
                 ("routed_replica_hit", &replicated),
             ] {
-                eprintln!("  {name}: {}", sec.pretty().replace(['\n', ' '], ""));
+                eprintln!("  {name}: {}", sec.compact());
             }
             net_sections.push(("tcp_hit", tcp));
             net_sections.push(("routed_hit", routed));
@@ -788,35 +774,35 @@ fn main() {
     }
 
     let mut doc_fields = vec![
-        ("schema", Json::str("stencilmap/serve-loadgen/v1")),
-        ("threads", Json::Num(rayon::current_num_threads() as f64)),
-        ("quick", Json::Bool(quick)),
+        ("schema", Value::str("stencilmap/serve-loadgen/v1")),
+        ("threads", Value::Num(rayon::current_num_threads() as f64)),
+        ("quick", Value::Bool(quick)),
         (
             "cache_hit",
             section(
                 &hit_latencies,
                 vec![
-                    ("processes", Json::Num(4800.0)),
-                    ("cold_multilevel_s", Json::Num(cold_s)),
-                    ("speedup_cold_over_hit", Json::Num(speedup)),
+                    ("processes", Value::Num(4800.0)),
+                    ("cold_multilevel_s", Value::Num(cold_s)),
+                    ("speedup_cold_over_hit", Value::Num(speedup)),
                 ],
             ),
         ),
         (
             "cache_hit_compact",
-            section(&compact_latencies, vec![("processes", Json::Num(4800.0))]),
+            section(&compact_latencies, vec![("processes", Value::Num(4800.0))]),
         ),
         (
             "cache_hit_nomap",
-            section(&nomap_latencies, vec![("processes", Json::Num(4800.0))]),
+            section(&nomap_latencies, vec![("processes", Value::Num(4800.0))]),
         ),
         (
             "new_rank_of",
             section(
                 &point_latencies,
                 vec![
-                    ("processes", Json::Num(4800.0)),
-                    ("ranks_per_query", Json::Num(3.0)),
+                    ("processes", Value::Num(4800.0)),
+                    ("ranks_per_query", Value::Num(3.0)),
                 ],
             ),
         ),
@@ -825,7 +811,7 @@ fn main() {
             "mixed",
             section(
                 &mixed_latencies,
-                vec![("hit_fraction", Json::Num(hit_fraction))],
+                vec![("hit_fraction", Value::Num(hit_fraction))],
             ),
         ),
         (
@@ -833,23 +819,23 @@ fn main() {
             section(
                 &batch_latencies,
                 vec![
-                    ("batch_size", Json::Num(batch_size as f64)),
+                    ("batch_size", Value::Num(batch_size as f64)),
                     (
                         "requests_per_s",
-                        Json::Num((batch_lines * batch_size) as f64 / batch_total),
+                        Value::Num((batch_lines * batch_size) as f64 / batch_total),
                     ),
                 ],
             ),
         ),
         (
             "persistence",
-            Json::obj(vec![
-                ("processes", Json::Num(4800.0)),
-                ("entries", Json::Num(persist_entries as f64)),
-                ("reload_s", Json::Num(reload_s)),
-                ("reload_entries_per_s", Json::Num(reload_entries_per_s)),
-                ("hit_after_restart_s", Json::Num(restart_hit_s)),
-                ("cold_recompute_s", Json::Num(cold_s)),
+            Value::obj(vec![
+                ("processes", Value::Num(4800.0)),
+                ("entries", Value::Num(persist_entries as f64)),
+                ("reload_s", Value::Num(reload_s)),
+                ("reload_entries_per_s", Value::Num(reload_entries_per_s)),
+                ("hit_after_restart_s", Value::Num(restart_hit_s)),
+                ("cold_recompute_s", Value::Num(cold_s)),
             ]),
         ),
         (
@@ -857,17 +843,17 @@ fn main() {
             section(
                 &wa_latencies,
                 vec![
-                    ("compact_bytes", Json::Num((32 * 1024) as f64)),
-                    ("appended_records", Json::Num(wa_stats.appended as f64)),
-                    ("flushes", Json::Num(wa_stats.flushes as f64)),
-                    ("compactions", Json::Num(wa_stats.compactions as f64)),
-                    ("final_log_bytes", Json::Num(wa_log_bytes as f64)),
+                    ("compact_bytes", Value::Num((32 * 1024) as f64)),
+                    ("appended_records", Value::Num(wa_stats.appended as f64)),
+                    ("flushes", Value::Num(wa_stats.flushes as f64)),
+                    ("compactions", Value::Num(wa_stats.compactions as f64)),
+                    ("final_log_bytes", Value::Num(wa_log_bytes as f64)),
                 ],
             ),
         ),
     ];
     doc_fields.extend(net_sections);
-    let doc = Json::obj(doc_fields);
+    let doc = Value::obj(doc_fields);
     std::fs::write(&out_path, doc.pretty()).unwrap_or_else(|e| {
         eprintln!("could not write {out_path}: {e}");
         std::process::exit(1);

@@ -11,7 +11,6 @@ use std::time::Instant;
 
 use graph_partition::{partition, Graph, PartitionConfig};
 use stencil_bench::paper_throughput_instance;
-use stencil_bench::report::json::Json;
 use stencil_bench::timing::time_instantiations;
 use stencil_grid::{dims_create, CartGraph, Dims, NodeAllocation, Stencil};
 use stencil_mapping::analysis::StencilKind;
@@ -20,6 +19,7 @@ use stencil_mapping::kdtree::KdTree;
 use stencil_mapping::metrics;
 use stencil_mapping::stencil_strips::StencilStrips;
 use stencil_mapping::{Mapper, MappingProblem};
+use stencil_serve::json::Value;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -46,16 +46,16 @@ fn main() {
         Box::new(stencil_mapping::nodecart::Nodecart),
     ];
     let instantiation = time_instantiations(&problem, &mappers, repetitions);
-    let instantiation_json = Json::Arr(
+    let instantiation_json = Value::Arr(
         instantiation
             .iter()
             .map(|t| {
-                Json::obj(vec![
-                    ("algorithm", Json::str(&t.algorithm)),
-                    ("mean_s", Json::Num(t.summary.mean)),
-                    ("median_s", Json::Num(t.summary.median)),
-                    ("min_s", Json::Num(t.summary.min)),
-                    ("n", Json::Num(t.summary.n as f64)),
+                Value::obj(vec![
+                    ("algorithm", Value::str(&t.algorithm)),
+                    ("mean_s", Value::Num(t.summary.mean)),
+                    ("median_s", Value::Num(t.summary.median)),
+                    ("min_s", Value::Num(t.summary.min)),
+                    ("n", Value::Num(t.summary.n as f64)),
                 ])
             })
             .collect(),
@@ -231,55 +231,55 @@ fn main() {
         (xl_problem.num_processes(), nodes, best)
     };
 
-    let doc = Json::obj(vec![
-        ("schema", Json::str("stencilmap/perf-baseline/v1")),
-        ("threads", Json::Num(rayon::current_num_threads() as f64)),
-        ("quick", Json::Bool(quick)),
+    let doc = Value::obj(vec![
+        ("schema", Value::str("stencilmap/perf-baseline/v1")),
+        ("threads", Value::Num(rayon::current_num_threads() as f64)),
+        ("quick", Value::Bool(quick)),
         (
             "instantiation",
-            Json::obj(vec![
-                ("nodes", Json::Num(figure_nodes as f64)),
-                ("processes", Json::Num(problem.num_processes() as f64)),
+            Value::obj(vec![
+                ("nodes", Value::Num(figure_nodes as f64)),
+                ("processes", Value::Num(problem.num_processes() as f64)),
                 ("timings", instantiation_json),
             ]),
         ),
         (
             "metric_evaluation",
-            Json::obj(vec![
+            Value::obj(vec![
                 (
                     "processes",
-                    Json::Num(metric_problem.num_processes() as f64),
+                    Value::Num(metric_problem.num_processes() as f64),
                 ),
-                ("streaming_s", Json::Num(streaming_s)),
-                ("csr_including_graph_build_s", Json::Num(csr_with_build_s)),
-                ("csr_prebuilt_graph_s", Json::Num(csr_prebuilt_s)),
+                ("streaming_s", Value::Num(streaming_s)),
+                ("csr_including_graph_build_s", Value::Num(csr_with_build_s)),
+                ("csr_prebuilt_graph_s", Value::Num(csr_prebuilt_s)),
             ]),
         ),
         (
             "partitioner",
-            Json::obj(vec![
-                ("processes", Json::Num(part_problem.num_processes() as f64)),
-                ("parallel_s", Json::Num(par_s)),
-                ("sequential_s", Json::Num(seq_s)),
+            Value::obj(vec![
+                ("processes", Value::Num(part_problem.num_processes() as f64)),
+                ("parallel_s", Value::Num(par_s)),
+                ("sequential_s", Value::Num(seq_s)),
             ]),
         ),
         (
             "partitioner_large",
             match large {
-                Some((p, parts, s)) => Json::obj(vec![
-                    ("processes", Json::Num(p as f64)),
-                    ("parts", Json::Num(parts as f64)),
-                    ("single_core_s", Json::Num(s)),
+                Some((p, parts, s)) => Value::obj(vec![
+                    ("processes", Value::Num(p as f64)),
+                    ("parts", Value::Num(parts as f64)),
+                    ("single_core_s", Value::Num(s)),
                 ]),
-                None => Json::Null,
+                None => Value::Null,
             },
         ),
         (
             "partitioner_xl",
-            Json::obj(vec![
-                ("processes", Json::Num(xl.0 as f64)),
-                ("parts", Json::Num(xl.1 as f64)),
-                ("single_core_s", Json::Num(xl.2)),
+            Value::obj(vec![
+                ("processes", Value::Num(xl.0 as f64)),
+                ("parts", Value::Num(xl.1 as f64)),
+                ("single_core_s", Value::Num(xl.2)),
             ]),
         ),
     ]);

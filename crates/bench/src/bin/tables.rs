@@ -14,7 +14,7 @@
 
 use cluster_sim::Machine;
 use stencil_bench::figures::{appendix_table, TableConfig};
-use stencil_bench::report::json::ToJson;
+use stencil_bench::report::ToJson;
 use stencil_bench::report::{format_markdown_table, format_seconds};
 
 fn main() {

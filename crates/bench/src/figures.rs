@@ -379,63 +379,64 @@ pub fn appendix_table(cfg: &TableConfig) -> Vec<TableRow> {
 
 mod json_impls {
     use super::{Figure67Row, Figure8Row, ScoreRow, TableRow};
-    use crate::report::json::{Json, ToJson};
+    use crate::report::ToJson;
+    use stencil_serve::json::Value;
 
     impl ToJson for ScoreRow {
-        fn to_json(&self) -> Json {
-            Json::obj(vec![
-                ("stencil", Json::str(&self.stencil)),
-                ("algorithm", Json::str(&self.algorithm)),
-                ("j_sum", Json::Num(self.j_sum as f64)),
-                ("j_max", Json::Num(self.j_max as f64)),
+        fn to_json(&self) -> Value {
+            Value::obj(vec![
+                ("stencil", Value::str(&self.stencil)),
+                ("algorithm", Value::str(&self.algorithm)),
+                ("j_sum", Value::Num(self.j_sum as f64)),
+                ("j_max", Value::Num(self.j_max as f64)),
             ])
         }
     }
 
     impl ToJson for Figure67Row {
-        fn to_json(&self) -> Json {
-            Json::obj(vec![
-                ("machine", Json::str(&self.machine)),
-                ("stencil", Json::str(&self.stencil)),
-                ("algorithm", Json::str(&self.algorithm)),
-                ("message_size", Json::Num(self.message_size as f64)),
-                ("mean_time", Json::Num(self.mean_time)),
-                ("blocked_time", Json::Num(self.blocked_time)),
-                ("speedup", Json::Num(self.speedup)),
+        fn to_json(&self) -> Value {
+            Value::obj(vec![
+                ("machine", Value::str(&self.machine)),
+                ("stencil", Value::str(&self.stencil)),
+                ("algorithm", Value::str(&self.algorithm)),
+                ("message_size", Value::Num(self.message_size as f64)),
+                ("mean_time", Value::Num(self.mean_time)),
+                ("blocked_time", Value::Num(self.blocked_time)),
+                ("speedup", Value::Num(self.speedup)),
             ])
         }
     }
 
     impl ToJson for Figure8Row {
-        fn to_json(&self) -> Json {
-            Json::obj(vec![
-                ("stencil", Json::str(&self.stencil)),
-                ("algorithm", Json::str(&self.algorithm)),
-                ("metric", Json::str(&self.metric)),
-                ("median", Json::Num(self.median)),
-                ("median_ci95", Json::Num(self.median_ci95)),
-                ("q1", Json::Num(self.q1)),
-                ("q3", Json::Num(self.q3)),
-                ("n", Json::Num(self.n as f64)),
+        fn to_json(&self) -> Value {
+            Value::obj(vec![
+                ("stencil", Value::str(&self.stencil)),
+                ("algorithm", Value::str(&self.algorithm)),
+                ("metric", Value::str(&self.metric)),
+                ("median", Value::Num(self.median)),
+                ("median_ci95", Value::Num(self.median_ci95)),
+                ("q1", Value::Num(self.q1)),
+                ("q3", Value::Num(self.q3)),
+                ("n", Value::Num(self.n as f64)),
             ])
         }
     }
 
     impl ToJson for TableRow {
-        fn to_json(&self) -> Json {
-            Json::obj(vec![
-                ("stencil", Json::str(&self.stencil)),
-                ("message_size", Json::Num(self.message_size as f64)),
+        fn to_json(&self) -> Value {
+            Value::obj(vec![
+                ("stencil", Value::str(&self.stencil)),
+                ("message_size", Value::Num(self.message_size as f64)),
                 (
                     "entries",
-                    Json::Arr(
+                    Value::Arr(
                         self.entries
                             .iter()
                             .map(|(name, mean, ci)| {
-                                Json::obj(vec![
-                                    ("algorithm", Json::str(name)),
-                                    ("mean", Json::Num(*mean)),
-                                    ("ci95", Json::Num(*ci)),
+                                Value::obj(vec![
+                                    ("algorithm", Value::str(name)),
+                                    ("mean", Value::Num(*mean)),
+                                    ("ci95", Value::Num(*ci)),
                                 ])
                             })
                             .collect(),

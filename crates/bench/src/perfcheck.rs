@@ -9,6 +9,8 @@
 //! selection is deliberately narrow: sub-millisecond instantiation timings
 //! are too noisy to gate on.
 
+use stencil_serve::json::Value;
+
 /// One gated metric: where it lives in the JSON document and which direction
 /// is good.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,33 +175,25 @@ impl CheckOutcome {
     }
 }
 
-/// Extracts the number stored under `key` within the flat object stored under
-/// the first occurrence of `"section"` in a JSON document produced by
-/// [`crate::report::json::Json::pretty`].  Returns `None` when the section is
-/// absent, holds no object (`"partitioner_large": null` in `--quick` runs),
-/// or does not itself contain `key` — the search never leaks into later
-/// sections.
-pub fn extract_number(json: &str, section: &str, key: &str) -> Option<f64> {
-    let sec_pos = json.find(&format!("\"{section}\""))?;
-    let tail = &json[sec_pos..];
-    let colon = tail.find(':')?;
-    let value = tail[colon + 1..].trim_start();
-    // the section must hold an object; our sections are flat, so it ends at
-    // the first closing brace
-    let body = value.strip_prefix('{')?;
-    let body = &body[..body.find('}')?];
-    let key_pos = body.find(&format!("\"{key}\""))?;
-    let after_key = &body[key_pos..];
-    let colon = after_key.find(':')?;
-    let value = after_key[colon + 1..]
-        .trim_start()
-        .split([',', '\n'])
-        .next()?
-        .trim();
-    value.parse().ok()
+/// The number stored under `key` in the object stored under the top-level
+/// `section` of a parsed perf document.  `None` when the section is absent,
+/// holds no object (`"partitioner_large": null` in `--quick` runs), or does
+/// not itself hold `key` as a number.
+fn extract_number(doc: &Value, section: &str, key: &str) -> Option<f64> {
+    doc.get(section)?.get(key)?.as_f64()
 }
 
-/// Compares the gated `metrics` of two perf JSON documents.
+/// Parses both documents once.  A document that does not parse (e.g. one
+/// truncated by an interrupted run) is an error naming which side failed,
+/// never a silently shorter list of gates.
+fn parse_documents(baseline: &str, current: &str) -> Result<(Value, Value), String> {
+    let parse = |which: &str, text: &str| {
+        Value::parse(text).map_err(|e| format!("the {which} document is not valid JSON: {e}"))
+    };
+    Ok((parse("baseline", baseline)?, parse("current", current)?))
+}
+
+/// Compares the gated `metrics` of two parsed perf documents.
 ///
 /// `max_regression` is the allowed fractional regression (0.25 = a 25%
 /// slowdown for time metrics, a 25% throughput drop for rate metrics).  The
@@ -208,8 +202,8 @@ pub fn extract_number(json: &str, section: &str, key: &str) -> Option<f64> {
 /// Metrics present in only one of the documents are skipped; it is an error
 /// when *no* gated metric is comparable.
 pub fn check_metrics(
-    baseline: &str,
-    current: &str,
+    baseline: &Value,
+    current: &Value,
     max_regression: f64,
     metrics: &[GatedMetric],
     scale_guards: &[(&str, &str)],
@@ -259,6 +253,34 @@ pub fn check_metrics(
     Ok(outcomes)
 }
 
+/// Checks the absolute `limits` against the current document: floors when
+/// `higher_is_better`, ceilings otherwise.  A limited metric the document
+/// does not carry is skipped.
+fn check_limits(
+    current: &Value,
+    limits: &[(&str, &str, f64)],
+    higher_is_better: bool,
+) -> Vec<CheckOutcome> {
+    let kind = if higher_is_better { "floor" } else { "ceiling" };
+    limits
+        .iter()
+        .filter_map(|&(section, key, limit)| {
+            let c = extract_number(current, section, key)?;
+            Some(CheckOutcome {
+                label: format!("{section}.{key} ({kind})"),
+                baseline: limit,
+                current: c,
+                higher_is_better,
+                ok: if higher_is_better {
+                    c >= limit
+                } else {
+                    c <= limit
+                },
+            })
+        })
+        .collect()
+}
+
 /// Compares the partitioner timings of two `BENCH_mapping.json` documents
 /// ([`GATED_PARTITIONER_METRICS`]), then applies the
 /// [`PARTITIONER_ABSOLUTE_CEILINGS`] to the current document: a ceilinged
@@ -269,25 +291,15 @@ pub fn check_partitioner(
     current: &str,
     max_regression: f64,
 ) -> Result<Vec<CheckOutcome>, String> {
+    let (baseline, current) = parse_documents(baseline, current)?;
     let mut outcomes = check_metrics(
-        baseline,
-        current,
+        &baseline,
+        &current,
         max_regression,
         GATED_PARTITIONER_METRICS,
         PARTITIONER_SCALE_GUARDS,
     )?;
-    for &(section, key, ceiling) in PARTITIONER_ABSOLUTE_CEILINGS {
-        let Some(c) = extract_number(current, section, key) else {
-            continue;
-        };
-        outcomes.push(CheckOutcome {
-            label: format!("{section}.{key} (ceiling)"),
-            baseline: ceiling,
-            current: c,
-            higher_is_better: false,
-            ok: c <= ceiling,
-        });
-    }
+    outcomes.extend(check_limits(&current, PARTITIONER_ABSOLUTE_CEILINGS, false));
     Ok(outcomes)
 }
 
@@ -300,25 +312,15 @@ pub fn check_serve(
     current: &str,
     max_regression: f64,
 ) -> Result<Vec<CheckOutcome>, String> {
+    let (baseline, current) = parse_documents(baseline, current)?;
     let mut outcomes = check_metrics(
-        baseline,
-        current,
+        &baseline,
+        &current,
         max_regression,
         GATED_SERVE_METRICS,
         SERVE_SCALE_GUARDS,
     )?;
-    for &(section, key, floor) in SERVE_ABSOLUTE_FLOORS {
-        let Some(c) = extract_number(current, section, key) else {
-            continue;
-        };
-        outcomes.push(CheckOutcome {
-            label: format!("{section}.{key} (floor)"),
-            baseline: floor,
-            current: c,
-            higher_is_better: true,
-            ok: c >= floor,
-        });
-    }
+    outcomes.extend(check_limits(&current, SERVE_ABSOLUTE_FLOORS, true));
     Ok(outcomes)
 }
 
@@ -413,30 +415,46 @@ mod tests {
   }
 }"#;
 
+    /// The committed baselines, as `perf_baseline` and `loadgen` wrote them.
+    const COMMITTED_MAPPING: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_mapping.json"
+    ));
+    const COMMITTED_SERVE: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_serve.json"
+    ));
+
     #[test]
     fn extract_number_finds_section_scoped_keys() {
+        let doc = Value::parse(DOC).unwrap();
         assert_eq!(
-            extract_number(DOC, "partitioner", "processes"),
+            extract_number(&doc, "partitioner", "processes"),
             Some(4800.0)
         );
-        assert_eq!(extract_number(DOC, "partitioner", "parallel_s"), Some(0.04));
         assert_eq!(
-            extract_number(DOC, "partitioner_large", "single_core_s"),
+            extract_number(&doc, "partitioner", "parallel_s"),
+            Some(0.04)
+        );
+        assert_eq!(
+            extract_number(&doc, "partitioner_large", "single_core_s"),
             Some(1.8)
         );
         assert_eq!(
-            extract_number(DOC, "partitioner_xl", "single_core_s"),
+            extract_number(&doc, "partitioner_xl", "single_core_s"),
             Some(8.5)
         );
-        assert_eq!(extract_number(DOC, "partitioner", "missing"), None);
-        assert_eq!(extract_number(DOC, "absent_section", "processes"), None);
+        assert_eq!(extract_number(&doc, "partitioner", "missing"), None);
+        assert_eq!(extract_number(&doc, "absent_section", "processes"), None);
         // a key that only exists in a *later* section must not leak in
-        assert_eq!(extract_number(DOC, "partitioner", "single_core_s"), None);
+        assert_eq!(extract_number(&doc, "partitioner", "single_core_s"), None);
         // a section holding null (quick runs) yields no values
-        let quick = DOC.replace(
+        let quick = Value::parse(&DOC.replace(
             "{\n    \"processes\": 100000,\n    \"parts\": 1000,\n    \"single_core_s\": 1.8\n  }",
             "null",
-        );
+        ))
+        .unwrap();
+        assert_eq!(quick.get("partitioner_large"), Some(&Value::Null));
         assert_eq!(
             extract_number(&quick, "partitioner_large", "processes"),
             None
@@ -445,6 +463,57 @@ mod tests {
             extract_number(&quick, "partitioner", "processes"),
             Some(4800.0)
         );
+    }
+
+    #[test]
+    fn committed_documents_roundtrip_byte_for_byte() {
+        // the documents are written with `Value::pretty`; parsing and
+        // re-printing them must reproduce every byte, so the layout the
+        // baselines were committed in cannot drift
+        for (name, text) in [
+            ("BENCH_mapping.json", COMMITTED_MAPPING),
+            ("BENCH_serve.json", COMMITTED_SERVE),
+        ] {
+            let doc = Value::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(doc.pretty() == text, "{name} does not round-trip");
+        }
+    }
+
+    #[test]
+    fn committed_documents_pass_every_gate_against_themselves() {
+        let mapping = check_partitioner(COMMITTED_MAPPING, COMMITTED_MAPPING, 0.25).unwrap();
+        assert_eq!(
+            mapping.len(),
+            GATED_PARTITIONER_METRICS.len() + PARTITIONER_ABSOLUTE_CEILINGS.len()
+        );
+        let serve = check_serve(COMMITTED_SERVE, COMMITTED_SERVE, 0.25).unwrap();
+        assert_eq!(
+            serve.len(),
+            GATED_SERVE_METRICS.len() + SERVE_ABSOLUTE_FLOORS.len()
+        );
+        assert!(mapping.iter().chain(&serve).all(|o| o.ok));
+    }
+
+    #[test]
+    fn truncated_serve_document_is_an_error_not_fewer_gates() {
+        // an interrupted loadgen run leaves the first half of the document
+        let half = &COMMITTED_SERVE[..COMMITTED_SERVE.len() / 2];
+        let err = check_serve(COMMITTED_SERVE, half, 0.25).unwrap_err();
+        assert!(err.contains("current document"), "{err}");
+        let err = check_serve(half, COMMITTED_SERVE, 0.25).unwrap_err();
+        assert!(err.contains("baseline document"), "{err}");
+    }
+
+    #[test]
+    fn truncated_mapping_document_is_an_error_not_fewer_gates() {
+        // cut inside `partitioner_xl`, before its gated timing: the xl gate
+        // and its 9 s ceiling must not silently drop out
+        let cut = &COMMITTED_MAPPING[..COMMITTED_MAPPING.rfind("\"single_core_s\"").unwrap()];
+        assert!(cut.contains("\"partitioner_xl\""));
+        let err = check_partitioner(COMMITTED_MAPPING, cut, 0.25).unwrap_err();
+        assert!(err.contains("current document"), "{err}");
+        let err = check_partitioner(cut, COMMITTED_MAPPING, 0.25).unwrap_err();
+        assert!(err.contains("baseline document"), "{err}");
     }
 
     #[test]

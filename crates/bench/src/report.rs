@@ -1,5 +1,7 @@
 //! Plain-text / markdown rendering of experiment results.
 
+use stencil_serve::json::Value;
+
 /// Formats a duration in seconds with a human-friendly unit (µs / ms / s),
 /// matching the magnitude conventions of the paper's tables.
 pub fn format_seconds(seconds: f64) -> String {
@@ -61,176 +63,22 @@ pub fn ascii_bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(filled)
 }
 
-/// A minimal JSON document model with pretty printing.
-///
-/// The build environment is offline, so `serde_json` is not available; the
-/// figure binaries and the perf-baseline emitter build their documents with
-/// this module instead.  Only the value shapes the harness emits are
-/// supported (objects, arrays, strings, numbers, booleans).
-pub mod json {
-    /// A JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// A boolean.
-        Bool(bool),
-        /// A finite number (non-finite values serialise as `null`).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object with insertion-ordered keys.
-        Obj(Vec<(String, Json)>),
-    }
+/// Types that can render themselves as a JSON [`Value`]: the figure and
+/// table rows the binaries dump with [`Value::pretty`].
+pub trait ToJson {
+    /// Converts `self` into a JSON value.
+    fn to_json(&self) -> Value;
+}
 
-    impl Json {
-        /// Convenience constructor for strings.
-        pub fn str(s: impl Into<String>) -> Json {
-            Json::Str(s.into())
-        }
-
-        /// Convenience constructor for objects.
-        pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        }
-
-        /// Pretty-prints the value with two-space indentation.
-        pub fn pretty(&self) -> String {
-            let mut out = String::new();
-            self.write(&mut out, 0);
-            out
-        }
-
-        fn write(&self, out: &mut String, indent: usize) {
-            match self {
-                Json::Null => out.push_str("null"),
-                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                Json::Num(x) => {
-                    if x.is_finite() {
-                        if x.fract() == 0.0 && x.abs() < 9.0e15 {
-                            out.push_str(&format!("{}", *x as i64));
-                        } else {
-                            out.push_str(&format!("{x}"));
-                        }
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                Json::Str(s) => write_json_string(out, s),
-                Json::Arr(items) => {
-                    if items.is_empty() {
-                        out.push_str("[]");
-                        return;
-                    }
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        out.push_str(&"  ".repeat(indent + 1));
-                        item.write(out, indent + 1);
-                        if i + 1 < items.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    out.push_str(&"  ".repeat(indent));
-                    out.push(']');
-                }
-                Json::Obj(fields) => {
-                    if fields.is_empty() {
-                        out.push_str("{}");
-                        return;
-                    }
-                    out.push_str("{\n");
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        out.push_str(&"  ".repeat(indent + 1));
-                        write_json_string(out, k);
-                        out.push_str(": ");
-                        v.write(out, indent + 1);
-                        if i + 1 < fields.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    out.push_str(&"  ".repeat(indent));
-                    out.push('}');
-                }
-            }
-        }
-    }
-
-    /// Writes `s` as a JSON string literal with RFC 8259 escaping (shared by
-    /// string values and object keys).
-    fn write_json_string(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    /// Types that can render themselves as a [`Json`] value.
-    pub trait ToJson {
-        /// Converts `self` into a JSON value.
-        fn to_json(&self) -> Json;
-    }
-
-    impl<T: ToJson> ToJson for Vec<T> {
-        fn to_json(&self) -> Json {
-            Json::Arr(self.iter().map(ToJson::to_json).collect())
-        }
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_pretty_prints_and_escapes() {
-        use json::Json;
-        let doc = Json::obj(vec![
-            ("name", Json::str("a\"b")),
-            ("n", Json::Num(3.0)),
-            (
-                "xs",
-                Json::Arr(vec![Json::Num(1.5), Json::Bool(true), Json::Null]),
-            ),
-            ("empty", Json::Arr(vec![])),
-        ]);
-        let text = doc.pretty();
-        assert!(text.contains("\"name\": \"a\\\"b\""));
-        assert!(text.contains("\"n\": 3"));
-        assert!(text.contains("1.5"));
-        assert!(text.contains("\"empty\": []"));
-        assert!(text.starts_with("{\n"));
-        assert!(text.ends_with('}'));
-    }
-
-    #[test]
-    fn json_nan_becomes_null() {
-        assert_eq!(json::Json::Num(f64::NAN).pretty(), "null");
-    }
-
-    #[test]
-    fn json_object_keys_are_escaped_like_values() {
-        let doc = json::Json::Obj(vec![("a\"\n\u{1b}b".to_string(), json::Json::Num(1.0))]);
-        let text = doc.pretty();
-        assert!(text.contains("\"a\\\"\\n\\u001bb\": 1"), "{text}");
-    }
 
     #[test]
     fn format_seconds_selects_units() {

@@ -1,13 +1,15 @@
-//! Minimal JSON value model with a parser and a *compact* (single line)
-//! writer, sized for the newline-delimited wire protocol.
+//! Minimal JSON value model with a parser, a *compact* (single line)
+//! writer sized for the newline-delimited wire protocol, and a *pretty*
+//! writer for report files.
 //!
 //! The build environment is offline, so `serde_json` is unavailable; the
 //! service instead parses requests into this small [`Value`] enum and writes
-//! responses with [`Value::compact`].  Only the shapes the protocol uses are
-//! supported: objects, arrays, strings, finite numbers, booleans and null.
-//! Unlike `stencil_bench::report::json` (a pretty-printing *emitter* for
-//! report files), this module must also read, and must emit one-line
-//! documents so that one response occupies exactly one line.
+//! responses with [`Value::compact`], so that one response occupies exactly
+//! one line.  The benchmark harness builds its report documents (the
+//! `BENCH_*.json` baselines, figure and table dumps) from the same enum,
+//! writes them with [`Value::pretty`] and reads them back with
+//! [`Value::parse`].  Only the shapes these uses need are supported:
+//! objects, arrays, strings, finite numbers, booleans and null.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,6 +132,48 @@ impl Value {
         let mut out = String::new();
         self.write_into(&mut out);
         out
+    }
+
+    /// Writes the value as indented multi-line JSON: two spaces per level,
+    /// `": "` after each key, one item or field per line, and `[]` / `{}`
+    /// for empty containers.  Scalars print exactly as in
+    /// [`Value::compact`].
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        let pad = "  ".repeat(indent + 1);
+        match self {
+            Value::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    out.push_str(&pad);
+                    item.write_pretty(out, indent + 1);
+                }
+                out.push('\n');
+                out.push_str(&pad[2..]);
+                out.push(']');
+            }
+            Value::Obj(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    out.push_str(&pad);
+                    write_string(out, key);
+                    out.push_str(": ");
+                    value.write_pretty(out, indent + 1);
+                }
+                out.push('\n');
+                out.push_str(&pad[2..]);
+                out.push('}');
+            }
+            // scalars and empty containers print as in the compact form
+            _ => self.write_into(out),
+        }
     }
 
     /// Appends the value as compact single-line JSON to `out`.  The direct
@@ -819,6 +863,51 @@ mod tests {
         let text = v.compact();
         assert!(!text.contains('\n'));
         assert_eq!(Value::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn pretty_prints_and_escapes() {
+        let doc = Value::obj(vec![
+            ("name", Value::str("a\"b")),
+            ("n", Value::Num(3.0)),
+            (
+                "xs",
+                Value::Arr(vec![Value::Num(1.5), Value::Bool(true), Value::Null]),
+            ),
+            ("empty", Value::Arr(vec![])),
+        ]);
+        let text = doc.pretty();
+        assert!(text.contains("\"name\": \"a\\\"b\""));
+        assert!(text.contains("\"n\": 3"));
+        assert!(text.contains("1.5"));
+        assert!(text.contains("\"empty\": []"));
+        assert!(text.starts_with("{\n"));
+        assert!(text.ends_with('}'));
+        assert_eq!(Value::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_nan_becomes_null() {
+        assert_eq!(Value::Num(f64::NAN).pretty(), "null");
+    }
+
+    #[test]
+    fn pretty_object_keys_are_escaped_like_values() {
+        let doc = Value::Obj(vec![("a\"\n\u{1b}b".to_string(), Value::Num(1.0))]);
+        let text = doc.pretty();
+        assert!(text.contains("\"a\\\"\\n\\u001bb\": 1"), "{text}");
+    }
+
+    #[test]
+    fn pretty_layout_indents_nested_containers() {
+        let doc = Value::obj(vec![
+            ("a", Value::Arr(vec![Value::Num(1.0), Value::obj(vec![])])),
+            ("b", Value::obj(vec![("c", Value::Null)])),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": {\n    \"c\": null\n  }\n}"
+        );
     }
 
     #[test]

@@ -20,20 +20,21 @@ use std::sync::{Arc, OnceLock};
 use stencil_serve::cache::EvictionPolicy;
 use stencil_serve::json::{base64_decode, Value};
 use stencil_serve::router::{Router, DEFAULT_ROUTE_TIMEOUT};
-use stencil_serve::server::{LineHandler, PollBackend, ServeOptions};
+use stencil_serve::server::{LineHandler, ServeOptions};
 use stencil_serve::service::{MappingService, ServiceConfig, DEFAULT_COMPACT_BYTES};
 
 const USAGE: &str = "\
 usage: stencil-serve [--stdin | --listen ADDR] [--cache-capacity N] [--shards N]
                      [--workers N] [--persist FILE] [--compact-bytes N]
                      [--eviction lru|gdsf] [--max-conns N] [--read-timeout SECS]
-                     [--degrade-queue N] [--poll-backend epoll|threadpoll]
+                     [--degrade-queue N]
                      [--route B1,B2,... [--replicas R]] [--route-timeout SECS]
        stencil-serve --handoff ADDR --persist FILE
 
 modes (default: --stdin):
   --stdin              serve newline-delimited JSON requests from stdin to stdout
   --listen ADDR        bind ADDR (e.g. 127.0.0.1:7077) and serve TCP clients
+                       (Linux only: idle connections wait in epoll at zero CPU)
   --route B1,B2,...    route mode: instead of computing locally, forward each
                        request to one of the comma-separated backend servers
                        (host:port each), picked by consistent-hashing its
@@ -65,10 +66,6 @@ options:
                        (default 10; idle keep-alives are never reaped)
   --degrade-queue N    serve cost-only responses while the worker queue holds
                        N or more connections (default: off)
-  --poll-backend B     TCP readiness backend: epoll (default; idle connections
-                       cost zero CPU, Linux only, falls back automatically) or
-                       threadpoll (portable polling loop, idle cost grows with
-                       connection count)
   --replicas R         route mode: own each key on the R distinct ring-successor
                        backends (default 1).  Misses write through to every
                        replica; reads serve from the primary and fail over in
@@ -185,7 +182,6 @@ fn main() {
         "--max-conns",
         "--read-timeout",
         "--degrade-queue",
-        "--poll-backend",
         "--route",
         "--replicas",
         "--route-timeout",
@@ -244,13 +240,6 @@ fn main() {
         ) as u64),
         degrade_queue: parse_num("--degrade-queue", defaults.degrade_queue),
         write_timeout: defaults.write_timeout,
-        poll_backend: match arg_value(&args, "--poll-backend") {
-            None => PollBackend::default(),
-            Some(name) => PollBackend::from_name(&name).unwrap_or_else(|e| {
-                eprintln!("stencil-serve: {e}");
-                std::process::exit(2);
-            }),
-        },
     };
     let listen = arg_value(&args, "--listen");
 

@@ -2,29 +2,22 @@
 //!
 //! Both frontends speak the same protocol (see [`crate::protocol`]): one
 //! request line in, one response line out, in order.  The stdin frontend
-//! makes the service usable in pipelines and offline containers.  The TCP
-//! frontend serves concurrent clients with a **fixed-size worker pool** fed
-//! by a readiness frontend with two backends ([`PollBackend`]):
+//! makes the service usable in pipelines and offline containers and runs
+//! anywhere.  The TCP frontend (Linux: it is built on `epoll(7)`) serves
+//! concurrent clients with a **fixed-size worker pool**: the accept loop
+//! doubles as a dispatcher sharing one `epoll` instance with the workers.
+//! Each connection is registered one-shot (`EPOLLONESHOT`); when its socket
+//! turns readable the dispatcher moves it from the parked map to the run
+//! queue and a worker wakes, drains the complete lines, answers them in
+//! order, and re-arms the registration.  The run queue only ever holds
+//! readable connections and nobody sleeps on a timer, so idle connections
+//! cost zero CPU no matter how many are parked.
 //!
-//! * **epoll** (default, Linux): the accept loop doubles as a dispatcher
-//!   sharing one `epoll` instance with the workers.  Each connection is
-//!   registered one-shot (`EPOLLONESHOT`); when its socket turns readable
-//!   the dispatcher moves it from the parked map to the run queue and a
-//!   worker wakes, drains the complete lines, answers them in order, and
-//!   re-arms the registration.  The run queue only ever holds readable
-//!   connections and nobody sleeps on a timer, so idle connections cost
-//!   zero CPU no matter how many are parked.
-//! * **threadpoll** (portable fallback): every connection stays on the run
-//!   queue and workers poll the sockets non-blocking, sleeping briefly after
-//!   a full idle pass — idle cost grows with connection count, but nothing
-//!   beyond `std` is needed.
-//!
-//! A connection is only ever held by one worker at a time under either
-//! backend, which preserves the per-connection response order (and
-//! therefore batch ordering and the byte-identical-across-thread-counts
-//! guarantee: responses are produced by the same sequential
-//! [`MappingService::handle_line`] calls either way, so transcripts are
-//! also byte-identical across backends).
+//! A connection is only ever held by one worker at a time, which preserves
+//! the per-connection response order (and therefore batch ordering and the
+//! byte-identical-across-thread-counts guarantee: responses are produced by
+//! the same sequential [`MappingService::handle_line`] calls as under
+//! `--stdin`, so TCP transcripts are byte-identical to stdin ones).
 //!
 //! Both frontends frame lines through [`LineFramer`], which enforces
 //! [`MAX_LINE_BYTES`] and answers invalid UTF-8 with an error response
@@ -240,41 +233,6 @@ pub fn serve_stdin(service: &dyn LineHandler) -> std::io::Result<()> {
     serve_io(service, std::io::stdin().lock(), std::io::stdout().lock())
 }
 
-/// Readiness backend of the TCP frontend (`--poll-backend`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollBackend {
-    /// Edge-notified readiness through one shared `epoll` instance
-    /// (default): idle connections cost zero CPU.  Falls back to
-    /// [`PollBackend::ThreadPoll`] at runtime where epoll is unavailable
-    /// (non-Linux builds).
-    #[default]
-    Epoll,
-    /// The portable polling loop: workers scan all connections non-blocking
-    /// with a 1 ms idle sleep, so idle cost grows with connection count.
-    ThreadPoll,
-}
-
-impl PollBackend {
-    /// Parses a `--poll-backend` value.
-    pub fn from_name(name: &str) -> Result<PollBackend, String> {
-        match name {
-            "epoll" => Ok(PollBackend::Epoll),
-            "threadpoll" => Ok(PollBackend::ThreadPoll),
-            other => Err(format!(
-                "unknown poll backend {other:?} (expected epoll or threadpoll)"
-            )),
-        }
-    }
-
-    /// The flag-value name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PollBackend::Epoll => "epoll",
-            PollBackend::ThreadPoll => "threadpoll",
-        }
-    }
-}
-
 /// Tuning for the TCP frontend's overload and fault behaviour.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -302,8 +260,6 @@ pub struct ServeOptions {
     /// `"degraded":true`) so the saturated pool spends its cycles on answers
     /// rather than table serialisation.  `usize::MAX` disables degradation.
     pub degrade_queue: usize,
-    /// Readiness backend.
-    pub poll_backend: PollBackend,
 }
 
 impl Default for ServeOptions {
@@ -314,7 +270,6 @@ impl Default for ServeOptions {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(5),
             degrade_queue: usize::MAX,
-            poll_backend: PollBackend::default(),
         }
     }
 }
@@ -379,9 +334,9 @@ struct Conn {
     /// When the currently buffered partial line first appeared; `None`
     /// while no partial line is pending.
     partial_since: Option<Instant>,
-    /// The connection's epoll token (unused under threadpoll).  Tokens are
-    /// never reused, so a stale event for a closed connection can never be
-    /// confused with its fd-number successor.
+    /// The connection's epoll token.  Tokens are never reused, so a stale
+    /// event for a closed connection can never be confused with its
+    /// fd-number successor.
     token: u64,
     /// Whether the fd has been `EPOLL_CTL_ADD`ed already (first park adds,
     /// later parks re-arm the existing one-shot registration).
@@ -390,25 +345,22 @@ struct Conn {
 }
 
 /// Shared worker-pool state: the run queue of connections with pending
-/// input, parked idle connections (epoll backend), plus overload/drain
-/// bookkeeping.
+/// input, parked idle connections, plus overload/drain bookkeeping.
 struct PoolState {
     queue: Mutex<VecDeque<Conn>>,
     ready: Condvar,
-    /// Connections waiting for readiness under the epoll backend, keyed by
-    /// token.  Empty under threadpoll (idle connections stay on the run
-    /// queue there).  The park/unpark lock also serialises the one-shot
-    /// re-arm against the dispatcher's event lookup, so an event can never
-    /// arrive "between" re-arm and insert and get lost.
+    /// Connections waiting for readiness, keyed by token.  The park/unpark
+    /// lock also serialises the one-shot re-arm against the dispatcher's
+    /// event lookup, so an event can never arrive "between" re-arm and
+    /// insert and get lost.
     parked: Mutex<HashMap<u64, Conn>>,
     /// Admitted-and-not-yet-closed connection count, for shedding.
     live: AtomicUsize,
     /// Set when the accept loop stops: workers finish in-flight lines on
     /// queued connections, then exit instead of requeueing.
     draining: AtomicBool,
-    /// The shared epoll instance; `None` under threadpoll (or when epoll is
-    /// unavailable at runtime and the frontend fell back).
-    epoll: Option<Epoll>,
+    /// The shared epoll instance.
+    epoll: Epoll,
     opts: ServeOptions,
 }
 
@@ -417,8 +369,7 @@ enum Turn {
     /// the connection goes straight back on the run queue.
     Ready,
     /// The socket was drained to `WouldBlock` (`progressed` says whether
-    /// any bytes were read first).  The epoll backend parks the connection;
-    /// threadpoll requeues it and counts idle passes.
+    /// any bytes were read first); the connection is parked.
     Drained {
         /// Whether this turn read any bytes before hitting `WouldBlock`.
         progressed: bool,
@@ -430,13 +381,6 @@ enum Turn {
 /// Reads per turn before a connection is requeued, so one firehose client
 /// cannot monopolise a worker while other connections wait.
 const TURN_READ_BUDGET: usize = 32;
-
-/// How long a threadpoll worker sleeps after a full idle pass over the
-/// queue.  This is that backend's poll interval: the worst-case added
-/// latency when every connection is silent, traded against busy-spinning.
-/// The epoll backend has no equivalent — workers there only wake for ready
-/// connections.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
 fn serve_turn(service: &dyn LineHandler, conn: &mut Conn, degrade: bool) -> Turn {
     let mut frames = Vec::new();
@@ -518,19 +462,14 @@ fn reap_stalled(mut conn: Conn) {
 /// the event before the connection is findable.  Re-arming is
 /// level-triggered, so bytes that arrived while the worker held the
 /// connection fire immediately.
-fn park(state: &PoolState, conn: Conn) {
-    let epoll = state
-        .epoll
-        .as_ref()
-        .expect("park requires the epoll backend");
-    let mut conn = conn;
+fn park(state: &PoolState, mut conn: Conn) {
     let fd = stream_fd(&conn.stream);
     let mut parked = state.parked.lock().expect("parked map poisoned");
     let armed = if conn.registered {
-        epoll.rearm(fd, conn.token)
+        state.epoll.rearm(fd, conn.token)
     } else {
         conn.registered = true;
-        epoll.add(fd, conn.token, true)
+        state.epoll.add(fd, conn.token, true)
     };
     match armed {
         Ok(()) => {
@@ -544,15 +483,13 @@ fn park(state: &PoolState, conn: Conn) {
     }
 }
 
-fn requeue(state: &PoolState, conn: Conn) -> usize {
+fn requeue(state: &PoolState, conn: Conn) {
     let mut queue = state.queue.lock().expect("pool queue poisoned");
     queue.push_back(conn);
     state.ready.notify_one();
-    queue.len()
 }
 
 fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
-    let mut idle_streak = 0usize;
     loop {
         let (mut conn, queue_depth) = {
             let mut queue = state.queue.lock().expect("pool queue poisoned");
@@ -580,18 +517,6 @@ fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
             {}
             continue;
         }
-        // Threadpoll keeps idle connections cycling through the run queue,
-        // so the mid-line deadline is checked here.  The epoll backend
-        // parks idle connections instead; its dispatcher reaps them.
-        if state.epoll.is_none() {
-            if let Some(since) = conn.partial_since {
-                if since.elapsed() >= state.opts.read_timeout {
-                    reap_stalled(conn);
-                    idle_streak = 0;
-                    continue;
-                }
-            }
-        }
         let degrade = queue_depth >= state.opts.degrade_queue;
         let turn = serve_turn(&*service, &mut conn, degrade);
         if conn.framer.has_partial() {
@@ -600,32 +525,9 @@ fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
             conn.partial_since = None;
         }
         match turn {
-            Turn::Closed => {
-                idle_streak = 0;
-            }
-            Turn::Ready => {
-                requeue(&state, conn);
-                idle_streak = 0;
-            }
-            Turn::Drained { progressed } => {
-                if state.epoll.is_some() {
-                    park(&state, conn);
-                    idle_streak = 0;
-                } else {
-                    let queue_len = requeue(&state, conn);
-                    if progressed {
-                        idle_streak = 0;
-                    } else {
-                        idle_streak += 1;
-                        if idle_streak >= queue_len {
-                            // a full pass found no readable socket: poll,
-                            // don't spin
-                            std::thread::sleep(IDLE_SLEEP);
-                            idle_streak = 0;
-                        }
-                    }
-                }
-            }
+            Turn::Closed => {}
+            Turn::Ready => requeue(&state, conn),
+            Turn::Drained { .. } => park(&state, conn),
         }
     }
 }
@@ -682,6 +584,8 @@ pub fn serve_listener(
 }
 
 /// Serves connections accepted from `listener` until `shutdown` is set.
+/// Fails at once, before serving anything, when no `epoll` instance can be
+/// created (the TCP frontend needs Linux).
 ///
 /// Overload behaviour: a connection arriving while
 /// [`ServeOptions::max_conns`] connections are already live is answered with
@@ -702,19 +606,7 @@ pub fn serve_listener_with(
     opts: ServeOptions,
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    let epoll = match opts.poll_backend {
-        PollBackend::Epoll => match Epoll::new() {
-            Ok(ep) => Some(ep),
-            Err(e) => {
-                eprintln!(
-                    "stencil-serve: epoll unavailable ({e}); falling back to the threadpoll \
-                     backend"
-                );
-                None
-            }
-        },
-        PollBackend::ThreadPoll => None,
-    };
+    let epoll = Epoll::new()?;
     let state = Arc::new(PoolState {
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
@@ -731,11 +623,7 @@ pub fn serve_listener_with(
         handles.push(std::thread::spawn(move || worker_loop(service, state)));
     }
     listener.set_nonblocking(true)?;
-    let result = if state.epoll.is_some() {
-        dispatch_epoll(&state, &listener, &shutdown)
-    } else {
-        dispatch_threadpoll(&state, &listener, &shutdown)
-    };
+    let result = dispatch(&state, &listener, &shutdown);
     state.draining.store(true, Ordering::Release);
     state.ready.notify_all();
     for handle in handles {
@@ -777,36 +665,6 @@ fn try_accept(state: &Arc<PoolState>, stream: TcpStream, peer: String, token: u6
     })
 }
 
-/// The threadpoll accept loop: poll-accept with a short sleep, push every
-/// admitted connection onto the run queue.
-fn dispatch_threadpoll(
-    state: &Arc<PoolState>,
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    while !shutdown.load(Ordering::Acquire) {
-        let (stream, addr) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                eprintln!("stencil-serve: accept failed: {e}");
-                // persistent accept errors (e.g. EMFILE when out of fds)
-                // fail instantly — back off instead of busy-spinning
-                std::thread::sleep(Duration::from_millis(100));
-                continue;
-            }
-        };
-        if let Some(conn) = try_accept(state, stream, addr.to_string(), 0) {
-            requeue(state, conn);
-        }
-    }
-    Ok(())
-}
-
 /// The epoll token of the listening socket (connections count from 1).
 const LISTENER_TOKEN: u64 = 0;
 
@@ -821,12 +679,12 @@ const DISPATCH_TICK_MS: i32 = 50;
 /// run queue; connection events unpark the connection for the workers; each
 /// tick also reaps parked connections that stalled mid-line past the read
 /// deadline.
-fn dispatch_epoll(
+fn dispatch(
     state: &Arc<PoolState>,
     listener: &TcpListener,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
-    let epoll = state.epoll.as_ref().expect("epoll backend");
+    let epoll = &state.epoll;
     // the listener stays level-triggered (not one-shot): it keeps firing
     // until every pending connection is accepted
     epoll.add(listener_fd(listener), LISTENER_TOKEN, false)?;
@@ -922,12 +780,12 @@ fn listener_fd(listener: &TcpListener) -> epoll::RawFd {
 
 #[cfg(not(unix))]
 fn stream_fd(_stream: &TcpStream) -> epoll::RawFd {
-    unreachable!("the epoll backend is never constructed off-Linux")
+    unreachable!("no epoll instance exists off-Linux")
 }
 
 #[cfg(not(unix))]
 fn listener_fd(_listener: &TcpListener) -> epoll::RawFd {
-    unreachable!("the epoll backend is never constructed off-Linux")
+    unreachable!("no epoll instance exists off-Linux")
 }
 
 /// Answers a connection shed at admission with one well-formed error line
@@ -1021,15 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_backend_names_roundtrip() {
-        for backend in [PollBackend::Epoll, PollBackend::ThreadPoll] {
-            assert_eq!(PollBackend::from_name(backend.name()).unwrap(), backend);
-        }
-        assert!(PollBackend::from_name("select").is_err());
-        assert_eq!(PollBackend::default(), PollBackend::Epoll);
-    }
-
-    #[test]
     fn try_admit_increments_only_below_the_limit() {
         let live = AtomicUsize::new(0);
         assert!(try_admit(&live, 2));
@@ -1075,39 +924,28 @@ mod tests {
 
     #[test]
     fn tcp_roundtrip_shares_the_cache_across_connections() {
-        for backend in [PollBackend::Epoll, PollBackend::ThreadPoll] {
-            let service = Arc::new(MappingService::new(&ServiceConfig::default()));
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            {
-                let service = Arc::clone(&service);
-                std::thread::spawn(move || {
-                    let _ = serve_listener_with(
-                        service,
-                        listener,
-                        ServeOptions {
-                            workers: 2,
-                            poll_backend: backend,
-                            ..ServeOptions::default()
-                        },
-                        Arc::new(AtomicBool::new(false)),
-                    );
-                });
-            }
-            let ask = |line: &str| -> String {
-                let mut conn = TcpStream::connect(addr).unwrap();
-                conn.write_all(line.as_bytes()).unwrap();
-                conn.write_all(b"\n").unwrap();
-                conn.shutdown(std::net::Shutdown::Write).unwrap();
-                let mut reply = String::new();
-                BufReader::new(conn).read_line(&mut reply).unwrap();
-                reply
-            };
-            let first = ask(r#"{"dims":[6,6],"nodes":4,"want_mapping":false}"#);
-            assert!(first.contains("\"cached\":false"), "{backend:?}: {first}");
-            let second = ask(r#"{"dims":[6,6],"nodes":4,"want_mapping":false}"#);
-            assert!(second.contains("\"cached\":true"), "{backend:?}: {second}");
-            assert_eq!(service.cache_stats().len, 1);
+        let service = Arc::new(MappingService::new(&ServiceConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let _ = serve_listener(service, listener, 2);
+            });
         }
+        let ask = |line: &str| -> String {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(line.as_bytes()).unwrap();
+            conn.write_all(b"\n").unwrap();
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut reply = String::new();
+            BufReader::new(conn).read_line(&mut reply).unwrap();
+            reply
+        };
+        let first = ask(r#"{"dims":[6,6],"nodes":4,"want_mapping":false}"#);
+        assert!(first.contains("\"cached\":false"), "{first}");
+        let second = ask(r#"{"dims":[6,6],"nodes":4,"want_mapping":false}"#);
+        assert!(second.contains("\"cached\":true"), "{second}");
+        assert_eq!(service.cache_stats().len, 1);
     }
 }

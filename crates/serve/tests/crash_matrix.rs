@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use stencil_serve::faultpoint::{self, Action};
 use stencil_serve::server::{
-    serve_listener_with, PollBackend, ServeOptions, OVERLOADED_LINE, READ_TIMEOUT_LINE,
+    serve_listener_with, ServeOptions, OVERLOADED_LINE, READ_TIMEOUT_LINE,
 };
 use stencil_serve::service::{MappingService, ServiceConfig};
 
@@ -299,42 +299,39 @@ fn ask(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> S
 }
 
 /// A panicking request is answered with an error line and the worker (there
-/// is only one) keeps serving the same connection — under both backends.
+/// is only one) keeps serving the same connection.
 #[test]
 fn a_panicking_request_cannot_take_a_pool_worker_down() {
     let _g = fault_lock();
-    for backend in [PollBackend::Epoll, PollBackend::ThreadPoll] {
-        let (addr, shutdown, handle) = start_server(ServeOptions {
-            workers: 1,
-            poll_backend: backend,
-            ..ServeOptions::default()
-        });
-        let mut conn = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        faultpoint::arm(Some(("serve.request", 1, Action::Panic)));
-        let reply = ask(
-            &mut conn,
-            &mut reader,
-            r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#,
-        );
-        faultpoint::arm(None);
-        assert!(
-            reply.contains("internal error"),
-            "{backend:?}: the panic must surface as an error response: {reply}"
-        );
-        let reply = ask(
-            &mut conn,
-            &mut reader,
-            r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#,
-        );
-        assert!(
-            reply.contains("\"status\":\"ok\""),
-            "{backend:?}: the worker must survive the panic: {reply}"
-        );
-        shutdown.store(true, Ordering::Release);
-        drop((conn, reader));
-        handle.join().unwrap().unwrap();
-    }
+    let (addr, shutdown, handle) = start_server(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    faultpoint::arm(Some(("serve.request", 1, Action::Panic)));
+    let reply = ask(
+        &mut conn,
+        &mut reader,
+        r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#,
+    );
+    faultpoint::arm(None);
+    assert!(
+        reply.contains("internal error"),
+        "the panic must surface as an error response: {reply}"
+    );
+    let reply = ask(
+        &mut conn,
+        &mut reader,
+        r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#,
+    );
+    assert!(
+        reply.contains("\"status\":\"ok\""),
+        "the worker must survive the panic: {reply}"
+    );
+    shutdown.store(true, Ordering::Release);
+    drop((conn, reader));
+    handle.join().unwrap().unwrap();
 }
 
 /// Connections past `max_conns` get one well-formed overloaded line and are
@@ -342,53 +339,44 @@ fn a_panicking_request_cannot_take_a_pool_worker_down() {
 #[test]
 fn connections_past_max_conns_are_shed_with_an_error_line() {
     let _g = fault_lock();
-    for backend in [PollBackend::Epoll, PollBackend::ThreadPoll] {
-        let (addr, shutdown, handle) = start_server(ServeOptions {
-            workers: 1,
-            max_conns: 2,
-            poll_backend: backend,
-            ..ServeOptions::default()
-        });
-        let request = r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#;
-        let mut c1 = TcpStream::connect(addr).unwrap();
-        let mut r1 = BufReader::new(c1.try_clone().unwrap());
-        assert!(ask(&mut c1, &mut r1, request).contains("\"status\":\"ok\""));
-        let mut c2 = TcpStream::connect(addr).unwrap();
-        let mut r2 = BufReader::new(c2.try_clone().unwrap());
-        assert!(ask(&mut c2, &mut r2, request).contains("\"status\":\"ok\""));
+    let (addr, shutdown, handle) = start_server(ServeOptions {
+        workers: 1,
+        max_conns: 2,
+        ..ServeOptions::default()
+    });
+    let request = r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#;
+    let mut c1 = TcpStream::connect(addr).unwrap();
+    let mut r1 = BufReader::new(c1.try_clone().unwrap());
+    assert!(ask(&mut c1, &mut r1, request).contains("\"status\":\"ok\""));
+    let mut c2 = TcpStream::connect(addr).unwrap();
+    let mut r2 = BufReader::new(c2.try_clone().unwrap());
+    assert!(ask(&mut c2, &mut r2, request).contains("\"status\":\"ok\""));
 
-        // both slots taken: the third connection is shed with the error line
-        // (newline included — the shed write must not tear)
-        let c3 = TcpStream::connect(addr).unwrap();
-        let mut line = String::new();
-        BufReader::new(c3).read_line(&mut line).unwrap();
-        assert!(
-            line.ends_with('\n'),
-            "{backend:?}: shed line torn: {line:?}"
-        );
-        assert_eq!(line.trim_end(), OVERLOADED_LINE, "{backend:?}");
+    // both slots taken: the third connection is shed with the error line
+    // (newline included — the shed write must not tear)
+    let c3 = TcpStream::connect(addr).unwrap();
+    let mut line = String::new();
+    BufReader::new(c3).read_line(&mut line).unwrap();
+    assert!(line.ends_with('\n'), "shed line torn: {line:?}");
+    assert_eq!(line.trim_end(), OVERLOADED_LINE);
 
-        // closing an admitted connection frees its slot (the worker has to
-        // notice the close on its next poll, so retry briefly)
-        drop((c1, r1));
-        let mut admitted = false;
-        for _ in 0..200 {
-            let mut c = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(c.try_clone().unwrap());
-            if ask(&mut c, &mut r, request).contains("\"status\":\"ok\"") {
-                admitted = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    // closing an admitted connection frees its slot (the worker has to
+    // notice the close on its next poll, so retry briefly)
+    drop((c1, r1));
+    let mut admitted = false;
+    for _ in 0..200 {
+        let mut c = TcpStream::connect(addr).unwrap();
+        let mut r = BufReader::new(c.try_clone().unwrap());
+        if ask(&mut c, &mut r, request).contains("\"status\":\"ok\"") {
+            admitted = true;
+            break;
         }
-        assert!(
-            admitted,
-            "{backend:?}: a freed slot must admit a new connection"
-        );
-        shutdown.store(true, Ordering::Release);
-        drop((c2, r2));
-        handle.join().unwrap().unwrap();
+        std::thread::sleep(Duration::from_millis(10));
     }
+    assert!(admitted, "a freed slot must admit a new connection");
+    shutdown.store(true, Ordering::Release);
+    drop((c2, r2));
+    handle.join().unwrap().unwrap();
 }
 
 /// A client that starts a line and stalls mid-way is answered with one
@@ -397,54 +385,48 @@ fn connections_past_max_conns_are_shed_with_an_error_line() {
 #[test]
 fn dribbling_clients_are_reaped_but_idle_keepalives_survive() {
     let _g = fault_lock();
-    for backend in [PollBackend::Epoll, PollBackend::ThreadPoll] {
-        let (addr, shutdown, handle) = start_server(ServeOptions {
-            workers: 1,
-            read_timeout: Duration::from_millis(200),
-            poll_backend: backend,
-            ..ServeOptions::default()
-        });
-        let request = r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#;
+    let (addr, shutdown, handle) = start_server(ServeOptions {
+        workers: 1,
+        read_timeout: Duration::from_millis(200),
+        ..ServeOptions::default()
+    });
+    let request = r#"{"dims":[4,4],"nodes":4,"want_mapping":false}"#;
 
-        // idle keep-alive: no bytes sent, connection must outlive the deadline
-        let mut idle = TcpStream::connect(addr).unwrap();
-        let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+    // idle keep-alive: no bytes sent, connection must outlive the deadline
+    let mut idle = TcpStream::connect(addr).unwrap();
+    let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
 
-        // dribbler: half a line, then silence
-        let mut dribble = TcpStream::connect(addr).unwrap();
-        dribble.write_all(&request.as_bytes()[..10]).unwrap();
+    // dribbler: half a line, then silence
+    let mut dribble = TcpStream::connect(addr).unwrap();
+    dribble.write_all(&request.as_bytes()[..10]).unwrap();
 
-        std::thread::sleep(Duration::from_millis(600));
+    std::thread::sleep(Duration::from_millis(600));
 
-        // the dribbler was told why before the close: one newline-terminated
-        // read-timeout error line, then EOF (not a silent drop)
-        dribble
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut dribble_reader = BufReader::new(dribble.try_clone().unwrap());
-        let mut reaped = String::new();
-        dribble_reader.read_line(&mut reaped).unwrap();
-        assert!(
-            reaped.ends_with('\n'),
-            "{backend:?}: reap line torn: {reaped:?}"
-        );
-        assert_eq!(reaped.trim_end(), READ_TIMEOUT_LINE, "{backend:?}");
-        let mut rest = String::new();
-        assert_eq!(
-            dribble_reader.read_line(&mut rest).unwrap_or(0),
-            0,
-            "{backend:?}: the mid-line staller must be disconnected after \
-             the error line, got {rest:?}"
-        );
+    // the dribbler was told why before the close: one newline-terminated
+    // read-timeout error line, then EOF (not a silent drop)
+    dribble
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut dribble_reader = BufReader::new(dribble.try_clone().unwrap());
+    let mut reaped = String::new();
+    dribble_reader.read_line(&mut reaped).unwrap();
+    assert!(reaped.ends_with('\n'), "reap line torn: {reaped:?}");
+    assert_eq!(reaped.trim_end(), READ_TIMEOUT_LINE);
+    let mut rest = String::new();
+    assert_eq!(
+        dribble_reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the mid-line staller must be disconnected after \
+         the error line, got {rest:?}"
+    );
 
-        // the idle connection still serves
-        let reply = ask(&mut idle, &mut idle_reader, request);
-        assert!(reply.contains("\"status\":\"ok\""), "{backend:?}: {reply}");
+    // the idle connection still serves
+    let reply = ask(&mut idle, &mut idle_reader, request);
+    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
 
-        shutdown.store(true, Ordering::Release);
-        drop((idle, idle_reader, dribble, dribble_reader));
-        handle.join().unwrap().unwrap();
-    }
+    shutdown.store(true, Ordering::Release);
+    drop((idle, idle_reader, dribble, dribble_reader));
+    handle.join().unwrap().unwrap();
 }
 
 /// Setting the shutdown flag drains: already-sent lines are answered, the
@@ -452,39 +434,32 @@ fn dribbling_clients_are_reaped_but_idle_keepalives_survive() {
 #[test]
 fn drain_answers_sent_lines_and_returns_cleanly() {
     let _g = fault_lock();
-    for backend in [PollBackend::Epoll, PollBackend::ThreadPoll] {
-        let (addr, shutdown, handle) = start_server(ServeOptions {
-            workers: 2,
-            poll_backend: backend,
-            ..ServeOptions::default()
-        });
-        let mut conn = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        conn.write_all(b"{\"dims\":[6,6],\"nodes\":4,\"want_mapping\":false}\n")
-            .unwrap();
-        // let the line reach the server before draining, then drain
-        std::thread::sleep(Duration::from_millis(100));
-        shutdown.store(true, Ordering::Release);
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        assert!(
-            reply.contains("\"status\":\"ok\""),
-            "{backend:?}: the in-flight line must be answered during the drain: {reply}"
-        );
-        handle.join().unwrap().unwrap();
-        // the listener is gone: new connections are refused (or immediately
-        // closed if the OS had them queued in the backlog)
-        if let Ok(mut late) = TcpStream::connect(addr) {
-            late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut buf = [0u8; 1];
-            assert_eq!(
-                late.read(&mut buf).unwrap_or(0),
-                0,
-                "{backend:?}: server must be gone"
-            );
-        }
-        drop((conn, reader));
+    let (addr, shutdown, handle) = start_server(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    conn.write_all(b"{\"dims\":[6,6],\"nodes\":4,\"want_mapping\":false}\n")
+        .unwrap();
+    // let the line reach the server before draining, then drain
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.store(true, Ordering::Release);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.contains("\"status\":\"ok\""),
+        "the in-flight line must be answered during the drain: {reply}"
+    );
+    handle.join().unwrap().unwrap();
+    // the listener is gone: new connections are refused (or immediately
+    // closed if the OS had them queued in the backlog)
+    if let Ok(mut late) = TcpStream::connect(addr) {
+        late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 1];
+        assert_eq!(late.read(&mut buf).unwrap_or(0), 0, "server must be gone");
     }
+    drop((conn, reader));
 }
 
 /// SIGTERM against the real binary: it stops accepting, flushes and
