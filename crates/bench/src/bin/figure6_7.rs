@@ -9,6 +9,7 @@
 //! cargo run --release -p stencil-bench --bin figure6_7 -- --nodes 50 --json out.json
 //! ```
 
+use stencil_bench::arg_value;
 use stencil_bench::figures::{figure67, Figure67Config};
 use stencil_bench::report::ToJson;
 use stencil_bench::report::{ascii_bar, format_markdown_table, format_seconds};
@@ -130,11 +131,4 @@ fn main() {
             .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
         eprintln!("wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

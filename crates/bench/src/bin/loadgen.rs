@@ -860,7 +860,7 @@ fn main() {
     });
     eprintln!("wrote {out_path}");
 
-    // sanity floor for the acceptance criterion: the hit path must beat the
+    // sanity floor for the acceptance bar: the hit path must beat the
     // cold multilevel mapping by a wide margin
     if speedup < 50.0 {
         eprintln!("loadgen: WARNING — cache-hit speedup {speedup:.0}x is below the 50x target");

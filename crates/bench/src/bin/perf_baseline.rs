@@ -10,16 +10,50 @@
 use std::time::Instant;
 
 use graph_partition::{partition, Graph, PartitionConfig};
-use stencil_bench::paper_throughput_instance;
 use stencil_bench::timing::time_instantiations;
 use stencil_grid::{dims_create, CartGraph, Dims, NodeAllocation, Stencil};
-use stencil_mapping::analysis::StencilKind;
 use stencil_mapping::hyperplane::Hyperplane;
 use stencil_mapping::kdtree::KdTree;
 use stencil_mapping::metrics;
 use stencil_mapping::stencil_strips::StencilStrips;
 use stencil_mapping::{Mapper, MappingProblem};
 use stencil_serve::json::Value;
+
+/// The fastest of `reps` runs of `f`, in seconds.
+fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A 2-D nearest-neighbor instance of `nodes` nodes with `per` processes
+/// each (`per = 48` is the paper's throughput-experiment scale).
+fn grid_instance(nodes: usize, per: usize) -> MappingProblem {
+    MappingProblem::new(
+        Dims::new(dims_create(nodes * per, 2)).expect("valid dims"),
+        Stencil::nearest_neighbor(2),
+        NodeAllocation::homogeneous(nodes, per),
+    )
+    .expect("consistent instance")
+}
+
+/// Best-of-`reps` time of partitioning `problem`'s grid graph into its node
+/// sizes (seed 1) on the parallel or the sequential recursion path.  Only
+/// the `partition` call is timed.
+fn time_partition(problem: &MappingProblem, parallel: bool, reps: usize) -> f64 {
+    let cart = CartGraph::build(problem.dims(), problem.stencil(), false);
+    let graph = Graph::from_directed_csr(cart.xadj(), cart.adjncy());
+    let config = PartitionConfig::new(problem.alloc().sizes().to_vec())
+        .with_seed(1)
+        .with_parallel(parallel);
+    best_of(reps, || {
+        std::hint::black_box(partition(&graph, &config).unwrap());
+    })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -38,7 +72,7 @@ fn main() {
     );
 
     // --- instantiation time (Fig. 9 protocol) -----------------------------
-    let problem = paper_throughput_instance(figure_nodes, StencilKind::NearestNeighbor);
+    let problem = grid_instance(figure_nodes, 48);
     let mappers: Vec<Box<dyn Mapper>> = vec![
         Box::new(Hyperplane::default()),
         Box::new(KdTree),
@@ -68,50 +102,26 @@ fn main() {
     }
 
     // --- metric evaluation: streaming vs. CSR ------------------------------
-    let dims = dims_create(metric_nodes * 64, 2);
-    let metric_problem = MappingProblem::new(
-        Dims::new(dims).expect("valid dims"),
-        Stencil::nearest_neighbor(2),
-        NodeAllocation::homogeneous(metric_nodes, 64),
-    )
-    .expect("consistent instance");
+    let metric_problem = grid_instance(metric_nodes, 64);
+    let (dims, stencil) = (metric_problem.dims(), metric_problem.stencil());
     let mapping = Hyperplane::default()
         .compute(&metric_problem)
         .expect("mapping succeeds");
-    let time_of = |f: &mut dyn FnMut()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repetitions.max(3) {
-            let start = Instant::now();
-            f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let streaming_s = time_of(&mut || {
-        std::hint::black_box(metrics::evaluate_streaming(
-            metric_problem.dims(),
-            metric_problem.stencil(),
-            false,
-            &mapping,
-        ));
+    let streaming_s = best_of(repetitions, || {
+        std::hint::black_box(metrics::evaluate_streaming(dims, stencil, false, &mapping));
     });
-    let csr_with_build_s = time_of(&mut || {
-        let graph = CartGraph::build(metric_problem.dims(), metric_problem.stencil(), false);
+    let csr_with_build_s = best_of(repetitions, || {
+        let graph = CartGraph::build(dims, stencil, false);
         std::hint::black_box(metrics::evaluate(&graph, &mapping));
     });
-    let graph = CartGraph::build(metric_problem.dims(), metric_problem.stencil(), false);
-    let csr_prebuilt_s = time_of(&mut || {
+    let graph = CartGraph::build(dims, stencil, false);
+    let csr_prebuilt_s = best_of(repetitions, || {
         std::hint::black_box(metrics::evaluate(&graph, &mapping));
     });
     // sanity: both evaluators agree bit for bit
     assert_eq!(
         metrics::evaluate(&graph, &mapping),
-        metrics::evaluate_streaming(
-            metric_problem.dims(),
-            metric_problem.stencil(),
-            false,
-            &mapping
-        ),
+        metrics::evaluate_streaming(dims, stencil, false, &mapping),
         "streaming and CSR evaluation diverged"
     );
     eprintln!(
@@ -120,71 +130,36 @@ fn main() {
     );
 
     // --- multilevel partitioner: parallel vs. sequential --------------------
-    let part_problem =
-        paper_throughput_instance(if quick { 25 } else { 100 }, StencilKind::NearestNeighbor);
-    let cart = CartGraph::build(part_problem.dims(), part_problem.stencil(), false);
-    let part_graph = Graph::from_directed_csr(cart.xadj(), cart.adjncy());
-    let sizes: Vec<usize> = part_problem.alloc().sizes().to_vec();
-    let par_s = time_of(&mut || {
-        std::hint::black_box(
-            partition(
-                &part_graph,
-                &PartitionConfig::new(sizes.clone()).with_seed(1),
-            )
-            .unwrap(),
-        );
-    });
-    let seq_s = time_of(&mut || {
-        std::hint::black_box(
-            partition(
-                &part_graph,
-                &PartitionConfig::new(sizes.clone())
-                    .with_seed(1)
-                    .with_parallel(false),
-            )
-            .unwrap(),
-        );
-    });
+    let par_s = time_partition(&problem, true, repetitions);
+    let seq_s = time_partition(&problem, false, repetitions);
     eprintln!(
         "  partitioner p={}: parallel {par_s:.6}s, sequential {seq_s:.6}s",
-        part_problem.num_processes()
+        problem.num_processes()
     );
+
+    // Best-of-`reps` sequential partitioning of `nodes` x `per` processes.
+    let single_core = |nodes: usize, per: usize, reps: usize| {
+        let problem = grid_instance(nodes, per);
+        let s = time_partition(&problem, false, reps);
+        eprintln!(
+            "  partitioner p={} (k={nodes}): sequential {s:.6}s",
+            problem.num_processes()
+        );
+        Value::obj(vec![
+            ("processes", Value::Num(problem.num_processes() as f64)),
+            ("parts", Value::Num(nodes as f64)),
+            ("single_core_s", Value::Num(s)),
+        ])
+    };
 
     // --- large-scale partitioning: p = 100_000, single core -----------------
     // The paper targets node-aware mappings at p >= 10^5; the bucket-queue FM
     // keeps the VieM-style baseline usable there.  Skipped with --quick.
-    let large = (!quick).then(|| {
-        let (nodes, per) = (1000usize, 100usize);
-        let dims = dims_create(nodes * per, 2);
-        let large_problem = MappingProblem::new(
-            Dims::new(dims).expect("valid dims"),
-            Stencil::nearest_neighbor(2),
-            NodeAllocation::homogeneous(nodes, per),
-        )
-        .expect("consistent large instance");
-        let cart = CartGraph::build(large_problem.dims(), large_problem.stencil(), false);
-        let graph = Graph::from_directed_csr(cart.xadj(), cart.adjncy());
-        let sizes: Vec<usize> = large_problem.alloc().sizes().to_vec();
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let start = Instant::now();
-            std::hint::black_box(
-                partition(
-                    &graph,
-                    &PartitionConfig::new(sizes.clone())
-                        .with_seed(1)
-                        .with_parallel(false),
-                )
-                .unwrap(),
-            );
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        eprintln!(
-            "  partitioner p={} (k={nodes}): sequential {best:.6}s",
-            large_problem.num_processes()
-        );
-        (large_problem.num_processes(), nodes, best)
-    });
+    let large = if quick {
+        Value::Null
+    } else {
+        single_core(1000, 100, 2)
+    };
 
     // --- extreme-scale partitioning: p = 10^6, k = 10^4, single core --------
     // The tentpole scale of the flat-array coarsening rework: a million
@@ -194,41 +169,10 @@ fn main() {
     // instance down (p = 5*10^4, k = 10^3) so the section stays exercised,
     // and the scale guard on `processes` keeps quick and full documents from
     // being compared against each other.
-    let xl = {
-        let (nodes, per, reps) = if quick {
-            (1000usize, 50usize, 1usize)
-        } else {
-            (10_000usize, 100usize, 2usize)
-        };
-        let dims = dims_create(nodes * per, 2);
-        let xl_problem = MappingProblem::new(
-            Dims::new(dims).expect("valid dims"),
-            Stencil::nearest_neighbor(2),
-            NodeAllocation::homogeneous(nodes, per),
-        )
-        .expect("consistent xl instance");
-        let cart = CartGraph::build(xl_problem.dims(), xl_problem.stencil(), false);
-        let graph = Graph::from_directed_csr(cart.xadj(), cart.adjncy());
-        let sizes: Vec<usize> = xl_problem.alloc().sizes().to_vec();
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            std::hint::black_box(
-                partition(
-                    &graph,
-                    &PartitionConfig::new(sizes.clone())
-                        .with_seed(1)
-                        .with_parallel(false),
-                )
-                .unwrap(),
-            );
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        eprintln!(
-            "  partitioner p={} (k={nodes}): sequential {best:.6}s",
-            xl_problem.num_processes()
-        );
-        (xl_problem.num_processes(), nodes, best)
+    let xl = if quick {
+        single_core(1000, 50, 1)
+    } else {
+        single_core(10_000, 100, 2)
     };
 
     let doc = Value::obj(vec![
@@ -258,30 +202,13 @@ fn main() {
         (
             "partitioner",
             Value::obj(vec![
-                ("processes", Value::Num(part_problem.num_processes() as f64)),
+                ("processes", Value::Num(problem.num_processes() as f64)),
                 ("parallel_s", Value::Num(par_s)),
                 ("sequential_s", Value::Num(seq_s)),
             ]),
         ),
-        (
-            "partitioner_large",
-            match large {
-                Some((p, parts, s)) => Value::obj(vec![
-                    ("processes", Value::Num(p as f64)),
-                    ("parts", Value::Num(parts as f64)),
-                    ("single_core_s", Value::Num(s)),
-                ]),
-                None => Value::Null,
-            },
-        ),
-        (
-            "partitioner_xl",
-            Value::obj(vec![
-                ("processes", Value::Num(xl.0 as f64)),
-                ("parts", Value::Num(xl.1 as f64)),
-                ("single_core_s", Value::Num(xl.2)),
-            ]),
-        ),
+        ("partitioner_large", large),
+        ("partitioner_xl", xl),
     ]);
     std::fs::write(&out_path, doc.pretty()).unwrap_or_else(|e| {
         eprintln!("could not write {out_path}: {e}");

@@ -13,6 +13,7 @@
 //! ```
 
 use cluster_sim::Machine;
+use stencil_bench::arg_value;
 use stencil_bench::figures::{appendix_table, TableConfig};
 use stencil_bench::report::ToJson;
 use stencil_bench::report::{format_markdown_table, format_seconds};
@@ -105,11 +106,4 @@ fn main() {
             .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
         eprintln!("wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

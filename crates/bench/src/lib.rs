@@ -1,11 +1,10 @@
 //! # stencil-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! evaluation section of the paper (see `DESIGN.md` for the experiment
-//! index).  The heavy lifting lives in this library crate so that both the
-//! command-line binaries (`figure6_7`, `figure8`, `figure9`, `tables`) and
-//! the Criterion benches reuse the same code, and so that integration tests
-//! can exercise the harness on shrunk instances.
+//! evaluation section of the paper.  The heavy lifting lives in this library
+//! crate so that the command-line binaries (`figure6_7`, `figure8`,
+//! `figure9`, `tables`, `perf_baseline`) share the same code, and so that
+//! integration tests can exercise the harness on shrunk instances.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -21,7 +20,7 @@ pub use figures::{
 pub use report::{format_markdown_table, format_seconds};
 pub use timing::{time_instantiations, InstantiationTiming};
 
-use stencil_grid::{Dims, NodeAllocation, Stencil};
+use stencil_grid::{Dims, NodeAllocation};
 use stencil_mapping::analysis::StencilKind;
 use stencil_mapping::MappingProblem;
 
@@ -66,14 +65,6 @@ pub fn figure9_instance() -> MappingProblem {
     paper_throughput_instance(100, StencilKind::NearestNeighbor)
 }
 
-/// Convenience: the three paper stencils with their display names.
-pub fn paper_stencils() -> Vec<(StencilKind, Stencil)> {
-    StencilKind::all()
-        .into_iter()
-        .map(|k| (k, k.build(2)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +80,5 @@ mod tests {
         let quick = quick_throughput_instance(StencilKind::NearestNeighborHops);
         assert_eq!(quick.num_processes(), 96);
         assert_eq!(figure9_instance().num_processes(), 4800);
-        assert_eq!(paper_stencils().len(), 3);
     }
 }

@@ -61,7 +61,7 @@ pub const PARTITIONER_SCALE_GUARDS: &[(&str, &str)] = &[
 /// Absolute wall-clock ceilings for the partitioner document, checked against
 /// the *current* measurement (the relative gates above only catch drift from
 /// the committed baseline, so repeated small regressions could creep past any
-/// budget).  The xl ceiling is the acceptance criterion of the coarsening
+/// budget).  The xl ceiling is the acceptance bar of the coarsening
 /// rework: p = 10^6 split into k = 10^4 parts must finish in at most 9 s on a
 /// single core; the large instance (p = 10^5, k = 10^3) must stay under
 /// 1.9 s.  `--quick` documents measure a scaled-down xl instance, so their
@@ -130,8 +130,8 @@ pub const SERVE_SCALE_GUARDS: &[(&str, &str)] = &[
 
 /// Absolute throughput floors for the serve document, checked against the
 /// *current* measurement (the relative gates above only catch drift from
-/// the committed baseline).  The routed-hit floor is the acceptance
-/// criterion of the router work: p = 4800 cache hits through the router
+/// the committed baseline).  The routed-hit floor is the acceptance bar
+/// of the router work: p = 4800 cache hits through the router
 /// must sustain at least 10k req/s; the replicated router — which writes
 /// every miss through to two replicas but serves hits from the primary
 /// alone — must sustain at least 8k req/s over three backends.

@@ -22,7 +22,7 @@ use stencil_grid::{Coord, Stencil};
 pub struct StencilStrips;
 
 /// Precomputed strip geometry for a mapping problem.  Exposed for tests and
-/// for the documentation example in `DESIGN.md`.
+/// diagnostics; the mapper caches it per workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StripLayout {
     /// Index of the largest dimension (the direction the strips run along).

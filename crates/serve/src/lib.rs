@@ -1,9 +1,8 @@
 //! # stencil-serve
 //!
-//! A caching mapping service in front of the `stencilmap` engine: the
-//! "serve millions of users" subsystem of the roadmap.  Clients send
-//! newline-delimited JSON mapping requests (over TCP or stdin/stdout) and
-//! receive the process-to-node mapping plus its `Jsum`/`Jmax` cost.
+//! A caching mapping service in front of the `stencilmap` engine.  Clients
+//! send newline-delimited JSON mapping requests (over TCP or stdin/stdout)
+//! and receive the process-to-node mapping plus its `Jsum`/`Jmax` cost.
 //!
 //! * **Canonicalizing cache** — requests are normalised with
 //!   [`stencil_mapping::canonical`] (dimension permutation + stencil offset

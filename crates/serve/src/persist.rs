@@ -1,13 +1,14 @@
 //! Write-behind persistence of canonical cache entries.
 //!
 //! The cache's canonical entries are the expensive part of the service —
-//! a p = 4800 multilevel mapping costs ~48 ms to recompute but ~6 KB to
-//! store.  This module makes them survive restarts with an **append-only
-//! log**: every cache insert (a computed miss) and every recency-*changing*
-//! cache hit (touches of an already-MRU key replay as no-ops and are
-//! skipped, so a hot key costs one record ever) is serialised to one JSON
-//! line and handed to a background writer thread over a bounded queue, so
-//! the request path never waits on the filesystem.  The writer appends and
+//! a p = 4800 multilevel mapping costs ~25 ms to recompute (the `cold_viem`
+//! p50 of `servebench/`) but ~6 KB to store.  This module makes them
+//! survive restarts with an **append-only log**: every cache insert (a
+//! computed miss) and every recency-*changing* cache hit (touches of an
+//! already-MRU key replay as no-ops and are skipped, so a hot key costs one
+//! record ever) is serialised to one JSON line and handed to a background
+//! writer thread over a bounded queue, so the request path never waits on
+//! the filesystem.  The writer appends and
 //! flushes, so even a `kill -9` loses at most the records still queued; if
 //! the disk cannot keep up, records are dropped and counted instead of
 //! buffering without bound.

@@ -333,28 +333,24 @@ impl MappingService {
     /// engine's rank-parallel fan-out on every miss) and above (the TCP
     /// worker pool, where one pooled worker holds a connection at a time).
     pub fn handle_line(&self, line: &str) -> String {
-        self.handle_line_mode(line, false)
-    }
-
-    /// Like [`MappingService::handle_line`], but with `degrade` set every
-    /// table response is answered cost-only (as if `want_mapping:false`)
-    /// and flagged `"degraded":true` — the overloaded server's way of
-    /// keeping the admission-control answer flowing while shedding the
-    /// expensive serialisation.  Point queries and cost-only requests are
-    /// already cheap and are served in full.
-    pub fn handle_line_mode(&self, line: &str, degrade: bool) -> String {
         let mut out = String::new();
-        self.handle_line_into(line, degrade, &mut out);
+        self.handle_line_into(line, false, &mut out);
         out
     }
 
-    /// Like [`MappingService::handle_line_mode`], but appends the response
-    /// line (without the trailing newline) to `out` instead of allocating a
+    /// Like [`MappingService::handle_line`], but appends the response line
+    /// (without the trailing newline) to `out` instead of allocating a
     /// fresh `String`.  Responses stream straight into the output via
     /// [`MapResponse::write_into`] — no intermediate [`Value`] tree is built
     /// anywhere on the serving path (byte-identical output; see the
     /// direct-writer tests in `protocol`) — and the TCP workers reuse one
     /// buffer for a whole turn's worth of responses.
+    ///
+    /// With `degrade` set every table response is answered cost-only (as if
+    /// `want_mapping:false`) and flagged `"degraded":true` — the overloaded
+    /// server's way of keeping the admission-control answer flowing while
+    /// shedding the expensive serialisation.  Point queries and cost-only
+    /// requests are already cheap and are served in full.
     pub fn handle_line_into(&self, line: &str, degrade: bool, out: &mut String) {
         faultpoint::reach("serve.request");
         let parsed = match Value::parse(line) {
@@ -386,11 +382,11 @@ impl MappingService {
                 if i > 0 {
                     out.push(',');
                 }
-                self.handle_value_mode(item, degrade).write_into(out);
+                self.handle_value(item, degrade).write_into(out);
             }
             out.push_str("]}");
         } else {
-            self.handle_value_mode(&parsed, degrade).write_into(out);
+            self.handle_value(&parsed, degrade).write_into(out);
         }
     }
 
@@ -607,13 +603,9 @@ impl MappingService {
     }
 
     /// Handles one parsed request object.
-    pub fn handle_value(&self, v: &Value) -> MapResponse {
-        self.handle_value_mode(v, false)
-    }
-
-    fn handle_value_mode(&self, v: &Value, degrade: bool) -> MapResponse {
+    fn handle_value(&self, v: &Value, degrade: bool) -> MapResponse {
         match MapRequest::from_value(v) {
-            Ok(req) => self.handle_request_mode(&req, degrade),
+            Ok(req) => self.handle_request(&req, degrade),
             Err(e) => MapResponse {
                 id: v.get("id").cloned(),
                 body: ResponseBody::Error(e),
@@ -624,11 +616,7 @@ impl MappingService {
     /// Handles one request end to end: canonicalise, cache lookup or
     /// compute, admission control, transport back to the request's own
     /// dimension order.
-    pub fn handle_request(&self, req: &MapRequest) -> MapResponse {
-        self.handle_request_mode(req, false)
-    }
-
-    fn handle_request_mode(&self, req: &MapRequest, degrade: bool) -> MapResponse {
+    fn handle_request(&self, req: &MapRequest, degrade: bool) -> MapResponse {
         let canon = canonicalize(&req.dims, &req.stencil);
         let (entry, cached) = match self.lookup_or_compute(req, &canon, req.algorithm, req.seed) {
             Ok(hit) => hit,
@@ -1129,27 +1117,28 @@ mod tests {
     #[test]
     fn degraded_mode_strips_tables_and_flags_them() {
         let s = service();
+        let degraded = |line: &str| {
+            let mut out = String::new();
+            s.handle_line_into(line, true, &mut out);
+            out
+        };
         // table request: payload stripped, flagged
-        let out = s.handle_line_mode(r#"{"id":1,"dims":[12,8],"nodes":8}"#, true);
+        let out = degraded(r#"{"id":1,"dims":[12,8],"nodes":8}"#);
         let v = Value::parse(&out).unwrap();
         assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
         assert_eq!(v.get("degraded").and_then(Value::as_bool), Some(true));
         assert!(v.get("nodes").is_none(), "{out}");
         assert!(v.get("j_sum").is_some());
         // cost-only and point queries are already cheap: served in full
-        let out = s.handle_line_mode(r#"{"dims":[12,8],"nodes":8,"want_mapping":false}"#, true);
+        let out = degraded(r#"{"dims":[12,8],"nodes":8,"want_mapping":false}"#);
         assert!(!out.contains("degraded"), "{out}");
-        let out = s.handle_line_mode(
-            r#"{"dims":[12,8],"nodes":8,"query":"new_rank_of","ranks":[3]}"#,
-            true,
-        );
+        let out = degraded(r#"{"dims":[12,8],"nodes":8,"query":"new_rank_of","ranks":[3]}"#);
         let v = Value::parse(&out).unwrap();
         assert!(v.get("nodes").is_some());
         assert!(v.get("degraded").is_none(), "{out}");
         // batch items degrade individually
-        let out = s.handle_line_mode(
+        let out = degraded(
             r#"{"batch":[{"id":"a","dims":[6,6],"nodes":4},{"id":"b","dims":[6,6],"nodes":4,"want_mapping":false}]}"#,
-            true,
         );
         let v = Value::parse(&out).unwrap();
         let batch = v.get("batch").and_then(Value::as_arr).unwrap();
@@ -1158,12 +1147,12 @@ mod tests {
             Some(true)
         );
         assert!(batch[1].get("degraded").is_none());
-        // and degrade=false is byte-identical to the plain entry point
-        // (warm the entry first so `cached` agrees between the two calls)
-        s.handle_line(r#"{"dims":[4,4],"nodes":4}"#);
-        let a = s.handle_line(r#"{"dims":[4,4],"nodes":4}"#);
-        let b = s.handle_line_mode(r#"{"dims":[4,4],"nodes":4}"#, false);
-        assert_eq!(a, b);
+        // degrade=false serves the same table in full, unflagged
+        let mut out = String::new();
+        s.handle_line_into(r#"{"id":1,"dims":[12,8],"nodes":8}"#, false, &mut out);
+        let v = Value::parse(&out).unwrap();
+        assert!(v.get("nodes").is_some(), "{out}");
+        assert!(v.get("degraded").is_none(), "{out}");
     }
 
     /// Answers `{"admin":"export","request":REQUEST}` (with an id) and

@@ -138,9 +138,39 @@ fn figure_harness_smoke_test() {
 
 /// The instantiation-time harness reports the runtime hierarchy of Fig. 9:
 /// the distributed algorithms are far faster than the VieM-style mapper.
+///
+/// The mappers are timed single-threaded, like the paper's per-process
+/// instantiation time.  The vendored rayon spawns an OS thread per parallel
+/// region, and on a loaded host the wait for that thread's time slice
+/// (milliseconds) swamps the fast mappers' sub-millisecond work.  The worker
+/// count is read once per process, so the test re-runs itself as a child with
+/// `RAYON_NUM_THREADS=1` and compares minima over 10 repetitions.
 #[test]
 fn instantiation_time_hierarchy() {
     use stencil_bench::timing::time_instantiations;
+
+    const CHILD_VAR: &str = "STENCILMAP_TIMING_CHILD";
+    if std::env::var(CHILD_VAR).is_err() {
+        let exe = std::env::current_exe().expect("test executable path");
+        let out = std::process::Command::new(exe)
+            .args([
+                "instantiation_time_hierarchy",
+                "--exact",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env(CHILD_VAR, "1")
+            .env("RAYON_NUM_THREADS", "1")
+            .output()
+            .expect("spawning the child test process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "single-threaded child failed:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
 
     let problem = MappingProblem::new(
         Dims::from_slice(&[24, 20]),
@@ -154,21 +184,21 @@ fn instantiation_time_hierarchy() {
         Box::new(StencilStrips),
         Box::new(GraphMapper::with_seed(1)),
     ];
-    let timings = time_instantiations(&problem, &mappers, 3);
+    let timings = time_instantiations(&problem, &mappers, 10);
     assert_eq!(timings.len(), 4);
     let viem = timings
         .iter()
         .find(|t| t.algorithm == "VieM-style")
         .unwrap()
         .summary
-        .mean;
+        .min;
     for t in &timings {
         if t.algorithm != "VieM-style" {
             assert!(
-                viem > 3.0 * t.summary.mean,
+                viem > 3.0 * t.summary.min,
                 "VieM-style ({viem}s) should be much slower than {} ({}s)",
                 t.algorithm,
-                t.summary.mean
+                t.summary.min
             );
         }
     }
