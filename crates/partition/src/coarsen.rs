@@ -725,6 +725,72 @@ mod tests {
         assert_eq!(w, u32::MAX);
     }
 
+    /// A `rows x cols` grid with vertex weights cycling 1, 2, 3 and heavy
+    /// rows: every third row's edges weigh 3e9, so the parallel coarse edges
+    /// a contraction merges there saturate.
+    fn heavy_row_graph(rows: u32, cols: u32) -> Graph {
+        let mut edges = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                let w = if r % 3 == 0 { 3_000_000_000 } else { 1 + c % 3 };
+                if c + 1 < cols {
+                    edges.push((v, v + 1, w));
+                }
+                if r + 1 < rows {
+                    edges.push((v, v + cols, w));
+                }
+            }
+        }
+        let mut g = Graph::from_edges((rows * cols) as usize, &edges);
+        for u in 0..g.num_vertices() {
+            g.set_vertex_weight(u, (u % 3) as u32 + 1);
+        }
+        g
+    }
+
+    /// FNV-1a over 200 seeds' matchings (partner array, pair count) and
+    /// contractions (coarse vertex weights, rows, fine-to-coarse map), and
+    /// the number of saturated coarse edge weights seen.
+    fn matching_and_contraction_fingerprint(g: &Graph) -> (u64, usize) {
+        let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x100_0000_01b3);
+        let (mut h, mut saturated) = (0xcbf2_9ce4_8422_2325, 0);
+        let mut ws = Workspace::new();
+        for seed in 0..200 {
+            let (partner, pairs) = heavy_edge_matching_impl(g, seed, false, &mut ws);
+            h = partner
+                .iter()
+                .fold(fnv(h, pairs as u64), |h, &p| fnv(h, p as u64));
+            let level = contract_impl(g, &partner, false, &mut ws);
+            ws.partner = partner;
+            let coarse = &level.graph;
+            for c in 0..coarse.num_vertices() {
+                h = fnv(h, coarse.vertex_weight(c) as u64);
+                for (v, w) in coarse.edges_of(c) {
+                    h = fnv(fnv(h, v as u64), w as u64);
+                    saturated += (w == u32::MAX) as usize;
+                }
+                h = fnv(h, u64::MAX);
+            }
+            h = level
+                .fine_to_coarse
+                .iter()
+                .fold(h, |h, &c| fnv(h, c as u64));
+        }
+        (h, saturated)
+    }
+
+    #[test]
+    fn matching_and_contraction_bytes_are_pinned() {
+        // recorded before the matching and contraction kernels were
+        // rewritten: every tie-break and every merged weight must survive
+        let (grid, _) = matching_and_contraction_fingerprint(&grid_graph(24, 20));
+        assert_eq!(grid, 0xa158_b4f2_e879_4282);
+        let (heavy, saturated) = matching_and_contraction_fingerprint(&heavy_row_graph(21, 19));
+        assert_eq!(heavy, 0xecb3_4436_bdfb_3442);
+        assert!(saturated > 0, "the heavy rows must exercise saturation");
+    }
+
     #[test]
     fn hierarchy_reaches_target() {
         let g = grid_graph(16, 16);

@@ -12,6 +12,7 @@
 //!   via subprocesses) and with parallelism disabled outright.
 
 use proptest::prelude::*;
+use std::process::{Child, Command, Stdio};
 use stencilmap::partition::{partition, refine_kway_with, Graph, PartitionConfig, RefineConfig};
 use stencilmap::prelude::*;
 
@@ -215,63 +216,159 @@ fn refine_kway_sequential_flag_matches_parallel_exactly() {
     assert_eq!(g.part_weights(&par, 12), vec![192u64; 12]);
 }
 
+/// Marker variable of the child processes the thread-count tests spawn.
+const CHILD_VAR: &str = "STENCILMAP_DETERMINISM_CHILD";
+
+/// One FNV-1a step over a 64-bit value.
+fn fnv1a(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x100_0000_01b3)
+}
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Re-runs test `name` of this binary in one child process per
+/// `RAYON_NUM_THREADS` value (the vendored rayon reads the variable once per
+/// process), all at once; [`child_fingerprints`] collects their output.
+fn spawn_children(name: &str, thread_counts: &[&'static str]) -> Vec<(&'static str, Child)> {
+    let exe = std::env::current_exe().expect("test executable path");
+    thread_counts
+        .iter()
+        .map(|&threads| {
+            let child = Command::new(&exe)
+                .args([name, "--exact", "--nocapture", "--test-threads=1"])
+                .env(CHILD_VAR, "1")
+                .env("RAYON_NUM_THREADS", threads)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawning the child test process");
+            (threads, child)
+        })
+        .collect()
+}
+
+/// Waits for every child and returns the `fingerprint:` value each printed,
+/// with its thread count.
+fn child_fingerprints(children: Vec<(&'static str, Child)>) -> Vec<(&'static str, String)> {
+    children
+        .into_iter()
+        .map(|(threads, child)| {
+            let out = child.wait_with_output().expect("waiting for the child");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "child with RAYON_NUM_THREADS={threads} failed:\n{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            // with --nocapture the marker may share a line with harness output
+            let fp = stdout
+                .lines()
+                .find_map(|l| l.split("fingerprint:").nth(1))
+                .unwrap_or_else(|| panic!("no fingerprint in child output:\n{stdout}"))
+                .split_whitespace()
+                .next()
+                .expect("fingerprint value")
+                .to_string();
+            (threads, fp)
+        })
+        .collect()
+}
+
 /// The parallel `refine_kway` yields identical partitions for
-/// `RAYON_NUM_THREADS` ∈ {1, 2, 4}.  The vendored rayon reads the variable
-/// once per process, so each thread count runs in a child process (this same
-/// test re-invoked with `STENCILMAP_DETERMINISM_CHILD` set) that prints a
+/// `RAYON_NUM_THREADS` ∈ {1, 2, 4}: each thread count runs in a child
+/// process (this same test re-invoked with `CHILD_VAR` set) that prints a
 /// fingerprint of the refined partition.
 #[test]
 fn refine_kway_identical_across_thread_counts() {
-    const CHILD_VAR: &str = "STENCILMAP_DETERMINISM_CHILD";
     if std::env::var(CHILD_VAR).is_ok() {
         let (_, part) = refined_grid_partition(true);
-        // FNV-1a over the assignment
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &p in &part {
-            h ^= p as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let h = part.iter().fold(FNV_OFFSET, |h, &p| fnv1a(h, p as u64));
         println!("fingerprint:{h:016x}");
         return;
     }
-    let exe = std::env::current_exe().expect("test executable path");
-    let mut fingerprints = Vec::new();
-    for threads in ["1", "2", "4"] {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "refine_kway_identical_across_thread_counts",
-                "--exact",
-                "--nocapture",
-                "--test-threads=1",
-            ])
-            .env(CHILD_VAR, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawning the child test process");
-        assert!(
-            out.status.success(),
-            "child with RAYON_NUM_THREADS={threads} failed:\n{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        // with --nocapture the marker may share a line with harness output
-        let fp = stdout
-            .lines()
-            .find_map(|l| l.split("fingerprint:").nth(1))
-            .unwrap_or_else(|| panic!("no fingerprint in child output:\n{stdout}"))
-            .split_whitespace()
-            .next()
-            .expect("fingerprint value")
-            .to_string();
-        fingerprints.push((threads, fp));
-    }
+    let children = spawn_children(
+        "refine_kway_identical_across_thread_counts",
+        &["1", "2", "4"],
+    );
+    let fingerprints = child_fingerprints(children);
     let (_, reference) = &fingerprints[0];
     for (threads, fp) in &fingerprints {
         assert_eq!(
             fp, reference,
             "RAYON_NUM_THREADS={threads} produced a different partition"
         );
+    }
+}
+
+/// The viem miss shapes of the repository benchmark's `cold_viem` workload:
+/// p = 4800 = 100 nodes × 48, a 75×64 and a 20×16×15 grid under each
+/// stencil (`stencil_for` choice), the first shape repeated.
+const VIEM_SHAPES: [(&[usize], u8); 7] = [
+    (&[75, 64], 0),
+    (&[20, 16, 15], 0),
+    (&[75, 64], 1),
+    (&[20, 16, 15], 1),
+    (&[75, 64], 2),
+    (&[20, 16, 15], 2),
+    (&[75, 64], 0),
+];
+
+/// FNV-1a over the refined `GraphMapper` partition of every viem shape for
+/// two seed bases, each followed by its edge cut; returns the hash and the
+/// cut sum.
+fn viem_fingerprint() -> (u64, u64) {
+    let (mut h, mut cut_sum) = (FNV_OFFSET, 0u64);
+    for base in [1000u64, 2000] {
+        for (k, &(dims, choice)) in VIEM_SHAPES.iter().enumerate() {
+            let dims = Dims::from_slice(dims);
+            let stencil = stencil_for(dims.ndims(), choice);
+            let problem =
+                MappingProblem::new(dims, stencil, NodeAllocation::homogeneous(100, 48)).unwrap();
+            let mapping = GraphMapper::with_seed(base + k as u64)
+                .compute(&problem)
+                .unwrap();
+            let cart = CartGraph::build(problem.dims(), problem.stencil(), false);
+            let graph = Graph::from_directed_csr(cart.xadj(), cart.adjncy());
+            let part: Vec<u32> = mapping
+                .node_of_position_slice()
+                .iter()
+                .map(|&n| n as u32)
+                .collect();
+            let cut = graph.cut(&part);
+            h = part.iter().fold(h, |h, &p| fnv1a(h, p as u64));
+            h = fnv1a(h, cut);
+            cut_sum += cut;
+        }
+    }
+    (h, cut_sum)
+}
+
+/// The VieM-style mapper's bytes on the benchmark's viem shapes are pinned:
+/// the partitioner's kernels may get faster, but every refined partition
+/// and cut must stay exactly as recorded, in-process and in children at
+/// `RAYON_NUM_THREADS` ∈ {1, 2}.
+#[test]
+fn viem_benchmark_shapes_keep_their_bytes() {
+    // recorded before the partitioner kernels were rewritten
+    const EXPECTED: &str = "bd6989b42082408d/33824";
+    let fingerprint = || {
+        let (h, cut_sum) = viem_fingerprint();
+        format!("{h:016x}/{cut_sum}")
+    };
+    if std::env::var(CHILD_VAR).is_ok() {
+        println!("fingerprint:{}", fingerprint());
+        return;
+    }
+    // the children run while this process computes its own fingerprint
+    let children = spawn_children("viem_benchmark_shapes_keep_their_bytes", &["1", "2"]);
+    assert_eq!(
+        fingerprint(),
+        EXPECTED,
+        "in-process fingerprint (hash/cut sum)"
+    );
+    for (threads, fp) in child_fingerprints(children) {
+        assert_eq!(fp, EXPECTED, "RAYON_NUM_THREADS={threads}");
     }
 }
 
