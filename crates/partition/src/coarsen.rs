@@ -15,7 +15,8 @@
 //! ranking is a pure function of the round's snapshot, and commits only read
 //! the proposal array, so sequential and parallel execution produce
 //! bit-identical matchings for a given seed: parallelism only changes *who
-//! computes* each entry, never its value.  Rounds repeat until a round
+//! computes* each entry, never its value.  Mop-up rounds hash only edges at
+//! least as heavy as the best so far (a lighter edge cannot win).  Rounds repeat until a round
 //! matches nothing or `MATCH_ROUNDS` is hit.  Because the hash is
 //! symmetric in the edge's endpoints, both endpoints of a locally-heaviest
 //! edge rank it first and match in one round, so a handful of rounds
@@ -28,9 +29,11 @@
 //! [`contract_with`] assembles the coarse CSR directly: coarse vertices are
 //! numbered by their smallest member, per-row upper bounds (sum of the two
 //! members' degrees) are prefix-summed into workspace scratch, and every
-//! coarse row is gathered + merged independently into its disjoint scratch
-//! slice — embarrassingly parallel with no locks and a deterministic result.
-//! Only the returned level's exact-size arrays are allocated.
+//! coarse row is gathered independently into its disjoint scratch slice —
+//! sorted by coarse id with an insertion step — and then merged, one pass
+//! over runs of equal ids.  Rows are embarrassingly parallel, with no locks
+//! and a deterministic result; the sequential path runs the same routine as
+//! one chunk.  Only the returned level's exact-size arrays are allocated.
 //!
 //! # Overflow policy
 //!
@@ -105,18 +108,19 @@ fn edge_key(seed: u64, u: u32, v: u32) -> u64 {
 #[inline]
 fn propose_round1(graph: &Graph, rand: &[u64], u: usize) -> u32 {
     let ru = rand[u];
-    let mut best: Option<(u32, u64, u32)> = None;
+    // best (weight, key, id) so far; `u32::MAX` (never a vertex id) = none
+    let (mut best_w, mut best_key, mut best_v) = (0u32, 0u64, u32::MAX);
     for (v, w) in graph.edges_of(u) {
         let vi = v as usize;
         if vi == u {
             continue;
         }
-        let key = (w, ru ^ rand[vi], v);
-        if best.is_none_or(|b| key > b) {
-            best = Some(key);
+        let key = ru ^ rand[vi];
+        if best_v == u32::MAX || (w, key, v) > (best_w, best_key, best_v) {
+            (best_w, best_key, best_v) = (w, key, v);
         }
     }
-    best.map_or(u32::MAX, |(_, _, v)| v)
+    best_v
 }
 
 /// One vertex's proposal for a mop-up round: its best unmatched neighbor
@@ -127,18 +131,19 @@ fn propose_for(graph: &Graph, partner: &[u32], seed: u64, u: usize) -> u32 {
     if partner[u] as usize != u {
         return u32::MAX;
     }
-    let mut best: Option<(u32, u64, u32)> = None;
+    let (mut best_w, mut best_key, mut best_v) = (0u32, 0u64, u32::MAX);
     for (v, w) in graph.edges_of(u) {
         let vi = v as usize;
-        if vi == u || partner[vi] as usize != vi {
+        // an edge lighter than the best cannot win: skip its hash
+        if vi == u || partner[vi] as usize != vi || (best_v != u32::MAX && w < best_w) {
             continue;
         }
-        let key = (w, edge_key(seed, u as u32, v), v);
-        if best.is_none_or(|b| key > b) {
-            best = Some(key);
+        let key = edge_key(seed, u as u32, v);
+        if best_v == u32::MAX || (w, key, v) > (best_w, best_key, best_v) {
+            (best_w, best_key, best_v) = (w, key, v);
         }
     }
-    best.map_or(u32::MAX, |(_, _, v)| v)
+    best_v
 }
 
 /// Commits mutual proposals for `partner[base..base + chunk.len()]`.
@@ -303,7 +308,8 @@ pub fn contract_with(graph: &Graph, partner: &[u32], ws: &mut Workspace) -> Coar
 
 /// Gathers and duplicate-merges the coarse rows `c0..c0 + cdeg.len()` into
 /// `adj`/`wgt` (scratch slices covering exactly those rows' upper-bound
-/// ranges).  Each row is independent, so disjoint chunks run in parallel.
+/// ranges).  Each row is independent, so disjoint chunks run in parallel;
+/// the sequential path passes all rows as one chunk.
 #[allow(clippy::too_many_arguments)]
 fn fill_rows(
     graph: &Graph,
@@ -320,38 +326,47 @@ fn fill_rows(
     for (i, out_deg) in cdeg.iter_mut().enumerate() {
         let c = c0 + i;
         let cu = c as u32;
-        let start = row_offsets[c] - base;
-        let mut len = 0usize;
+        let row = row_offsets[c] - base..row_offsets[c + 1] - base;
+        let (adj, wgt) = (&mut adj[row.clone()], &mut wgt[row]);
         let r = rep[c] as usize;
         let p = partner[r] as usize;
         let members = [r, p];
         let member_count = if p == r { 1 } else { 2 };
+        // Gather the row sorted by coarse id with an insertion step (rows
+        // are short: bounded by the two members' degrees), so parallel
+        // edges end up adjacent ...
+        let mut len = 0usize;
         for &m in &members[..member_count] {
             for (v, w) in graph.edges_of(m) {
                 let cv = fine_to_coarse[v as usize];
                 if cv == cu {
                     continue;
                 }
-                // Keep the row sorted as we go; rows are short (bounded by
-                // the two members' degrees), so shift-insertion beats a
-                // separate sort + merge pass.
-                match adj[start..start + len].binary_search(&cv) {
-                    Ok(pos) => {
-                        let j = start + pos;
-                        wgt[j] = wgt[j].saturating_add(w);
-                    }
-                    Err(pos) => {
-                        let j = start + pos;
-                        adj.copy_within(j..start + len, j + 1);
-                        wgt.copy_within(j..start + len, j + 1);
-                        adj[j] = cv;
-                        wgt[j] = w;
-                        len += 1;
-                    }
+                let mut j = len;
+                while j > 0 && adj[j - 1] > cv {
+                    adj[j] = adj[j - 1];
+                    wgt[j] = wgt[j - 1];
+                    j -= 1;
                 }
+                adj[j] = cv;
+                wgt[j] = w;
+                len += 1;
             }
         }
-        *out_deg = len as u32;
+        // ... then merge each run of equal ids.  Saturating addition of
+        // non-negative weights is order-independent, so the merged weight
+        // does not depend on the gather order.
+        let mut merged = 0usize;
+        for j in 0..len {
+            if merged > 0 && adj[merged - 1] == adj[j] {
+                wgt[merged - 1] = wgt[merged - 1].saturating_add(wgt[j]);
+            } else {
+                adj[merged] = adj[j];
+                wgt[merged] = wgt[j];
+                merged += 1;
+            }
+        }
+        *out_deg = merged as u32;
     }
 }
 
