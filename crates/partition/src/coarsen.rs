@@ -15,14 +15,15 @@
 //! ranking is a pure function of the round's snapshot, and commits only read
 //! the proposal array, so sequential and parallel execution produce
 //! bit-identical matchings for a given seed: parallelism only changes *who
-//! computes* each entry, never its value.  Mop-up rounds hash only edges at
-//! least as heavy as the best so far (a lighter edge cannot win).  Rounds repeat until a round
+//! computes* each entry, never its value.  Rounds repeat until a round
 //! matches nothing or `MATCH_ROUNDS` is hit.  Because the hash is
 //! symmetric in the edge's endpoints, both endpoints of a locally-heaviest
 //! edge rank it first and match in one round, so a handful of rounds
 //! suffice.  This replaces the seed implementation's RNG-shuffled visit
 //! order + per-vertex scan, which was serial by construction and trashed the
-//! cache (random vertex order ⇒ random CSR row order).
+//! cache (random vertex order ⇒ random CSR row order).  Mop-up rounds hash
+//! only edges at least as heavy as the best so far (a lighter edge cannot
+//! win).
 //!
 //! # Contraction
 //!
