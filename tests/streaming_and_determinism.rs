@@ -4,7 +4,9 @@
 //!   for bit with the CSR evaluator on random grids and stencils, periodic
 //!   and non-periodic,
 //! * the chunked parallel mapping computation agrees with the rank-local
-//!   definition (`remap_rank`) for every rank,
+//!   definition (`remap_rank`) for every rank, a reused workspace answers
+//!   ranks in any order, and the benchmark's routed pool tables keep their
+//!   bytes at every thread count,
 //! * the parallel and sequential multilevel partitioner produce identical
 //!   results for the same seed,
 //! * the parallel k-way swap refinement produces identical partitions for
@@ -106,39 +108,37 @@ proptest! {
     }
 
     /// The chunked parallel full-mapping computation matches the rank-local
-    /// definition for every rank (and is therefore independent of chunking
-    /// and thread count).
+    /// definition (`remap_rank`, a fresh computation per rank) for every
+    /// rank, and is therefore independent of chunking and thread count.  The
+    /// grids reach ~4096 ranks and the nodes can be small, so one chunk of
+    /// the full computation spans many leaves and strips.
     #[test]
     fn parallel_mapping_matches_rank_local_definition(
-        d0 in 2usize..10,
-        d1 in 2usize..10,
-        groups in 1usize..6,
-        alg in 0u8..3,
+        ndims in 1usize..4,
+        raw in proptest::collection::vec(0usize..4096, 3..4),
+        stencil_choice in 0u8..3,
+        periodic in proptest::bool::ANY,
+        per in 1usize..65,
+        heterogeneous in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
     ) {
-        let p = d0 * d1;
-        if p % groups == 0 {
-            let problem = MappingProblem::new(
-                Dims::from_slice(&[d0, d1]),
-                Stencil::nearest_neighbor(2),
-                NodeAllocation::homogeneous(groups, p / groups),
-            )
-            .unwrap();
-            let mapper: Box<dyn Mapper> = match alg % 3 {
-                0 => Box::new(Hyperplane::default()),
-                1 => Box::new(KdTree),
-                _ => Box::new(StencilStrips),
-            };
-            let mapping = mapper.compute(&problem).unwrap();
-            let rank_local: Vec<usize> = (0..p)
-                .map(|r| match alg % 3 {
-                    0 => problem.dims().rank_of(&RankLocalMapper::remap_rank(
-                        &Hyperplane::default(), &problem, r)),
-                    1 => problem.dims().rank_of(&RankLocalMapper::remap_rank(&KdTree, &problem, r)),
-                    _ => problem.dims().rank_of(&RankLocalMapper::remap_rank(
-                        &StencilStrips, &problem, r)),
-                })
-                .collect();
-            prop_assert_eq!(mapping.position_of_rank_slice(), &rank_local[..]);
+        // sides up to 4096, 64 and 16: at most 4096 ranks in 1, 2 or 3 dims
+        let side = [4096, 64, 16][ndims - 1];
+        let dims = Dims::new(raw[..ndims].iter().map(|&x| 1 + x % side).collect()).unwrap();
+        let problem = MappingProblem::with_periodicity(
+            dims.clone(),
+            stencil_for(ndims, stencil_choice),
+            oracle_allocation(dims.volume(), per, heterogeneous, seed),
+            periodic,
+        )
+        .unwrap();
+        for (name, mismatch) in [
+            ("Hyperplane", rank_local_mismatch(&Hyperplane::default(), &problem)),
+            ("k-d Tree", rank_local_mismatch(&KdTree, &problem)),
+            ("Stencil Strips", rank_local_mismatch(&StencilStrips, &problem)),
+            ("Blocked", rank_local_mismatch(&Blocked, &problem)),
+        ] {
+            prop_assert_eq!(mismatch, None, "{} on {:?}", name, problem);
         }
     }
 
@@ -176,6 +176,102 @@ proptest! {
             prop_assert_eq!(par, seq);
         }
     }
+}
+
+/// The first rank whose position in `mapper`'s full (chunked, parallel)
+/// table differs from its rank-local definition, with both positions.
+fn rank_local_mismatch<M: RankLocalMapper>(
+    mapper: &M,
+    problem: &MappingProblem,
+) -> Option<(usize, usize, usize)> {
+    let table = mapper.compute(problem).unwrap();
+    (0..problem.num_processes()).find_map(|r| {
+        let local = problem.dims().rank_of(&mapper.remap_rank(problem, r));
+        let full = table.position_of_rank(r);
+        (local != full).then_some((r, full, local))
+    })
+}
+
+/// The allocation of a rank-local oracle instance: `per` processes on every
+/// node when that divides `p` and `heterogeneous` is false, otherwise node
+/// sizes drawn from `1..=2·per` by `seed` (the last node takes the rest).
+fn oracle_allocation(p: usize, per: usize, heterogeneous: bool, seed: u64) -> NodeAllocation {
+    use rand::{Rng, SeedableRng};
+    if !heterogeneous && p.is_multiple_of(per) {
+        return NodeAllocation::homogeneous(p / per, per);
+    }
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut sizes = Vec::new();
+    let mut left = p;
+    while left > 0 {
+        let n = rng.gen_range(1..=2 * per).min(left);
+        sizes.push(n);
+        left -= n;
+    }
+    NodeAllocation::heterogeneous(sizes).unwrap()
+}
+
+/// A reused [`MapWorkspace`] fed the ranks of each instance in descending,
+/// then in shuffled order answers every rank as a fresh workspace does, so
+/// the mapper's memory of the previous rank never changes a result.
+fn reused_workspace_matches_fresh(mapper: &dyn RankLocalMapper) {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use stencilmap::mapping::problem::MapWorkspace;
+    let instances: [(&[usize], u8, usize, bool); 7] = [
+        (&[37], 0, 4, true),
+        (&[12, 10], 0, 6, true),
+        (&[64, 48], 1, 48, false),
+        (&[50, 48], 2, 5, true),
+        (&[8, 6, 5], 0, 7, true),
+        (&[16, 12, 10], 1, 12, false),
+        (&[20, 16, 15], 2, 48, false),
+    ];
+    for (k, &(sizes, choice, per, heterogeneous)) in instances.iter().enumerate() {
+        let dims = Dims::from_slice(sizes);
+        let p = dims.volume();
+        let problem = MappingProblem::with_periodicity(
+            dims.clone(),
+            stencil_for(dims.ndims(), choice),
+            oracle_allocation(p, per, heterogeneous, k as u64),
+            false,
+        )
+        .unwrap();
+        let fresh: Vec<Vec<usize>> = (0..p).map(|r| mapper.remap_rank(&problem, r)).collect();
+        let mut shuffled: Vec<usize> = (0..p).collect();
+        shuffled.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(k as u64));
+        let mut ws = MapWorkspace::new();
+        let mut out = vec![0usize; dims.ndims()];
+        for r in (0..p).rev().chain(shuffled) {
+            mapper.remap_rank_into(&problem, r, &mut ws, &mut out);
+            assert_eq!(
+                out,
+                fresh[r],
+                "{} on {sizes:?}, rank {r}",
+                mapper.local_name()
+            );
+        }
+    }
+}
+
+#[test]
+fn hyperplane_answers_ranks_in_any_order() {
+    reused_workspace_matches_fresh(&Hyperplane::default());
+}
+
+#[test]
+fn kdtree_answers_ranks_in_any_order() {
+    reused_workspace_matches_fresh(&KdTree);
+}
+
+#[test]
+fn stencil_strips_answers_ranks_in_any_order() {
+    reused_workspace_matches_fresh(&StencilStrips);
+}
+
+#[test]
+fn blocked_answers_ranks_in_any_order() {
+    reused_workspace_matches_fresh(&Blocked);
 }
 
 /// Builds the 48x48 grid instance shared by the refinement determinism
@@ -372,6 +468,90 @@ fn viem_benchmark_shapes_keep_their_bytes() {
         fingerprint(),
         EXPECTED,
         "in-process fingerprint (hash/cut sum)"
+    );
+    for (threads, fp) in child_fingerprints(children) {
+        assert_eq!(fp, EXPECTED, "RAYON_NUM_THREADS={threads}");
+    }
+}
+
+/// Grid shapes and node counts of the rank-local pool of the repository
+/// benchmark's `routed_mixed` workload: p from 1024 to 19200.
+const ROUTED_SIZES: [(&[usize], usize); 16] = [
+    (&[32, 32], 16),
+    (&[16, 8, 8], 16),
+    (&[64, 32], 32),
+    (&[16, 16, 8], 32),
+    (&[64, 64], 64),
+    (&[16, 16, 16], 64),
+    (&[96, 64], 96),
+    (&[24, 16, 16], 96),
+    (&[120, 80], 200),
+    (&[24, 20, 20], 200),
+    (&[128, 96], 192),
+    (&[32, 24, 16], 192),
+    (&[128, 128], 256),
+    (&[32, 32, 16], 256),
+    (&[160, 120], 400),
+    (&[40, 24, 20], 400),
+];
+
+/// FNV-1a over the `node_of_position` tables of the 240 `routed_mixed` pool
+/// instances: every size × the five rank-local mappers × the three
+/// stencils, periodic iff `(c + a + s) % 4 == 0`.
+fn routed_pool_fingerprint() -> String {
+    let mappers: [Box<dyn Mapper>; 5] = [
+        Box::new(Hyperplane::default()),
+        Box::new(KdTree),
+        Box::new(StencilStrips),
+        Box::new(Nodecart),
+        Box::new(Blocked),
+    ];
+    let mut h = FNV_OFFSET;
+    for (c, &(sizes, nodes)) in ROUTED_SIZES.iter().enumerate() {
+        for (a, mapper) in mappers.iter().enumerate() {
+            for s in 0..3 {
+                let dims = Dims::from_slice(sizes);
+                let p = dims.volume();
+                let problem = MappingProblem::with_periodicity(
+                    dims,
+                    stencil_for(sizes.len(), s as u8),
+                    NodeAllocation::homogeneous(nodes, p / nodes),
+                    (c + a + s) % 4 == 0,
+                )
+                .unwrap();
+                let mapping = mapper.compute(&problem).unwrap();
+                h = mapping
+                    .node_of_position_slice()
+                    .iter()
+                    .fold(h, |h, &n| fnv1a(h, n as u64));
+            }
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// The rank-local mappers' tables on the benchmark's routed pool are
+/// pinned, in-process and at `RAYON_NUM_THREADS` ∈ {1, 2}: the thread count
+/// moves the chunk boundaries of the full computation, so this also pins a
+/// mapper's result against where a chunk starts.
+#[test]
+fn routed_pool_tables_keep_their_bytes() {
+    // recorded before the rank-local mappers resumed the previous rank
+    const EXPECTED: &str = "b1154df3b4003665";
+    if std::env::var(CHILD_VAR).is_ok() {
+        println!("fingerprint:{}", routed_pool_fingerprint());
+        return;
+    }
+    let in_process = rayon::current_num_threads().to_string();
+    let threads: Vec<&'static str> = ["1", "2"]
+        .into_iter()
+        .filter(|&t| t != in_process)
+        .collect();
+    let children = spawn_children("routed_pool_tables_keep_their_bytes", &threads);
+    assert_eq!(
+        routed_pool_fingerprint(),
+        EXPECTED,
+        "in-process fingerprint"
     );
     for (threads, fp) in child_fingerprints(children) {
         assert_eq!(fp, EXPECTED, "RAYON_NUM_THREADS={threads}");
