@@ -291,11 +291,22 @@ fn start_server(
 }
 
 fn ask(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    conn.write_all(line.as_bytes()).unwrap();
-    conn.write_all(b"\n").unwrap();
+    try_ask(conn, reader, line).unwrap()
+}
+
+/// [`ask`] on a connection the server may have shed: a shed connection gets
+/// the overload line and is closed, so writing the rest of the request or
+/// reading the reply can fail with a reset.
+fn try_ask(
+    conn: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    line: &str,
+) -> std::io::Result<String> {
+    conn.write_all(line.as_bytes())?;
+    conn.write_all(b"\n")?;
     let mut reply = String::new();
-    reader.read_line(&mut reply).unwrap();
-    reply
+    reader.read_line(&mut reply)?;
+    Ok(reply)
 }
 
 /// A panicking request is answered with an error line and the worker (there
@@ -361,13 +372,14 @@ fn connections_past_max_conns_are_shed_with_an_error_line() {
     assert_eq!(line.trim_end(), OVERLOADED_LINE);
 
     // closing an admitted connection frees its slot (the worker has to
-    // notice the close on its next poll, so retry briefly)
+    // notice the close on its next poll, so retry briefly; a retry that is
+    // still shed may fail with a reset instead of the overload line)
     drop((c1, r1));
     let mut admitted = false;
     for _ in 0..200 {
         let mut c = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(c.try_clone().unwrap());
-        if ask(&mut c, &mut r, request).contains("\"status\":\"ok\"") {
+        if try_ask(&mut c, &mut r, request).is_ok_and(|reply| reply.contains("\"status\":\"ok\"")) {
             admitted = true;
             break;
         }
