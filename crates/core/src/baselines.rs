@@ -5,11 +5,12 @@
 //! and is consistently the worst mapping; *RoundRobin* (cyclic) is included
 //! as an additional adversarial baseline often produced by schedulers.
 
-use crate::problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
+use crate::problem::{MapError, MapWorkspace, Mapper, MappingProblem, RankLocalMapper};
 use crate::Mapping;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use stencil_grid::coords::rank_to_coord_into;
 use stencil_grid::Coord;
 
 /// The blocked (identity) mapping: rank `r` owns grid position `r`, so node
@@ -25,6 +26,16 @@ impl RankLocalMapper for Blocked {
 
     fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
         problem.dims().coord_of(rank)
+    }
+
+    fn remap_rank_into(
+        &self,
+        problem: &MappingProblem,
+        rank: usize,
+        _ws: &mut MapWorkspace,
+        out: &mut [usize],
+    ) {
+        rank_to_coord_into(rank, problem.dims().as_slice(), out);
     }
 }
 

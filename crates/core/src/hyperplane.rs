@@ -15,7 +15,11 @@
 //!
 //! The algorithm is *rank local*: every process derives its own coordinate
 //! from the grid, the stencil, the node size and its rank in
-//! `O(log N · Σ d_i)` time.
+//! `O(log N · Σ d_i)` time.  A full table costs amortised `O(d)` per rank:
+//! consecutive ranks resume the previous rank's descent at the deepest
+//! sub-grid that still contains them (see [`MapWorkspace`]), so a chunk of
+//! ranks searches each sub-grid's split at most twice and each leaf's cut
+//! order once.
 
 use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
 use stencil_grid::Coord;
@@ -79,39 +83,26 @@ impl RankLocalMapper for Hyperplane {
         ws: &mut MapWorkspace,
         out: &mut [usize],
     ) {
-        let stencil = problem.stencil();
-        let n = self.node_size_parameter(problem);
         // rank-independent: computed once per workspace (one workspace serves
         // exactly one problem, see MapWorkspace)
         if ws.cos2.is_empty() {
-            stencil.cos2_sums_into(&mut ws.cos2);
+            problem.stencil().cos2_sums_into(&mut ws.cos2);
+            ws.node_size = self.node_size_parameter(problem);
         }
-        ws.sizes.clear();
-        ws.sizes.extend_from_slice(problem.dims().as_slice());
-        ws.origin.clear();
-        ws.origin.resize(ws.sizes.len(), 0);
-        let mut r = rank;
-
-        loop {
-            let vol: usize = ws.sizes.iter().product();
-            if vol <= 2 * n {
-                cut_order_into(&ws.cos2, &ws.sizes, &mut ws.order);
-                base_case_coord_into(&ws.sizes, &ws.order, r, out);
-                for (o, l) in out.iter_mut().zip(&ws.origin) {
-                    *o += l;
-                }
-                return;
-            }
-            let (dim, d1, _d2) = find_split_with(&ws.sizes, &ws.cos2, n, &mut ws.order)
-                .unwrap_or_else(|| fallback_split(&ws.sizes));
-            let lhs_vol = vol / ws.sizes[dim] * d1;
-            if r < lhs_vol {
-                ws.sizes[dim] = d1;
-            } else {
-                r -= lhs_vol;
-                ws.origin[dim] += d1;
-                ws.sizes[dim] -= d1;
-            }
+        let n = ws.node_size;
+        let dims = problem.dims().as_slice();
+        let new_leaf = ws.descent.resume(dims, rank, 2 * n, |sizes| {
+            let (dim, lower, _) = find_split_with(sizes, &ws.cos2, n, &mut ws.order)
+                .unwrap_or_else(|| fallback_split(sizes));
+            (dim, lower)
+        });
+        let (sizes, origin, r) = ws.descent.leaf(rank);
+        if new_leaf {
+            cut_order_into(&ws.cos2, sizes, &mut ws.order);
+        }
+        base_case_coord_into(sizes, &ws.order, r, out);
+        for (o, l) in out.iter_mut().zip(origin) {
+            *o += l;
         }
     }
 }

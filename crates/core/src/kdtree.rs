@@ -12,6 +12,10 @@
 //!
 //! Per-rank complexity: `O(d log p)` (the paper reports `O(log p log d)` with
 //! a priority queue; the evaluation uses the linear scan implemented here).
+//! A full table costs amortised `O(d)` per rank: consecutive ranks resume the
+//! previous rank's descent at the deepest sub-grid that still contains them
+//! (see [`MapWorkspace`]), so a chunk of ranks chooses each sub-grid's split
+//! dimension at most twice.
 
 use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
 use stencil_grid::Coord;
@@ -44,28 +48,14 @@ impl RankLocalMapper for KdTree {
         if ws.comm.is_empty() {
             problem.stencil().comm_across_into(&mut ws.comm);
         }
-        ws.sizes.clear();
-        ws.sizes.extend_from_slice(problem.dims().as_slice());
-        out.fill(0);
-        let mut r = rank;
-
-        loop {
-            let vol: usize = ws.sizes.iter().product();
-            if vol == 1 {
-                debug_assert_eq!(r, 0);
-                return;
-            }
-            let dim = split_dimension(&ws.sizes, &ws.comm);
-            let left = ws.sizes[dim] / 2;
-            let left_vol = vol / ws.sizes[dim] * left;
-            if r < left_vol {
-                ws.sizes[dim] = left;
-            } else {
-                r -= left_vol;
-                out[dim] += left;
-                ws.sizes[dim] -= left;
-            }
-        }
+        let dims = problem.dims().as_slice();
+        ws.descent.resume(dims, rank, 1, |sizes| {
+            let dim = split_dimension(sizes, &ws.comm);
+            (dim, sizes[dim] / 2)
+        });
+        let (_, origin, r) = ws.descent.leaf(rank);
+        debug_assert_eq!(r, 0);
+        out.copy_from_slice(origin);
     }
 }
 

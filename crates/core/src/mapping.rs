@@ -80,10 +80,13 @@ impl Mapping {
             }
             rank_of_position[x] = r;
         }
-        let node_of_position: Vec<usize> = rank_of_position
-            .iter()
-            .map(|&r| alloc.node_of_rank(r))
-            .collect();
+        // each node owns a contiguous rank range
+        let mut node_of_position = vec![0usize; p];
+        for node in 0..alloc.num_nodes() {
+            for &x in &position_of_rank[alloc.ranks_of_node(node)] {
+                node_of_position[x] = node;
+            }
+        }
         Ok(Mapping {
             dims,
             num_nodes: alloc.num_nodes(),

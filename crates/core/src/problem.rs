@@ -121,42 +121,151 @@ pub trait Mapper: Send + Sync {
 /// Per-worker scratch reused across the ranks of one chunk of a parallel
 /// mapping computation.
 ///
-/// Rank-local mappers need a few small per-rank buffers (current sub-grid
-/// sizes, origins, cut orders) plus per-problem precomputations (the stencil
-/// strip layout, communication counts).  Allocating them per rank dominated
-/// the mapping hot loop in the seed implementation; a `MapWorkspace` owns
-/// them instead, so computing a full mapping performs no per-rank heap
-/// allocation.  Every worker chunk creates one workspace and reuses it for
-/// all of its ranks.
+/// Rank-local mappers need a few small per-rank buffers (bisection frames,
+/// cut orders, strip indices) plus per-problem precomputations (the stencil strip layout,
+/// communication counts, the node-size parameter).  Allocating them per rank
+/// dominated the mapping hot loop in the seed implementation; a
+/// `MapWorkspace` owns them instead, so computing a full mapping performs no
+/// per-rank heap allocation.  Every worker chunk creates one workspace and
+/// reuses it for all of its ranks.
+///
+/// A workspace also remembers where the previous rank's computation ended:
+/// the recursive bisection frames of Hyperplane and k-d tree, and the strip
+/// Stencil Strips' walk stopped at.  The next rank resumes from the deepest
+/// frame, or the strip, that still contains it, so the consecutive ranks of
+/// a chunk cost amortised O(1) each; a rank in any other order gives the
+/// same result as a fresh workspace.  A fresh workspace per rank is the
+/// paper's single-rank algorithm.
 ///
 /// A workspace serves **exactly one** `(mapper, problem)` pair: the cached
 /// per-problem precomputations (strip layout, cos² sums, communication
-/// counts) are keyed by nothing and would silently go stale if the same
-/// workspace were reused for a different problem.  Create a fresh workspace
-/// per computation, as the blanket [`Mapper`] implementation does.
+/// counts) and the remembered descent are keyed by nothing and would
+/// silently go stale if the same workspace were reused for a different
+/// problem.  Create a fresh workspace per computation, as the blanket
+/// [`Mapper`] implementation does.
 #[derive(Debug, Default)]
 pub struct MapWorkspace {
-    /// Current sub-grid sizes during recursive descent.
-    pub(crate) sizes: Vec<usize>,
-    /// Origin offset of the current sub-grid.
-    pub(crate) origin: Vec<usize>,
+    /// The previous rank's recursive bisection (Hyperplane, k-d tree).
+    pub(crate) descent: Descent,
+    /// Node-size parameter `n` (Hyperplane), read once per workspace.
+    pub(crate) node_size: usize,
     /// Per-dimension stencil communication counts (k-d tree).
     pub(crate) comm: Vec<usize>,
     /// Per-dimension cos² sums of the stencil (hyperplane), cached per
     /// workspace because they do not depend on the rank.
     pub(crate) cos2: Vec<f64>,
-    /// Preferred cut order scratch.
+    /// Preferred cut order scratch; between ranks, the cut order of the
+    /// previous rank's leaf (hyperplane).
     pub(crate) order: Vec<usize>,
-    /// Strip indices scratch (stencil strips).
-    pub(crate) indices: Vec<usize>,
     /// Cached strip layout (stencil strips), valid for the current problem.
     pub(crate) strips: Option<crate::stencil_strips::StripLayout>,
+    /// The strip that held the previous rank (stencil strips).
+    pub(crate) strip_cursor: crate::stencil_strips::StripCursor,
 }
 
 impl MapWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         MapWorkspace::default()
+    }
+}
+
+/// A recursive bisection of the grid, kept from one rank to the next: the
+/// frames from the root (the whole grid) down to the leaf that held the
+/// previous rank.
+///
+/// `state` holds the deepest frame's sub-grid sizes and origin (`2d`
+/// entries), then one record of [`SPLIT`] entries per level below the root:
+/// the frame's first rank and one past its last rank, its cut dimension in
+/// the parent, and the parent's size and origin along it, which restore
+/// the parent when the frame is popped.  The root owns every rank, and so
+/// does the upper child of a frame that does, so an out-of-range rank
+/// descends along the upper side, as it does from the root.
+#[derive(Debug, Default)]
+pub(crate) struct Descent {
+    state: Vec<usize>,
+    ndims: usize,
+}
+
+/// Entries per level in [`Descent::state`].
+const SPLIT: usize = 5;
+
+impl Descent {
+    /// Moves the descent to `rank`: pops frames until the deepest one owns
+    /// `rank`, then bisects it until the sub-grid holds at most
+    /// `leaf_volume` cells.  `split(sizes)` names the cut dimension and the
+    /// size of its lower part; the lower part owns the lower ranks.
+    ///
+    /// Returns whether the leaf is new, i.e. not the previous rank's.
+    pub(crate) fn resume(
+        &mut self,
+        dims: &[usize],
+        rank: usize,
+        leaf_volume: usize,
+        mut split: impl FnMut(&[usize]) -> (usize, usize),
+    ) -> bool {
+        let d = dims.len();
+        let mut new_leaf = self.state.is_empty();
+        if new_leaf {
+            self.ndims = d;
+            // room for 16 levels; a deeper descent grows the buffer
+            self.state.reserve(2 * d + 16 * SPLIT);
+            self.state.extend_from_slice(dims);
+            self.state.resize(2 * d, 0);
+        }
+        while self.state.len() > 2 * d {
+            let level = self.state.len() - SPLIT;
+            let record = &self.state[level..];
+            if (record[0]..record[1]).contains(&rank) {
+                break;
+            }
+            let (dim, size, origin) = (record[2], record[3], record[4]);
+            self.state[dim] = size;
+            self.state[d + dim] = origin;
+            self.state.truncate(level);
+        }
+        let (mut first, mut end) = self.owner();
+        let mut vol: usize = self.state[..d].iter().product();
+        while vol > leaf_volume {
+            new_leaf = true;
+            let (dim, lower) = split(&self.state[..d]);
+            let (size, origin) = (self.state[dim], self.state[d + dim]);
+            let lower_vol = vol / size * lower;
+            if rank - first < lower_vol {
+                end = first + lower_vol;
+                self.state[dim] = lower;
+                vol = lower_vol;
+            } else {
+                first += lower_vol;
+                self.state[dim] = size - lower;
+                self.state[d + dim] = origin + lower;
+                vol -= lower_vol;
+            }
+            self.state
+                .extend_from_slice(&[first, end, dim, size, origin]);
+        }
+        new_leaf
+    }
+
+    /// The rank range of the deepest frame.
+    fn owner(&self) -> (usize, usize) {
+        if self.state.len() > 2 * self.ndims {
+            let level = self.state.len() - SPLIT;
+            (self.state[level], self.state[level + 1])
+        } else {
+            (0, usize::MAX)
+        }
+    }
+
+    /// The leaf's sub-grid sizes, its origin and the offset of `rank` in
+    /// its ranks.
+    pub(crate) fn leaf(&self, rank: usize) -> (&[usize], &[usize], usize) {
+        let d = self.ndims;
+        (
+            &self.state[..d],
+            &self.state[d..2 * d],
+            rank - self.owner().0,
+        )
     }
 }
 
@@ -174,8 +283,10 @@ pub trait RankLocalMapper: Send + Sync {
     /// Allocation-free variant of [`RankLocalMapper::remap_rank`]: writes the
     /// coordinate of `rank` into `out` (length `ndims`), reusing the scratch
     /// buffers of `ws`.  The default implementation delegates to
-    /// `remap_rank`; the paper's algorithms override it so the parallel
-    /// full-mapping computation performs no per-rank allocation.
+    /// `remap_rank`; the paper's algorithms and `Blocked` override it so the
+    /// parallel full-mapping computation performs no per-rank allocation,
+    /// and resume from where `ws` left the previous rank.  The result never
+    /// depends on which ranks `ws` has seen.
     ///
     /// `ws` must not be reused across different problems or mappers — cached
     /// per-problem state (e.g. the strip layout) is not validated against

@@ -12,7 +12,10 @@
 //!
 //! The per-rank computation needs the strip geometry (`O(k·d)` for the
 //! distortion factors) plus a walk over the strips to locate the rank's
-//! strip; the number of strips is small (`O(p / n)` at most).
+//! strip; the number of strips is small (`O(p / n)` at most).  A full table
+//! builds the geometry once per chunk of ranks and resumes each rank's walk
+//! at the previous rank's strip (see [`MapWorkspace`]), so consecutive ranks
+//! cost amortised `O(d)` each.
 
 use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
 use stencil_grid::{Coord, Stencil};
@@ -107,12 +110,12 @@ impl StripLayout {
 
     /// Total number of strips.
     pub fn num_strips(&self) -> usize {
-        self.strip_counts().iter().product()
-    }
-
-    /// Starting offset of strip `j` in dimension `i`.
-    fn strip_offset(&self, dim: usize, strip: usize) -> usize {
-        self.widths[dim][..strip].iter().sum()
+        self.widths
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != self.along)
+            .map(|(_, w)| w.len())
+            .product()
     }
 
     /// Decodes the `t`-th strip of the serpentine traversal into per-dimension
@@ -171,6 +174,19 @@ impl StripLayout {
     }
 }
 
+/// The strip of the serpentine walk that held the previous rank: its
+/// position `strip` in the walk, its per-dimension strip `indices` and
+/// first coordinates `offsets`, the first rank it holds and its
+/// cross-section `area` (`0`: no strip yet).
+#[derive(Debug, Default)]
+pub(crate) struct StripCursor {
+    strip: usize,
+    indices: Vec<usize>,
+    offsets: Vec<usize>,
+    first: usize,
+    area: usize,
+}
+
 impl RankLocalMapper for StencilStrips {
     fn local_name(&self) -> &str {
         "Stencil Strips"
@@ -193,32 +209,29 @@ impl RankLocalMapper for StencilStrips {
         // The strip geometry only depends on the problem, not the rank; a
         // workspace serves exactly one problem, so compute it once and reuse
         // it for every rank of the chunk.
-        if ws.strips.is_none() {
-            ws.strips = Some(StripLayout::new(
-                dims,
-                problem.stencil(),
-                problem.node_size_parameter(),
-            ));
-        }
-        let layout = ws.strips.as_ref().expect("layout cached above");
-        rank_to_coord_into(dims, layout, rank, &mut ws.indices, out);
+        let layout = ws.strips.get_or_insert_with(|| {
+            StripLayout::new(dims, problem.stencil(), problem.node_size_parameter())
+        });
+        rank_to_coord_into(dims, layout, rank, Some(&mut ws.strip_cursor), out);
     }
 }
 
 /// Computes the coordinate of `rank` under a strip layout.
 pub(crate) fn rank_to_coord(dims: &[usize], layout: &StripLayout, rank: usize) -> Coord {
     let mut coord = vec![0usize; dims.len()];
-    rank_to_coord_into(dims, layout, rank, &mut Vec::new(), &mut coord);
+    rank_to_coord_into(dims, layout, rank, None, &mut coord);
     coord
 }
 
-/// Allocation-free core of [`rank_to_coord`]: decodes `rank` into `out`,
-/// using `indices` as the reused strip-index buffer.
+/// Allocation-free core of [`rank_to_coord`]: decodes `rank` into `out`.
+/// The walk to `rank`'s strip starts at `cursor`'s strip unless `rank` lies
+/// before it, and leaves `cursor` on `rank`'s strip; without a cursor it
+/// starts at the first strip.
 pub(crate) fn rank_to_coord_into(
     dims: &[usize],
     layout: &StripLayout,
     rank: usize,
-    indices: &mut Vec<usize>,
+    cursor: Option<&mut StripCursor>,
     out: &mut [usize],
 ) {
     let along = layout.along;
@@ -226,29 +239,46 @@ pub(crate) fn rank_to_coord_into(
     let num_strips = layout.num_strips();
 
     // Locate the strip containing `rank` by walking the serpentine order.
-    let mut acc = 0usize;
-    let mut strip_t = 0usize;
-    layout.strip_indices_into(0, indices);
-    let mut area = layout.strip_area(indices);
+    let mut start = StripCursor::default();
+    let at = cursor.unwrap_or(&mut start);
+    let mut moved = at.area == 0 || rank < at.first;
+    if moved {
+        layout.strip_indices_into(0, &mut at.indices);
+        at.strip = 0;
+        at.first = 0;
+        at.area = layout.strip_area(&at.indices);
+    }
     loop {
-        let volume = area * len_along;
-        if rank < acc + volume || strip_t + 1 == num_strips {
+        let volume = at.area * len_along;
+        if rank < at.first + volume || at.strip + 1 == num_strips {
             break;
         }
-        acc += volume;
-        strip_t += 1;
-        layout.strip_indices_into(strip_t, indices);
-        area = layout.strip_area(indices);
+        at.first += volume;
+        at.strip += 1;
+        layout.strip_indices_into(at.strip, &mut at.indices);
+        at.area = layout.strip_area(&at.indices);
+        moved = true;
     }
-    let local = rank - acc;
+    if moved {
+        // the strip's first coordinate in every dimension, once per strip
+        at.offsets.clear();
+        at.offsets.extend(
+            layout
+                .widths
+                .iter()
+                .zip(&at.indices)
+                .map(|(w, &j)| w[..j].iter().sum::<usize>()),
+        );
+    }
+    let local = rank - at.first;
 
     // Position along the strip (slab index) and within the cross-section.
-    let slab = (local / area).min(len_along - 1);
-    let mut cross = local % area;
+    let slab = (local / at.area).min(len_along - 1);
+    let mut cross = local % at.area;
 
     // Alternate the traversal direction along the strip per Fig. 5 so that
     // consecutive strips hand over at the same end of the grid.
-    let pos_along = if strip_t.is_multiple_of(2) {
+    let pos_along = if at.strip.is_multiple_of(2) {
         slab
     } else {
         len_along - 1 - slab
@@ -261,8 +291,8 @@ pub(crate) fn rank_to_coord_into(
         if i == along {
             continue;
         }
-        let w = layout.widths[i][indices[i]];
-        out[i] = layout.strip_offset(i, indices[i]) + cross % w;
+        let w = layout.widths[i][at.indices[i]];
+        out[i] = at.offsets[i] + cross % w;
         cross /= w;
     }
 }
