@@ -122,20 +122,20 @@ pub trait Mapper: Send + Sync {
 /// mapping computation.
 ///
 /// Rank-local mappers need a few small per-rank buffers (bisection frames,
-/// cut orders, strip indices) plus per-problem precomputations (the stencil strip layout,
-/// communication counts, the node-size parameter).  Allocating them per rank
-/// dominated the mapping hot loop in the seed implementation; a
-/// `MapWorkspace` owns them instead, so computing a full mapping performs no
-/// per-rank heap allocation.  Every worker chunk creates one workspace and
-/// reuses it for all of its ranks.
+/// cut orders, strip indices) plus per-problem precomputations (the stencil
+/// strip layout, communication counts, the node-size parameter).
+/// Allocating them per rank dominated the mapping hot loop in the seed
+/// implementation; a `MapWorkspace` owns them instead, so computing a full
+/// mapping performs no per-rank heap allocation.  Every worker chunk creates
+/// one workspace and reuses it for all of its ranks.
 ///
 /// A workspace also remembers where the previous rank's computation ended:
 /// the recursive bisection frames of Hyperplane and k-d tree, and the strip
 /// Stencil Strips' walk stopped at.  The next rank resumes from the deepest
 /// frame, or the strip, that still contains it, so the consecutive ranks of
-/// a chunk cost amortised O(1) each; a rank in any other order gives the
-/// same result as a fresh workspace.  A fresh workspace per rank is the
-/// paper's single-rank algorithm.
+/// a chunk cost amortised `O(d)` each; a rank in any other order gives the
+/// same result as with a fresh workspace.  A fresh workspace per rank is
+/// the paper's single-rank algorithm.
 ///
 /// A workspace serves **exactly one** `(mapper, problem)` pair: the cached
 /// per-problem precomputations (strip layout, cos² sums, communication
@@ -230,7 +230,10 @@ impl Descent {
             new_leaf = true;
             let (dim, lower) = split(&self.state[..d]);
             let (size, origin) = (self.state[dim], self.state[d + dim]);
-            let lower_vol = vol / size * lower;
+            // the other sizes' product rather than `vol / size`: no division
+            let lower_vol = (0..d)
+                .filter(|&i| i != dim)
+                .fold(lower, |v, i| v * self.state[i]);
             if rank - first < lower_vol {
                 end = first + lower_vol;
                 self.state[dim] = lower;

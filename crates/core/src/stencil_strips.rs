@@ -175,14 +175,13 @@ impl StripLayout {
 }
 
 /// The strip of the serpentine walk that held the previous rank: its
-/// position `strip` in the walk, its per-dimension strip `indices` and
-/// first coordinates `offsets`, the first rank it holds and its
-/// cross-section `area` (`0`: no strip yet).
+/// position `strip` in the walk, its strip index in every dimension followed
+/// by its first coordinate in every dimension (`indices`, `2d` entries), the
+/// first rank it holds and its cross-section `area` (`0`: no strip yet).
 #[derive(Debug, Default)]
 pub(crate) struct StripCursor {
     strip: usize,
     indices: Vec<usize>,
-    offsets: Vec<usize>,
     first: usize,
     area: usize,
 }
@@ -223,10 +222,10 @@ pub(crate) fn rank_to_coord(dims: &[usize], layout: &StripLayout, rank: usize) -
     coord
 }
 
-/// Allocation-free core of [`rank_to_coord`]: decodes `rank` into `out`.
-/// The walk to `rank`'s strip starts at `cursor`'s strip unless `rank` lies
-/// before it, and leaves `cursor` on `rank`'s strip; without a cursor it
-/// starts at the first strip.
+/// Core of [`rank_to_coord`]: decodes `rank` into `out`.  The walk to
+/// `rank`'s strip starts at `cursor`'s strip unless `rank` lies before it,
+/// and leaves `cursor` on `rank`'s strip, reusing its buffers; without a
+/// cursor it starts at the first strip.
 pub(crate) fn rank_to_coord_into(
     dims: &[usize],
     layout: &StripLayout,
@@ -243,6 +242,7 @@ pub(crate) fn rank_to_coord_into(
     let at = cursor.unwrap_or(&mut start);
     let mut moved = at.area == 0 || rank < at.first;
     if moved {
+        at.indices.reserve(2 * dims.len());
         layout.strip_indices_into(0, &mut at.indices);
         at.strip = 0;
         at.first = 0;
@@ -261,14 +261,10 @@ pub(crate) fn rank_to_coord_into(
     }
     if moved {
         // the strip's first coordinate in every dimension, once per strip
-        at.offsets.clear();
-        at.offsets.extend(
-            layout
-                .widths
-                .iter()
-                .zip(&at.indices)
-                .map(|(w, &j)| w[..j].iter().sum::<usize>()),
-        );
+        for i in 0..dims.len() {
+            let first = layout.widths[i][..at.indices[i]].iter().sum();
+            at.indices.push(first);
+        }
     }
     let local = rank - at.first;
 
@@ -292,7 +288,7 @@ pub(crate) fn rank_to_coord_into(
             continue;
         }
         let w = layout.widths[i][at.indices[i]];
-        out[i] = at.offsets[i] + cross % w;
+        out[i] = at.indices[dims.len() + i] + cross % w;
         cross /= w;
     }
 }
