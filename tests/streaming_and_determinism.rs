@@ -74,37 +74,46 @@ proptest! {
     }
 
     /// Streaming evaluation also agrees on arbitrary (random-offset)
-    /// stencils, not just the paper's three families.
+    /// stencils, not just the paper's three families.  A random mapping
+    /// spreads the grid over 2–8 nodes, so a miscounted neighbour moves
+    /// Jsum, and grids reach 4096 positions, so the evaluator's chunks start
+    /// in the middle of the grid.
     #[test]
     fn streaming_metrics_equal_csr_on_random_stencils(
-        d0 in 1usize..7,
-        d1 in 1usize..7,
-        raw in proptest::collection::vec(-3i64..4, 2..12),
+        ndims in 1usize..4,
+        raw_dims in proptest::collection::vec(0usize..4096, 3..4),
+        raw in proptest::collection::vec(-3i64..4, 3..25),
         periodic in proptest::bool::ANY,
+        nodes in 2usize..9,
+        heterogeneous in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
     ) {
-        let usable = raw.len() - raw.len() % 2;
-        if usable >= 2 {
-            if let Ok(stencil) = Stencil::from_flat(2, &raw[..usable]) {
-                let p = d0 * d1;
-                let problem = MappingProblem::with_periodicity(
-                    Dims::from_slice(&[d0, d1]),
-                    stencil,
-                    NodeAllocation::homogeneous(1, p),
-                    periodic,
-                )
-                .unwrap();
-                let graph = CartGraph::build(problem.dims(), problem.stencil(), periodic);
-                let mapping = Blocked.compute(&problem).unwrap();
-                let csr = metrics::evaluate(&graph, &mapping);
-                let streaming = metrics::evaluate_streaming(
-                    problem.dims(),
-                    problem.stencil(),
-                    periodic,
-                    &mapping,
-                );
-                prop_assert_eq!(&csr, &streaming);
-            }
+        // sides up to 4096, 64 and 16: at most 4096 positions
+        let side = [4096, 64, 16][ndims - 1];
+        let sizes = raw_dims[..ndims].iter().map(|&x| 1 + x % side).collect();
+        prop_assert_streaming_equals_csr(sizes, &raw, periodic, nodes, heterogeneous, seed)?;
+    }
+
+    /// Offsets of up to ±3 on dims of size 1–3 mostly leave the grid or,
+    /// on a torus, wrap back onto the position itself; one longer dim may
+    /// give the grid an interior.  The evaluator must drop exactly the
+    /// targets the CSR builder drops.
+    #[test]
+    fn streaming_metrics_equal_csr_on_short_dims(
+        ndims in 1usize..4,
+        raw_dims in proptest::collection::vec(1usize..4, 3..4),
+        long_dim in 0usize..4,
+        long_size in 4usize..40,
+        raw in proptest::collection::vec(-3i64..4, 3..25),
+        periodic in proptest::bool::ANY,
+        nodes in 2usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut sizes: Vec<usize> = raw_dims[..ndims].to_vec();
+        if long_dim < ndims {
+            sizes[long_dim] = long_size;
         }
+        prop_assert_streaming_equals_csr(sizes, &raw, periodic, nodes, true, seed)?;
     }
 
     /// The chunked parallel full-mapping computation matches the rank-local
@@ -195,6 +204,48 @@ fn rank_local_mismatch<M: RankLocalMapper>(
 /// The allocation of a rank-local oracle instance: `per` processes on every
 /// node when that divides `p` and `heterogeneous` is false, otherwise node
 /// sizes drawn from `1..=2·per` by `seed` (the last node takes the rest).
+/// Scores a random mapping of `sizes` over about `nodes` nodes with the
+/// stencil read from `raw` (offsets back to back; a trailing partial offset
+/// is dropped) both ways and requires identical costs.  Stencils that are
+/// empty once the zero offset is removed are skipped.
+fn prop_assert_streaming_equals_csr(
+    sizes: Vec<usize>,
+    raw: &[i64],
+    periodic: bool,
+    nodes: usize,
+    heterogeneous: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let ndims = sizes.len();
+    let Ok(stencil) = Stencil::from_flat(ndims, &raw[..raw.len() - raw.len() % ndims]) else {
+        return Ok(());
+    };
+    let dims = Dims::new(sizes).unwrap();
+    let p = dims.volume();
+    let problem = MappingProblem::with_periodicity(
+        dims,
+        stencil,
+        oracle_allocation(p, (p / nodes).max(1), heterogeneous, seed),
+        periodic,
+    )
+    .unwrap();
+    let graph = CartGraph::build(problem.dims(), problem.stencil(), periodic);
+    let mapping = RandomMapping::with_seed(seed).compute(&problem).unwrap();
+    let csr = metrics::evaluate(&graph, &mapping);
+    let streaming =
+        metrics::evaluate_streaming(problem.dims(), problem.stencil(), periodic, &mapping);
+    prop_assert_eq!(
+        &csr,
+        &streaming,
+        "dims {:?}, periodic {}: CSR {:?}, streaming {:?}",
+        problem.dims().as_slice(),
+        periodic,
+        csr,
+        streaming
+    );
+    Ok(())
+}
+
 fn oracle_allocation(p: usize, per: usize, heterogeneous: bool, seed: u64) -> NodeAllocation {
     use rand::{Rng, SeedableRng};
     if !heterogeneous && p.is_multiple_of(per) {
