@@ -119,9 +119,12 @@ pub fn evaluate(graph: &CartGraph, mapping: &Mapping) -> MappingCost {
 /// dropped exactly as [`CartGraph::try_build`] drops them, so the result is
 /// bit-for-bit identical to [`evaluate`] on the corresponding graph.  The
 /// position range is scored in parallel chunks, each with its own dense
-/// per-node egress accumulator and a reused scratch coordinate, and the
-/// chunk accumulators are merged at the end — `O(p)` work, `O(p)` memory,
-/// deterministic for every thread count.
+/// per-node egress accumulator, and the chunk accumulators are merged at
+/// the end — `O(p)` work, `O(p)` memory, deterministic for every thread
+/// count.  Each chunk walks its positions row by row with an odometer
+/// coordinate.  An *interior* position, where every offset lands inside
+/// the grid without wrapping, reaches each neighbour by a precomputed
+/// linear rank delta; boundary positions apply the offsets coordinate-wise.
 ///
 /// # Panics
 ///
@@ -148,22 +151,82 @@ pub fn evaluate_streaming(
         .min(p.max(1));
     let num_chunks = p.div_ceil(chunk_size).max(1);
 
+    let sizes = dims.as_slice();
+    let last = sizes.len() - 1;
+    let offsets = stencil.offsets();
+    let nodes = mapping.node_of_position_slice();
+    // how far the stencil reaches below and above a coordinate, per dim:
+    // coordinate x of dim i is interior when below[i] <= x < sizes[i] - above[i]
+    let mut below = vec![0usize; sizes.len()];
+    let mut above = vec![0usize; sizes.len()];
+    for off in offsets {
+        for (i, &o) in off.iter().enumerate() {
+            below[i] = below[i].max((-o).max(0) as usize);
+            above[i] = above[i].max(o.max(0) as usize);
+        }
+    }
+    let mut stride = 1isize;
+    let mut deltas = vec![0isize; offsets.len()];
+    for i in (0..sizes.len()).rev() {
+        for (delta, off) in deltas.iter_mut().zip(offsets) {
+            *delta += off[i] as isize * stride;
+        }
+        stride *= sizes[i] as isize;
+    }
+    let row_interior = below[last]..sizes[last].saturating_sub(above[last]);
+
     let partials: Vec<Vec<u64>> = (0..num_chunks)
         .into_par_iter()
         .map(|c| {
             let lo = c * chunk_size;
             let hi = ((c + 1) * chunk_size).min(p);
             let mut egress = vec![0u64; num_nodes];
-            let mut coord = vec![0usize; dims.ndims()];
-            for u in lo..hi {
-                stencil_grid::coords::rank_to_coord_into(u, dims.as_slice(), &mut coord);
-                let nu = mapping.node_of_position(u);
-                for off in stencil.offsets() {
-                    if let Some(v) = dims.rank_after_offset(&coord, off, periodic) {
-                        if v != u && mapping.node_of_position(v) != nu {
-                            egress[nu] += 1;
+            let mut coord = vec![0usize; sizes.len()];
+            stencil_grid::coords::rank_to_coord_into(lo, sizes, &mut coord);
+            let mut u = lo;
+            while u < hi {
+                // the positions of this chunk in the current row: last
+                // coordinate start..end, ranks u..u + (end - start)
+                let start = coord[last];
+                let end = (start + (hi - u)).min(sizes[last]);
+                let outer_interior =
+                    (0..last).all(|i| coord[i] >= below[i] && coord[i] + above[i] < sizes[i]);
+                let (a, b) = if outer_interior {
+                    let a = row_interior.start.clamp(start, end);
+                    (a, row_interior.end.clamp(a, end))
+                } else {
+                    (end, end)
+                };
+                for x in a..b {
+                    let v = u + (x - start);
+                    let nv = nodes[v];
+                    for &delta in &deltas {
+                        if nodes[(v as isize + delta) as usize] != nv {
+                            egress[nv] += 1;
                         }
                     }
+                }
+                for x in (start..a).chain(b..end) {
+                    let v = u + (x - start);
+                    let nv = nodes[v];
+                    coord[last] = x;
+                    for off in offsets {
+                        if let Some(w) = dims.rank_after_offset(&coord, off, periodic) {
+                            if w != v && nodes[w] != nv {
+                                egress[nv] += 1;
+                            }
+                        }
+                    }
+                }
+                u += end - start;
+                // carry the odometer into the next row
+                coord[last] = 0;
+                for i in (0..last).rev() {
+                    coord[i] += 1;
+                    if coord[i] < sizes[i] {
+                        break;
+                    }
+                    coord[i] = 0;
                 }
             }
             egress
