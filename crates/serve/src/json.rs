@@ -372,47 +372,64 @@ const BASE64_ALPHABET: &[u8; 64] =
 /// engine serves).
 pub const MAX_COMPACT_ENTRIES: usize = 1 << 28;
 
+/// `BASE64_VALUES[c]` is the 6-bit value of base64 symbol `c`, or
+/// [`NOT_BASE64`] for a byte outside the alphabet (`=` included).
+const BASE64_VALUES: [u8; 256] = {
+    let mut values = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        values[BASE64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    values
+};
+
+/// The [`BASE64_VALUES`] entry of a byte outside the alphabet; its top bit
+/// is set, which no 6-bit value has, so one `or` over a group's four
+/// lookups tests all of them.
+const NOT_BASE64: u8 = 0xff;
+
 /// Standard base64 (RFC 4648 alphabet, `=` padding) of arbitrary bytes.
 /// Used by the compact node-table codec and by the warm-handoff admin
 /// response, which ships a whole persistence log inside one JSON string.
 pub fn base64_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            chunk.get(1).copied().unwrap_or(0),
-            chunk.get(2).copied().unwrap_or(0),
-        ];
-        let n = ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32;
-        out.push(BASE64_ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(BASE64_ALPHABET[(n >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 {
-            BASE64_ALPHABET[(n >> 6) as usize & 63] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            BASE64_ALPHABET[n as usize & 63] as char
-        } else {
-            '='
-        });
-    }
+    let mut out = String::new();
+    base64_encode_into(&mut out, bytes);
     out
 }
 
-/// Decodes [`base64_encode`] output (strict: length must be a multiple of
-/// four, padding only at the end).
-pub fn base64_decode(s: &str) -> Result<Vec<u8>, String> {
-    fn value_of(c: u8) -> Result<u32, String> {
-        match c {
-            b'A'..=b'Z' => Ok((c - b'A') as u32),
-            b'a'..=b'z' => Ok((c - b'a') as u32 + 26),
-            b'0'..=b'9' => Ok((c - b'0') as u32 + 52),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            _ => Err(format!("invalid base64 character {:?}", c as char)),
+/// Appends the [`base64_encode`] of `bytes` to `out`: the output is sized
+/// once, then filled a whole 3-byte group (4 symbols) at a time.
+pub fn base64_encode_into(out: &mut String, bytes: &[u8]) {
+    let symbol = |n: u32, shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
+    // SAFETY: every byte written below is a BASE64_ALPHABET symbol or `=`,
+    // all ASCII, so the String stays valid UTF-8.
+    let v = unsafe { out.as_mut_vec() };
+    let start = v.len();
+    v.resize(start + bytes.len().div_ceil(3) * 4, b'=');
+    let groups = bytes.chunks_exact(3);
+    let tail = groups.remainder();
+    let mut dst = v[start..].chunks_exact_mut(4);
+    for (g, d) in groups.zip(&mut dst) {
+        let n = (g[0] as u32) << 16 | (g[1] as u32) << 8 | g[2] as u32;
+        d.copy_from_slice(&[symbol(n, 18), symbol(n, 12), symbol(n, 6), symbol(n, 0)]);
+    }
+    if let Some(d) = dst.next() {
+        // a 1- or 2-byte tail; the `=` padding is already in place
+        let n = (tail[0] as u32) << 16 | (*tail.get(1).unwrap_or(&0) as u32) << 8;
+        d[0] = symbol(n, 18);
+        d[1] = symbol(n, 12);
+        if tail.len() == 2 {
+            d[2] = symbol(n, 6);
         }
     }
+}
+
+/// Decodes [`base64_encode`] output.  Strict, so that every accepted
+/// string is the encoding of exactly the bytes it decodes to: the length
+/// must be a multiple of four, padding may only close the last group, and
+/// the bits a padded group leaves unused must be zero.
+pub fn base64_decode(s: &str) -> Result<Vec<u8>, String> {
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(4) {
         return Err(format!(
@@ -421,28 +438,55 @@ pub fn base64_decode(s: &str) -> Result<Vec<u8>, String> {
         ));
     }
     let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for (i, chunk) in bytes.chunks(4).enumerate() {
-        let last = (i + 1) * 4 == bytes.len();
-        let pad = chunk.iter().filter(|&&c| c == b'=').count();
-        if pad > 0 && (!last || chunk[..4 - pad].contains(&b'=') || pad > 2) {
-            return Err("misplaced base64 padding".to_string());
+    let Some(body_len) = bytes.len().checked_sub(4) else {
+        return Ok(out);
+    };
+    let (body, last) = bytes.split_at(body_len);
+    let sextets = |group: &[u8]| {
+        let v = [0, 1, 2, 3].map(|i| BASE64_VALUES[group[i] as usize]);
+        if (v[0] | v[1] | v[2] | v[3]) & 0x80 != 0 {
+            return Err(invalid_symbol(group));
         }
-        let n = (value_of(chunk[0])? << 18)
-            | (value_of(chunk[1])? << 12)
-            | if pad < 2 { value_of(chunk[2])? << 6 } else { 0 }
-            | if pad < 1 { value_of(chunk[3])? } else { 0 };
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
-        }
+        Ok((v[0] as u32) << 18 | (v[1] as u32) << 12 | (v[2] as u32) << 6 | v[3] as u32)
+    };
+    for group in body.chunks_exact(4) {
+        let n = sextets(group)?;
+        out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
     }
+    let pad = last.iter().rev().take_while(|&&c| c == b'=').count();
+    if pad > 2 {
+        return Err("misplaced base64 padding".to_string());
+    }
+    // the padding stands for zero-valued symbols
+    let mut group = [b'A'; 4];
+    group[..4 - pad].copy_from_slice(&last[..4 - pad]);
+    let n = sextets(&group)?;
+    let kept = 3 - pad;
+    if n & ((1 << (8 * pad)) - 1) != 0 {
+        return Err("non-zero bits in base64 padding".to_string());
+    }
+    out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8][..kept]);
     Ok(out)
 }
 
+/// The error for a base64 group holding a byte outside the alphabet.
+#[cold]
+fn invalid_symbol(group: &[u8]) -> String {
+    match group
+        .iter()
+        .find(|&&c| BASE64_VALUES[c as usize] == NOT_BASE64)
+    {
+        Some(b'=') => "misplaced base64 padding".to_string(),
+        Some(&c) => format!("invalid base64 character {:?}", c as char),
+        None => unreachable!("invalid_symbol called on a valid group"),
+    }
+}
+
 fn push_varint(out: &mut Vec<u8>, mut x: u64) {
+    if x < 0x80 {
+        out.push(x as u8);
+        return;
+    }
     loop {
         let byte = (x & 0x7f) as u8;
         x >>= 7;
@@ -454,7 +498,21 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
     }
 }
 
+#[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
+    match bytes.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(byte as u64)
+        }
+        _ => read_long_varint(bytes, pos),
+    }
+}
+
+/// [`read_varint`] past its one-byte fast path.  Rejects an overlong
+/// varint (a final byte of zero after a continuation byte), so each value
+/// has exactly one accepted encoding.
+fn read_long_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
     let mut x = 0u64;
     let mut shift = 0u32;
     loop {
@@ -467,6 +525,9 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
         }
         x |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err("overlong varint in compact node table".to_string());
+            }
             return Ok(x);
         }
         shift += 7;
@@ -499,9 +560,10 @@ pub fn encode_nodes_compact(nodes: &[u32]) -> String {
 }
 
 /// Decodes the compact wire form back into the node table.  Strict inverse
-/// of [`encode_nodes_compact`]: rejects bad base64, truncated or overlong
-/// payloads, deltas that leave `u32` range, and length prefixes beyond
-/// [`MAX_COMPACT_ENTRIES`].
+/// of [`encode_nodes_compact`]: every string it accepts re-encodes to
+/// itself.  Rejects bad or non-canonical base64, truncated, overlong or
+/// trailing payload bytes, deltas that leave `u32` range, and length
+/// prefixes beyond [`MAX_COMPACT_ENTRIES`].
 pub fn decode_nodes_compact(s: &str) -> Result<Vec<u32>, String> {
     let bytes = base64_decode(s)?;
     let mut pos = 0usize;
@@ -521,15 +583,13 @@ pub fn decode_nodes_compact(s: &str) -> Result<Vec<u32>, String> {
         ));
     }
     let mut nodes = Vec::with_capacity(len as usize);
-    let mut prev = 0i64;
+    let mut prev = 0u32;
     for _ in 0..len {
         let delta = unzigzag(read_varint(&bytes, &mut pos)?);
-        let value = prev + delta;
-        if !(0..=u32::MAX as i64).contains(&value) {
-            return Err(format!("compact node table entry {value} outside u32"));
-        }
-        nodes.push(value as u32);
-        prev = value;
+        let value = prev as i128 + delta as i128;
+        prev = u32::try_from(value)
+            .map_err(|_| format!("compact node table entry {value} outside u32"))?;
+        nodes.push(prev);
     }
     if pos != bytes.len() {
         return Err(format!(
@@ -1002,6 +1062,139 @@ mod tests {
         ] {
             let err = decode_nodes_compact(input).unwrap_err();
             assert!(err.contains(needle), "{input:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn compact_decoder_rejects_non_canonical_strings() {
+        // both decode to the table [0] under a lenient decoder, like "AQA="
+        assert_eq!(decode_nodes_compact("AQA=").unwrap(), vec![0]);
+        let overlong = decode_nodes_compact("AYAA").unwrap_err();
+        assert!(overlong.contains("overlong"), "{overlong}");
+        let padding = decode_nodes_compact("AQB=").unwrap_err();
+        assert!(padding.contains("padding"), "{padding}");
+        assert!(
+            base64_decode("Zh==").is_err(),
+            "\"Zg==\" is the canonical form"
+        );
+        assert!(
+            base64_decode("Zm9=").is_err(),
+            "\"Zm8=\" is the canonical form"
+        );
+    }
+
+    /// The encoder as it stood before the table-driven rewrite: one `char`
+    /// push per base64 symbol, one loop turn per varint byte.  The property
+    /// below holds today's encoder to its bytes.
+    fn reference_encode_nodes_compact(nodes: &[u32]) -> String {
+        fn push_varint(out: &mut Vec<u8>, mut x: u64) {
+            loop {
+                let byte = (x & 0x7f) as u8;
+                x >>= 7;
+                if x == 0 {
+                    out.push(byte);
+                    return;
+                }
+                out.push(byte | 0x80);
+            }
+        }
+        let mut bytes = Vec::new();
+        push_varint(&mut bytes, nodes.len() as u64);
+        let mut prev = 0i64;
+        for &n in nodes {
+            push_varint(&mut bytes, zigzag(n as i64 - prev));
+            prev = n as i64;
+        }
+        let mut out = String::new();
+        for chunk in bytes.chunks(3) {
+            let b = [
+                chunk[0],
+                chunk.get(1).copied().unwrap_or(0),
+                chunk.get(2).copied().unwrap_or(0),
+            ];
+            let n = ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32;
+            out.push(BASE64_ALPHABET[(n >> 18) as usize & 63] as char);
+            out.push(BASE64_ALPHABET[(n >> 12) as usize & 63] as char);
+            out.push(if chunk.len() > 1 {
+                BASE64_ALPHABET[(n >> 6) as usize & 63] as char
+            } else {
+                '='
+            });
+            out.push(if chunk.len() > 2 {
+                BASE64_ALPHABET[n as usize & 63] as char
+            } else {
+                '='
+            });
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The encoder's bytes equal the reference encoder's, for run-like
+        /// tables (small deltas) and arbitrary ones (deltas up to ±2^32),
+        /// of 0–20000 entries, and decode back to the table.
+        #[test]
+        fn compact_encoder_matches_the_reference_encoder(
+            len in 0usize..20_001,
+            run in 1usize..200,
+            scatter in proptest::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut x = seed;
+            let table: Vec<u32> = (0..len)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    if scatter { (x >> 32) as u32 } else { (i / run) as u32 }
+                })
+                .collect();
+            let encoded = encode_nodes_compact(&table);
+            proptest::prop_assert_eq!(&encoded, &reference_encode_nodes_compact(&table));
+            proptest::prop_assert_eq!(decode_nodes_compact(&encoded).unwrap(), table);
+        }
+
+        /// Every string the decoder accepts re-encodes to itself: payloads
+        /// of arbitrary bytes (overlong, truncated and out-of-range varints
+        /// included) under valid base64, and arbitrary symbol strings.
+        #[test]
+        fn every_accepted_compact_string_reencodes_to_itself(
+            payload in proptest::collection::vec(0u8..=255, 0..24),
+            varints in proptest::bool::ANY,
+            symbols in proptest::collection::vec(0usize..66, 0..17),
+            pad in 0usize..3,
+        ) {
+            // drawn from a palette of varint bytes behind a length prefix
+            // that counts the varints, most payloads decode to the end, and
+            // overlong varints (a continuation byte, then 0) are common
+            let payload: Vec<u8> = if varints {
+                let body: Vec<u8> = payload
+                    .iter()
+                    .map(|b| [0, 1, 2, 0x7f, 0x80, 0x81, 0xff, 0][*b as usize % 8])
+                    .collect();
+                let count = body.iter().filter(|&&b| b < 0x80).count() as u8;
+                std::iter::once(count).chain(body).collect()
+            } else {
+                payload
+            };
+            let alphabet: Vec<char> = (BASE64_ALPHABET.iter().map(|&c| c as char))
+                .chain(['=', '%'])
+                .collect();
+            let arbitrary: String = symbols.iter().map(|&i| alphabet[i]).collect();
+            // whole groups of alphabet symbols with the last `pad` replaced
+            // by `=`: the unused bits under the padding are often non-zero
+            let mut padded: Vec<char> = symbols.iter().map(|&i| alphabet[i % 64]).collect();
+            padded.truncate(padded.len() / 4 * 4);
+            let len = padded.len();
+            padded[len.saturating_sub(pad)..].fill('=');
+            for input in [base64_encode(&payload), arbitrary, padded.into_iter().collect()] {
+                if let Ok(table) = decode_nodes_compact(&input) {
+                    proptest::prop_assert_eq!(encode_nodes_compact(&table), input);
+                }
+                if let Ok(bytes) = base64_decode(&input) {
+                    proptest::prop_assert_eq!(base64_encode(&bytes), input);
+                }
+            }
         }
     }
 
