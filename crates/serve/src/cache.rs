@@ -332,8 +332,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
 
     /// The value of `key` if resident, without bumping recency or counting
     /// towards the hit/miss statistics.  The absorb path (skipping entries
-    /// the backend already holds) and the export path (copying a
-    /// just-served entry to the other replicas) read through this, so
+    /// the backend already holds) and the write-through log (copying a
+    /// just-computed entry to the other replicas) read through this, so
     /// neither perturbs eviction order.
     pub fn peek(&self, key: &K) -> Option<V> {
         let shard = self.shards[self.shard_of(key)]

@@ -110,6 +110,19 @@ impl Value {
         }
     }
 
+    /// Container nesting depth, as [`MAX_DEPTH`] counts it: 0 for a
+    /// scalar, 1 for an array or object of scalars.
+    pub fn depth(&self) -> usize {
+        let deepest = |values: &mut dyn Iterator<Item = &Value>| {
+            1 + values.map(Value::depth).max().unwrap_or(0)
+        };
+        match self {
+            Value::Arr(items) => deepest(&mut items.iter()),
+            Value::Obj(fields) => deepest(&mut fields.iter().map(|(_, v)| v)),
+            _ => 0,
+        }
+    }
+
     /// Parses a JSON document. The entire input must be consumed (trailing
     /// whitespace excepted).
     pub fn parse(input: &str) -> Result<Value, String> {
@@ -605,7 +618,7 @@ pub fn decode_nodes_compact(s: &str) -> Result<Vec<u32>, String> {
 /// so unbounded nesting would let one hostile request line overflow the
 /// connection thread's stack and abort the whole process; the protocol
 /// needs two levels (`batch` of objects of arrays of arrays).
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

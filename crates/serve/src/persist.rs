@@ -629,6 +629,13 @@ impl PersistLog {
         self.send(insert_line(key, entry));
     }
 
+    /// Queues an insert record that is already one line of text, without
+    /// its newline, and that [`parse_record`] accepted: an absorbed record
+    /// is appended as received instead of being serialised again.
+    pub fn record_insert_line(&self, line: String) {
+        self.send(line);
+    }
+
     /// Queues a touch record (called on every cache hit).
     pub fn record_touch(&self, key: &CacheKey) {
         self.send(touch_line(key));

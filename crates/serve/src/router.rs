@@ -21,14 +21,15 @@
 //!
 //! Request handling:
 //!
-//! * a **single request line is forwarded verbatim** (raw bytes, not
-//!   re-rendered), so the backend parses exactly what the client sent;
-//! * a **batch line is split per item**: each item is routed independently
-//!   by its own canonical key, forwarded wrapped as a single-item batch
-//!   (`{"batch":[item]}` — so an item that itself contains a `"batch"` key
-//!   is still treated as a plain request object, exactly as a single
-//!   process treats batch items), and the responses are unwrapped and
-//!   reassembled in item order;
+//! * a **single request line with one owner is forwarded verbatim** (raw
+//!   bytes, not re-rendered), so the backend parses exactly what the
+//!   client sent;
+//! * a **request with more than one owner, and every batch item**, goes
+//!   out as `{"admin":"write_through","request":ITEM}`: the backend
+//!   answers ITEM as a plain request object, exactly as a single process
+//!   treats a batch item, inside `{"status":"ok","admin":"write_through",
+//!   "log":L,"response":R}`, and the router relays R unparsed (batch
+//!   answers reassembled in item order);
 //! * **unparseable lines, empty or malformed batches and `"admin"` lines**
 //!   are forwarded whole to a backend picked by hashing the raw line bytes
 //!   — deterministic, and the backend produces the identical error (or
@@ -37,20 +38,20 @@
 //! **Replication** (`--replicas R`, default 1): each key maps to the R
 //! *distinct* successor backends on the ring ([`Ring::replica_indices`]).
 //! Reads go to the primary and fail over in ring order to the next replica
-//! when a backend is down, timed out, or mid-backoff; a served **miss**
-//! (`"cached":false`) is written through to the remaining replicas: the
-//! serving backend answers `{"admin":"export"}` with the persistence insert
-//! records of the entries the request resolved to, and the router forwards
-//! that log unchanged as `{"admin":"absorb"}` to each other replica.  The
+//! when a backend is down, timed out, or mid-backoff.  A **miss** costs one
+//! round trip: `L` carries the persistence insert records of the entry the
+//! serving backend computed, and the router absorbs them unchanged
+//! (`{"admin":"absorb"}`) into each other replica before releasing R.  The
 //! mapping is computed once; the replicas parse a record instead of
-//! running the mapper, and hold the identical entry.  (When the export
-//! fails or comes back empty — the serving backend died or evicted the key
-//! in between — the raw request line goes out instead and the replica
-//! computes the entry itself.)  Converged replica caches are what keep
-//! routed transcripts byte-identical through a failover: the replica
-//! answers `"cached":true` exactly as the lost primary — and a single
-//! process — would.  Killing any one backend with R ≥ 2 therefore yields
-//! zero `backend unavailable` lines and no cold recompute storm.
+//! running the mapper, and hold the identical entry.  (When the records
+//! cannot ship, `L` is `null` and the other replicas get the envelope and
+//! compute the entry.)  Converged replica caches are what keep routed
+//! transcripts byte-identical through a failover: the replica answers
+//! `"cached":true` exactly as the lost primary — and a single process —
+//! would.  Killing any one backend with R ≥ 2 therefore yields zero
+//! `backend unavailable` lines and no cold recompute storm.  Router and
+//! backends must run the same release.  A request too deep or too long to
+//! wrap is forwarded raw, without write-through.
 //!
 //! **Live resharding**: `{"admin":"reshard","add":ADDR}` (or `"remove"`)
 //! is answered by the router itself.  It builds the new ring, pulls
@@ -89,10 +90,10 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::faultpoint;
-use crate::json::{base64_decode, base64_encode, Value};
+use crate::json::{base64_decode, base64_encode, Value, MAX_DEPTH};
 use crate::persist::{parse_record, Record};
 use crate::protocol::{MapRequest, MapResponse, ResponseBody};
-use crate::server::LineHandler;
+use crate::server::{LineHandler, MAX_LINE_BYTES};
 use crate::service::CacheKey;
 
 /// Virtual nodes per backend on the ring.  256 keeps the largest/smallest
@@ -139,6 +140,12 @@ const MAX_RESPONSE_BYTES: usize = 64 << 20;
 /// raw log is ~2.7 MiB base64 — comfortably inside the backends' 4 MiB
 /// request-line limit.
 const ABSORB_CHUNK_BYTES: usize = 2 << 20;
+
+/// A replicated request goes out as this prefix, the request object, `}`.
+const WRITE_THROUGH: &str = r#"{"admin":"write_through","request":"#;
+
+/// The fixed start of a backend's answer to [`WRITE_THROUGH`].
+const WRITE_THROUGH_ANSWER: &str = r#"{"status":"ok","admin":"write_through","log":"#;
 
 /// Deterministic per-backend addition to every reconnect-backoff window,
 /// keyed on the backend's construction index: `idx` milliseconds plus a
@@ -665,83 +672,71 @@ impl Router {
 
     /// Forwards one line through its replica set in failover order: the
     /// first replica to answer wins, and an answer from a non-primary
-    /// counts as a failover.  When the winning response is a cache **miss**
-    /// (`"cached":false` anywhere in the line) and the set has more than
-    /// one member, the entries the serving replica just computed are
-    /// written through to the remaining replicas ([`Router::fan_out`]) —
-    /// the write-through that keeps replica caches converged, which is what
-    /// makes a later failover read answer `"cached":true` byte-identically
-    /// to a single process.  `request` is the JSON text of the request
-    /// object `line` carries (the line itself, or the one batch item).
+    /// counts as a failover.  Returns the answer and the backend index that
+    /// gave it.
     fn forward_replicated(
         &self,
         inner: &RouterInner,
         targets: &[usize],
         line: &str,
-        request: &str,
-    ) -> Result<String, ()> {
+    ) -> Result<(String, usize), ()> {
         for (attempt, &idx) in targets.iter().enumerate() {
-            match self.forward(&inner.backends[idx], line) {
-                Ok(response) => {
-                    if attempt > 0 {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if targets.len() > 1 && response.contains("\"cached\":false") {
-                        self.fan_out(inner, targets, idx, line, request);
-                    }
-                    return Ok(response);
+            if let Ok(response) = self.forward(&inner.backends[idx], line) {
+                if attempt > 0 {
+                    self.failovers.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(()) => continue,
+                return Ok((response, idx));
             }
         }
         Err(())
     }
 
-    /// Write-through of a miss to every replica other than `served`: the
-    /// serving backend exports the entries `request` resolves to
-    /// (`{"admin":"export"}`), and each other replica absorbs that log
-    /// unchanged, so the mapping is computed once, not once per replica.
-    /// When the export fails or comes back empty (the serving backend died
-    /// or evicted the key in between), the raw `line` is sent instead and
-    /// the replica computes the entry itself.  Failures are ignored: a down
-    /// replica warms up later via its own miss path (or a reshard absorb),
-    /// it never blocks the winning response.
-    fn fan_out(
+    /// Routes one request object, carried as `envelope` (the
+    /// [`WRITE_THROUGH`] line around it), through its replica set and
+    /// appends the answer to `out` — after absorbing the records of any
+    /// entry the serving backend computed into every other replica, or
+    /// sending them the envelope when the records cannot ship.
+    /// Write-through failures are ignored: a down replica warms up later
+    /// through its own misses or a reshard.
+    fn write_through(
         &self,
         inner: &RouterInner,
         targets: &[usize],
-        served: usize,
-        line: &str,
-        request: &str,
+        envelope: &str,
+        request: &Value,
+        out: &mut String,
     ) {
-        faultpoint::reach("router.replica_fanout_partial");
-        let export = format!("{{\"admin\":\"export\",\"request\":{request}}}");
-        let log = self
-            .forward(&inner.backends[served], &export)
-            .ok()
-            .and_then(|resp| ok_reply(&resp))
-            .and_then(|r| r.get("log").and_then(Value::as_str).map(str::to_string))
-            .filter(|log| !log.is_empty());
-        for &idx in targets.iter().filter(|&&idx| idx != served) {
-            let backend = &inner.backends[idx];
-            let delivered = match &log {
-                Some(log) => self.absorb(backend, log).is_ok(),
-                None => self.forward(backend, line).is_ok(),
+        let Ok((reply, served)) = self.forward_replicated(inner, targets, envelope) else {
+            return self.push_unavailable(request.get("id").cloned(), out);
+        };
+        let Some((records, response)) = split_write_through(&reply) else {
+            // a line the backend refused itself (past its line limit, say)
+            // answers with its error line; a garbled envelope answers nothing
+            return match reply.starts_with(WRITE_THROUGH_ANSWER) {
+                true => self.push_unavailable(request.get("id").cloned(), out),
+                false => out.push_str(&reply),
             };
-            if delivered {
-                self.fanouts.fetch_add(1, Ordering::Relaxed);
+        };
+        if targets.len() > 1 && records != Some("") {
+            faultpoint::reach("router.replica_fanout_partial");
+            for &idx in targets.iter().filter(|&&idx| idx != served) {
+                let backend = &inner.backends[idx];
+                let delivered = match records {
+                    Some(log) => self.absorb(backend, log),
+                    None => self.forward(backend, envelope).map(drop),
+                };
+                self.fanouts
+                    .fetch_add(delivered.is_ok() as u64, Ordering::Relaxed);
             }
         }
+        out.push_str(response);
     }
 
     /// Sends an already base64-encoded persistence log to `backend` as one
     /// `{"admin":"absorb"}` line and checks it was accepted.
     fn absorb(&self, backend: &Backend, log: &str) -> Result<(), ()> {
         let line = format!("{{\"admin\":\"absorb\",\"log\":\"{log}\"}}");
-        match ok_reply(&self.forward(backend, &line)?) {
-            Some(_) => Ok(()),
-            None => Err(()),
-        }
+        ok_reply(&self.forward(backend, &line)?).map(drop).ok_or(())
     }
 
     /// Appends the [`BACKEND_UNAVAILABLE`] error line (id echoed) to `out`.
@@ -755,38 +750,20 @@ impl Router {
     }
 
     /// Routes one non-empty batch: items routed independently by canonical
-    /// key, forwarded strictly in item order (so canonically-equal items
-    /// hit the same backend in the same order a single process would
-    /// process them), responses unwrapped and reassembled in order.
+    /// key, each in its own write-through envelope (so an item is always
+    /// answered as a plain request object, exactly as a single process
+    /// treats batch items), forwarded strictly in item order (so
+    /// canonically-equal items hit the same backend in the same order a
+    /// single process would process them), answers reassembled in order.
     fn route_batch(&self, inner: &RouterInner, items: &[Value], out: &mut String) {
         out.push_str("{\"batch\":[");
-        let mut wrapped = String::new();
         for (i, item) in items.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let targets = inner.ring.replica_indices(item_hash(item), self.replicas);
-            wrapped.clear();
-            wrapped.push_str("{\"batch\":[");
-            item.write_into(&mut wrapped);
-            wrapped.push_str("]}");
-            let request = &wrapped["{\"batch\":[".len()..wrapped.len() - "]}".len()];
-            match self.forward_replicated(inner, &targets, &wrapped, request) {
-                Ok(response) => {
-                    // strip the single-item wrapper and relay the item
-                    // response verbatim; an unwrapped response (e.g. the
-                    // wrapped line outgrew the backend's line limit) is an
-                    // error object and is relayed as the item's answer
-                    match response
-                        .strip_prefix("{\"batch\":[")
-                        .and_then(|r| r.strip_suffix("]}"))
-                    {
-                        Some(inner) => out.push_str(inner),
-                        None => out.push_str(&response),
-                    }
-                }
-                Err(()) => self.push_unavailable(item.get("id").cloned(), out),
-            }
+            let envelope = format!("{WRITE_THROUGH}{}}}", item.compact());
+            self.write_through(inner, &targets, &envelope, item, out);
         }
         out.push_str("]}");
     }
@@ -1058,6 +1035,23 @@ fn ok_reply(resp: &str) -> Option<Value> {
         .filter(|r| r.get("status").and_then(Value::as_str) == Some("ok"))
 }
 
+/// Splits a backend's answer to a [`WRITE_THROUGH`] envelope into its log
+/// `L` — base64, `""` when nothing was computed, `None` for `null` — and
+/// its answer `R`, without parsing `R`: base64 holds no quote, so the first
+/// quote closes `L`.  `None` for anything else.
+fn split_write_through(reply: &str) -> Option<(Option<&str>, &str)> {
+    let rest = reply.strip_prefix(WRITE_THROUGH_ANSWER)?;
+    let (records, rest) = match rest.strip_prefix("null") {
+        Some(rest) => (None, rest),
+        None => {
+            let (log, rest) = rest.strip_prefix('"')?.split_once('"')?;
+            (Some(log), rest)
+        }
+    };
+    let response = rest.strip_prefix(",\"response\":")?.strip_suffix('}')?;
+    (response.starts_with('{') && response.ends_with('}')).then_some((records, response))
+}
+
 impl LineHandler for Router {
     /// Routes one wire line.  The `degrade` hint is ignored: the router's
     /// own per-line work is negligible, and table-stripping degradation is
@@ -1070,22 +1064,24 @@ impl LineHandler for Router {
             // MappingService::handle_line_into
             if let Some(cmd) = v.get("admin") {
                 match cmd.as_str() {
-                    Some("stats") => {
-                        self.admin_stats(&inner, v, out);
-                        return;
-                    }
-                    Some("reshard") => {
-                        self.admin_reshard(v, out);
-                        return;
-                    }
+                    Some("stats") => return self.admin_stats(&inner, v, out),
+                    Some("reshard") => return self.admin_reshard(v, out),
                     // every other admin command forwards whole below
                     _ => {}
                 }
-            } else if let Some(items) = v.get("batch").and_then(Value::as_arr) {
-                if !items.is_empty() {
-                    self.route_batch(&inner, items, out);
-                    return;
+            } else if let Some(batch) = v.get("batch") {
+                if let Some(items) = batch.as_arr().filter(|items| !items.is_empty()) {
+                    return self.route_batch(&inner, items, out);
                 }
+            } else if self.replicas > 1
+                // the envelope nests the request one level deeper and
+                // lengthens the line
+                && v.depth() < MAX_DEPTH
+                && WRITE_THROUGH.len() + line.len() < MAX_LINE_BYTES
+            {
+                let targets = inner.ring.replica_indices(item_hash(v), self.replicas);
+                let envelope = format!("{WRITE_THROUGH}{line}}}");
+                return self.write_through(&inner, &targets, &envelope, v, out);
             }
         }
         // whole-line forward: single requests route by canonical key and
@@ -1101,8 +1097,8 @@ impl LineHandler for Router {
                 .ring
                 .replica_indices(fnv1a_64(line.as_bytes()), self.replicas),
         };
-        match self.forward_replicated(&inner, &targets, line, line) {
-            Ok(response) => out.push_str(&response),
+        match self.forward_replicated(&inner, &targets, line) {
+            Ok((response, _)) => out.push_str(&response),
             Err(()) => {
                 let id = parsed.as_ref().and_then(|v| v.get("id")).cloned();
                 self.push_unavailable(id, out);
@@ -1340,13 +1336,13 @@ mod tests {
     const MISS: &str =
         r#"{"id":1,"status":"ok","algorithm":"hyperplane","cached":false,"j_sum":1,"j_max":1}"#;
 
-    /// A scripted backend serving one router connection: a request line is
-    /// answered with [`MISS`], `{"admin":"export"}` with `export`, and
-    /// `{"admin":"absorb"}` with ok.  Returns every line it read once the
+    /// A scripted backend serving one router connection: a write-through
+    /// envelope is answered with `reply`, `{"admin":"absorb"}` with ok, and
+    /// any other line with [`MISS`].  Returns every line it read once the
     /// router hangs up (or nothing, if no connection arrives within 10 s).
     fn scripted_backend(
         listener: std::net::TcpListener,
-        export: &'static str,
+        reply: String,
     ) -> std::thread::JoinHandle<Vec<String>> {
         use std::io::BufRead;
         std::thread::spawn(move || {
@@ -1368,8 +1364,8 @@ mod tests {
                 .lines()
                 .map_while(Result::ok)
             {
-                let reply = if line.contains("\"admin\":\"export\"") {
-                    export
+                let reply = if line.starts_with(WRITE_THROUGH) {
+                    reply.as_str()
                 } else if line.contains("\"admin\":\"absorb\"") {
                     r#"{"status":"ok","admin":"absorb","inserted":1,"skipped":0}"#
                 } else {
@@ -1382,10 +1378,10 @@ mod tests {
         })
     }
 
-    /// Routes one missed line through two scripted replicas whose serving
-    /// one answers the export with `export`; returns the lines each backend
-    /// read, serving one first, and the fan-out count.
-    fn write_through(export: &'static str) -> (Vec<String>, Vec<String>, u64) {
+    /// Routes `line` through two scripted replicas that answer envelopes
+    /// with `reply`; returns the router's answer, the lines the serving
+    /// and the other backend read, and the fan-out count.
+    fn route_scripted(line: &str, reply: &str) -> (String, Vec<String>, Vec<String>, u64) {
         let listeners: Vec<_> = (0..2)
             .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
@@ -1394,49 +1390,159 @@ mod tests {
             .map(|l| l.local_addr().unwrap().to_string())
             .collect();
         let r = Router::new(&specs, 2, Duration::from_secs(5)).unwrap();
-        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
-        let serving = r.route_index(&Value::parse(line).unwrap());
+        let v = Value::parse(line).unwrap();
+        let item = v
+            .get("batch")
+            .and_then(|b| b.as_arr())
+            .map_or(&v, |b| &b[0]);
+        let serving = r.route_index(item);
         let backends: Vec<_> = listeners
             .into_iter()
-            .map(|l| scripted_backend(l, export))
+            .map(|l| scripted_backend(l, reply.to_string()))
             .collect();
         let mut out = String::new();
         r.handle_line_into(line, false, &mut out);
-        assert_eq!(out, MISS, "the serving replica's answer is relayed as-is");
         let fanouts = r.stats().fanouts;
         drop(r); // closes the pooled connections: the backends see EOF
+        for spec in &specs {
+            // a backend the router never dialed takes this empty
+            // connection instead of waiting out its accept deadline
+            drop(TcpStream::connect(spec));
+        }
         let mut seen: Vec<Vec<String>> = backends.into_iter().map(|b| b.join().unwrap()).collect();
         let other = seen.remove(1 - serving);
-        (seen.remove(0), other, fanouts)
+        (out, seen.remove(0), other, fanouts)
+    }
+
+    const LINE: &str = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
+
+    fn envelope(request: &str) -> String {
+        format!(r#"{{"admin":"write_through","request":{request}}}"#)
+    }
+
+    fn answer(log: &str, response: &str) -> String {
+        format!(r#"{{"status":"ok","admin":"write_through","log":{log},"response":{response}}}"#)
     }
 
     #[test]
-    fn write_through_absorbs_the_exported_log_unchanged() {
-        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
-        let (serving, other, fanouts) =
-            write_through(r#"{"status":"ok","admin":"export","entries":1,"log":"TE9H"}"#);
+    fn write_through_absorbs_the_shipped_log_unchanged() {
+        let (out, serving, other, fanouts) = route_scripted(LINE, &answer(r#""TE9H""#, MISS));
+        assert_eq!(out, MISS, "the serving replica's answer is relayed as-is");
         assert_eq!(
             serving,
-            [
-                line.to_string(),
-                format!(r#"{{"admin":"export","request":{line}}}"#)
-            ]
+            [envelope(LINE)],
+            "one round trip to the serving replica"
         );
         assert_eq!(other, [r#"{"admin":"absorb","log":"TE9H"}"#]);
         assert_eq!(fanouts, 1);
     }
 
     #[test]
-    fn write_through_sends_the_raw_line_when_the_export_fails() {
-        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
-        for export in [
-            r#"{"status":"error","error":"unknown admin command \"export\""}"#,
-            r#"{"status":"ok","admin":"export","entries":0,"log":""}"#,
-        ] {
-            let (serving, other, fanouts) = write_through(export);
-            assert_eq!(serving.len(), 2, "request, then export: {serving:?}");
-            assert_eq!(other, [line], "after {export}");
-            assert_eq!(fanouts, 1);
+    fn write_through_sends_the_envelope_when_the_records_cannot_ship() {
+        let (out, serving, other, fanouts) = route_scripted(LINE, &answer("null", MISS));
+        assert_eq!(out, MISS);
+        assert_eq!(serving, [envelope(LINE)]);
+        assert_eq!(
+            other,
+            [envelope(LINE)],
+            "the replica computes the entry itself"
+        );
+        assert_eq!(fanouts, 1);
+    }
+
+    #[test]
+    fn write_through_of_a_hit_touches_no_other_replica() {
+        let hit = MISS.replace("\"cached\":false", "\"cached\":true");
+        let (out, serving, other, fanouts) = route_scripted(LINE, &answer(r#""""#, &hit));
+        assert_eq!(out, hit);
+        assert_eq!(serving, [envelope(LINE)]);
+        assert!(other.is_empty(), "{other:?}");
+        assert_eq!(fanouts, 0);
+    }
+
+    #[test]
+    fn a_batch_item_miss_writes_through() {
+        let item = r#"{"id":"a","dims":[12,8],"nodes":8}"#;
+        let line = format!(r#"{{"batch":[{item}]}}"#);
+        let (out, serving, other, fanouts) = route_scripted(&line, &answer(r#""TE9H""#, MISS));
+        assert_eq!(out, format!(r#"{{"batch":[{MISS}]}}"#));
+        assert_eq!(serving, [envelope(item)]);
+        assert_eq!(other, [r#"{"admin":"absorb","log":"TE9H"}"#]);
+        assert_eq!(fanouts, 1);
+    }
+
+    #[test]
+    fn foreign_and_garbled_write_through_replies_are_relayed_or_unavailable() {
+        // a line the backend refuses itself: its error line is the answer
+        let refused = r#"{"status":"error","error":"request line exceeds the 4194304-byte limit"}"#;
+        let (out, _, other, fanouts) = route_scripted(LINE, refused);
+        assert_eq!(out, refused);
+        assert!(other.is_empty());
+        assert_eq!(fanouts, 0);
+        // an envelope that does not split carries no answer
+        let garbled = format!(r#"{WRITE_THROUGH_ANSWER}"TE9H","response":{MISS}"#);
+        let (out, _, other, fanouts) = route_scripted(LINE, &garbled);
+        assert_eq!(
+            out,
+            r#"{"id":1,"status":"error","error":"backend unavailable"}"#
+        );
+        assert!(other.is_empty());
+        assert_eq!(fanouts, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A genuine write-through answer splits into its log and its
+        /// answer R, whatever R's strings hold (quotes, backslashes, braces
+        /// or `","response":` itself); a truncated or arbitrary reply never
+        /// panics the splitter, and whatever it accepts is a consistent
+        /// split of the input.  An R whose only `}` is its last byte is
+        /// never accepted truncated.
+        #[test]
+        fn the_write_through_splitter_finds_r_and_never_panics(
+            id_chars in proptest::collection::vec(0usize..12, 0..24),
+            error_chars in proptest::collection::vec(0usize..12, 0..24),
+            log_bytes in proptest::collection::vec(0u8..=255, 0..30),
+            log_kind in 0u8..3,
+            noise in proptest::collection::vec(0usize..12, 0..60),
+        ) {
+            const PIECES: [&str; 12] = [
+                "\"", "\\", "}", "{", ",", ":", "r", "null",
+                r#"","response":"#, "é", "=", WRITE_THROUGH_ANSWER,
+            ];
+            let text = |chars: &[usize]| chars.iter().map(|&i| PIECES[i]).collect::<String>();
+            let response = MapResponse {
+                id: Some(Value::str(text(&id_chars))),
+                body: ResponseBody::Error(text(&error_chars)),
+            };
+            let mut r = String::new();
+            response.write_into(&mut r);
+            let log = base64_encode(&log_bytes);
+            let (log_field, want) = match log_kind {
+                0 => ("null".to_string(), None),
+                1 => ("\"\"".to_string(), Some("")),
+                _ => (format!("\"{log}\""), Some(log.as_str())),
+            };
+            let reply = answer(&log_field, &r);
+            proptest::prop_assert_eq!(split_write_through(&reply), Some((want, r.as_str())));
+            let braces = r.matches('}').count();
+            let foreign = text(&noise);
+            let truncations = (0..reply.len()).filter(|&k| reply.is_char_boundary(k));
+            let inputs = truncations
+                .map(|k| &reply[..k])
+                .chain([foreign.as_str(), &reply[WRITE_THROUGH_ANSWER.len()..]]);
+            for input in inputs {
+                if let Some((log, rest)) = split_write_through(input) {
+                    let field = log.map_or("null".to_string(), |l| format!("\"{l}\""));
+                    proptest::prop_assert_eq!(answer(&field, rest), input);
+                    proptest::prop_assert!(
+                        braces > 1 || input.len() == reply.len(),
+                        "a truncated reply was accepted: {}",
+                        input
+                    );
+                }
+            }
         }
     }
 

@@ -19,9 +19,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cache::{CacheStats, EvictionPolicy, ShardedLru};
 use crate::faultpoint;
-use crate::json::{encode_nodes_compact, Value};
+use crate::json::{base64_encode_into, encode_nodes_compact, Value};
 use crate::persist::{
-    insert_line, load_and_compact, CacheSnapshotter, LoadReport, PersistLog, PersistStats,
+    insert_line, load_and_compact, parse_record, CacheSnapshotter, LoadReport, PersistLog,
+    PersistStats, Record,
 };
 use crate::protocol::{
     Algorithm, Encoding, MapRequest, MapResponse, OverBudget, Payload, Query, ResponseBody,
@@ -225,6 +226,9 @@ pub struct MappingService {
     load_report: LoadReport,
 }
 
+/// Bytes of an `{"admin":"absorb"}` line around its base64 log.
+const ABSORB_LINE_BYTES: usize = r#"{"admin":"absorb","log":""}"#.len();
+
 /// Algorithms tried (in order) when a budgeted request overflows and asks
 /// for a fallback: the paper's specialised algorithms, cheapest useful
 /// quality first, then Nodecart.
@@ -365,7 +369,7 @@ impl MappingService {
             }
         };
         if let Some(cmd) = parsed.get("admin") {
-            self.handle_admin(&parsed, cmd, out);
+            self.handle_admin(&parsed, cmd, degrade, out);
             return;
         }
         if let Some(batch) = parsed.get("batch") {
@@ -382,11 +386,11 @@ impl MappingService {
                 if i > 0 {
                     out.push(',');
                 }
-                self.handle_value(item, degrade).write_into(out);
+                self.handle_value(item, degrade, None).write_into(out);
             }
             out.push_str("]}");
         } else {
-            self.handle_value(&parsed, degrade).write_into(out);
+            self.handle_value(&parsed, degrade, None).write_into(out);
         }
     }
 
@@ -404,13 +408,19 @@ impl MappingService {
     ///   persistence insert records is replayed into the cache (and the
     ///   persistence log, when enabled), **skipping keys already resident**
     ///   so a replayed image never perturbs recency of live entries.  The
-    ///   router streams moved key ranges through this during a reshard.
-    /// * `"export"`: the insert records of the resident entries one
-    ///   `"request"` object resolves to (see
-    ///   [`MappingService::export_records`]), as a base64 `"log"` in the
-    ///   format `"absorb"` reads.  The router's replica write-through ships
-    ///   a served miss this way instead of recomputing it on every replica.
-    fn handle_admin(&self, v: &Value, cmd: &Value, out: &mut String) {
+    ///   router streams moved key ranges and replica write-throughs through
+    ///   this.
+    /// * `"write_through"`: answers one `"request"` object exactly as a
+    ///   batch item (with this worker's `degrade` flag) and ships, beside
+    ///   the answer, the insert records of the entries it computed (see
+    ///   [`MappingService::write_through_records`]):
+    ///   `{"status":"ok","admin":"write_through","log":L,"response":R}`.
+    ///   `L` is the records' base64 when this call computed the served
+    ///   entry, `""` when it did not, and `null` when it did but the
+    ///   records cannot ship (evicted again, or an absorb line would pass
+    ///   the line limit).  The router sends every replicated request this
+    ///   way, so a miss costs one round trip before its absorbs.
+    fn handle_admin(&self, v: &Value, cmd: &Value, degrade: bool, out: &mut String) {
         let id = v.get("id").cloned();
         let error = |out: &mut String, msg: String| {
             MapResponse {
@@ -479,14 +489,7 @@ impl MappingService {
                     // touches (recency only) and undecodable lines are
                     // skipped: an absorbed image warms the cache, it never
                     // reorders or poisons it
-                    let record = match crate::persist::parse_record(line) {
-                        Ok(record) => record,
-                        Err(_) => {
-                            skipped += 1;
-                            continue;
-                        }
-                    };
-                    let crate::persist::Record::Insert(key, entry) = record else {
+                    let Ok(Record::Insert(key, entry)) = parse_record(line) else {
                         skipped += 1;
                         continue;
                     };
@@ -497,9 +500,11 @@ impl MappingService {
                     let entry = Arc::new(entry);
                     let cost = entry_cost(&key);
                     if let Some(p) = &self.persist {
+                        // the line just parsed and checked is the record:
+                        // append it as is instead of re-serialising the entry
                         let lock = &self.persist_locks[self.cache.shard_of(&key)];
                         let _guard = lock.lock().expect("persist lock poisoned");
-                        p.record_insert(&key, &entry);
+                        p.record_insert_line(line.to_string());
                         self.cache.insert_with_cost(key, entry, cost);
                     } else {
                         self.cache.insert_with_cost(key, entry, cost);
@@ -516,82 +521,80 @@ impl MappingService {
                 fields.push(("skipped", Value::Num(skipped as f64)));
                 Value::obj(fields).write_into(out);
             }
-            Some("export") => {
-                let req = match v.get("request").map(MapRequest::from_value) {
-                    Some(Ok(req)) => req,
-                    Some(Err(e)) => {
-                        error(out, format!("export request: {e}"));
-                        return;
-                    }
-                    None => {
-                        error(out, "export needs a \"request\" object".to_string());
-                        return;
-                    }
-                };
-                let records = self.export_records(&req);
-                let mut log = String::new();
-                for record in &records {
-                    log.push_str(record);
-                    log.push('\n');
-                }
-                let log = crate::json::base64_encode(log.as_bytes());
-                // an absorb line past the line limit would be dropped
-                // unread, so refuse here: the router then sends the request
-                // itself and the replica computes the entry
-                let absorb_line = r#"{"admin":"absorb","log":""}"#.len() + log.len();
-                if absorb_line > MAX_LINE_BYTES {
-                    error(
-                        out,
-                        format!(
-                            "export needs a {absorb_line}-byte absorb line, \
-                             over the {MAX_LINE_BYTES}-byte line limit"
-                        ),
-                    );
+            Some("write_through") => {
+                let Some(item) = v.get("request") else {
+                    error(out, "write_through needs a \"request\" object".to_string());
                     return;
-                }
-                let mut fields = Vec::new();
+                };
+                let mut records = None;
+                let response = self.handle_value(item, degrade, Some(&mut records));
+                out.push('{');
                 if let Some(id) = id {
-                    fields.push(("id", id));
+                    out.push_str("\"id\":");
+                    id.write_into(out);
+                    out.push(',');
                 }
-                fields.push(("status", Value::str("ok")));
-                fields.push(("admin", Value::str("export")));
-                fields.push(("entries", Value::Num(records.len() as f64)));
-                fields.push(("log", Value::str(log)));
-                Value::obj(fields).write_into(out);
+                out.push_str("\"status\":\"ok\",\"admin\":\"write_through\",\"log\":");
+                match records {
+                    None => out.push_str("\"\""),
+                    // an absorb line past the line limit would be dropped
+                    // unread: the router then sends the request itself and
+                    // each replica computes the entry
+                    Some(records)
+                        if records.is_empty()
+                            || ABSORB_LINE_BYTES + records.len().div_ceil(3) * 4
+                                > MAX_LINE_BYTES =>
+                    {
+                        out.push_str("null")
+                    }
+                    Some(records) => {
+                        out.push('"');
+                        base64_encode_into(out, records.as_bytes());
+                        out.push('"');
+                    }
+                }
+                out.push_str(",\"response\":");
+                response.write_into(out);
+                out.push('}');
             }
             _ => error(
                 out,
                 format!(
-                    "unknown admin command {} (expected \"handoff\", \"stats\", \"absorb\" or \"export\")",
+                    "unknown admin command {} (expected \"handoff\", \"stats\", \"absorb\" or \"write_through\")",
                     cmd.compact()
                 ),
             ),
         }
     }
 
-    /// The persistence insert records ([`insert_line`]) of the resident
-    /// entries `req` resolves to, in the order
-    /// [`MappingService::handle_request`] looks them up: the requested key,
-    /// then — for an over-budget `"on_over_budget":"fallback"` request —
+    /// The write-through log of a request this service just answered: the
+    /// persistence insert records ([`insert_line`]) of the resident entries
+    /// `req` resolves to, one per line, in the order
+    /// [`MappingService::handle_request`] looks them up — the requested key,
+    /// then, for an over-budget `"on_over_budget":"fallback"` request,
     /// [`FALLBACK_ORDER`] up to the first entry within budget.  Lookup-only:
-    /// nothing is computed, and [`ShardedLru::peek`] leaves recency and the
-    /// hit/miss counters alone.  Empty when the requested key is not
-    /// resident.
-    fn export_records(&self, req: &MapRequest) -> Vec<String> {
+    /// [`ShardedLru::peek`] leaves recency and the hit/miss counters alone.
+    /// Empty when the requested key is no longer resident.
+    fn write_through_records(&self, req: &MapRequest) -> String {
         let canon = canonicalize(&req.dims, &req.stencil);
         let peek = |algorithm| {
             let key = CacheKey::of_canonical(req, &canon, algorithm, req.seed);
             self.cache.peek(&key).map(|entry| (key, entry))
         };
+        let mut records = String::new();
         let Some((key, entry)) = peek(req.algorithm) else {
-            return Vec::new();
+            return records;
         };
-        let mut records = vec![insert_line(&key, &entry)];
+        let mut push = |key: &CacheKey, entry: &CacheEntry| {
+            records.push_str(&insert_line(key, entry));
+            records.push('\n');
+        };
+        push(&key, &entry);
         if let (Some(budget), OverBudget::Fallback) = (req.max_jsum, req.on_over_budget) {
             if entry.j_sum > budget {
                 for algorithm in FALLBACK_ORDER.into_iter().filter(|&a| a != req.algorithm) {
                     if let Some((key, entry)) = peek(algorithm) {
-                        records.push(insert_line(&key, &entry));
+                        push(&key, &entry);
                         if entry.j_sum <= budget {
                             break;
                         }
@@ -602,15 +605,29 @@ impl MappingService {
         records
     }
 
-    /// Handles one parsed request object.
-    fn handle_value(&self, v: &Value, degrade: bool) -> MapResponse {
-        match MapRequest::from_value(v) {
-            Ok(req) => self.handle_request(&req, degrade),
-            Err(e) => MapResponse {
-                id: v.get("id").cloned(),
-                body: ResponseBody::Error(e),
-            },
+    /// Handles one parsed request object.  With `records`, an answer whose
+    /// entry this call computed also sets it to the request's write-through
+    /// log ([`MappingService::write_through_records`]).
+    fn handle_value(
+        &self,
+        v: &Value,
+        degrade: bool,
+        records: Option<&mut Option<String>>,
+    ) -> MapResponse {
+        let req = match MapRequest::from_value(v) {
+            Ok(req) => req,
+            Err(e) => {
+                return MapResponse {
+                    id: v.get("id").cloned(),
+                    body: ResponseBody::Error(e),
+                }
+            }
+        };
+        let response = self.handle_request(&req, degrade);
+        if let (Some(records), ResponseBody::Ok { cached: false, .. }) = (records, &response.body) {
+            *records = Some(self.write_through_records(&req));
         }
+        response
     }
 
     /// Handles one request end to end: canonicalise, cache lookup or
@@ -1082,6 +1099,49 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    #[test]
+    fn absorb_persists_the_record_it_received() {
+        let dir = std::env::temp_dir().join(format!("stencil-serve-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("service-absorb.log");
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServiceConfig {
+            persist_path: Some(path.clone()),
+            ..ServiceConfig::default()
+        };
+        let line = r#"{"dims":[12,8],"nodes":8,"algorithm":"kdtree","want_mapping":false}"#;
+        let donor = service();
+        let cold = donor.handle_line(line);
+        let key = key_of(line);
+        // a valid insert record in another field order than insert_line's:
+        // the receiver must append these bytes, not a re-serialised entry
+        let Value::Obj(mut fields) =
+            Value::parse(&insert_line(&key, &donor.cache.peek(&key).unwrap())).unwrap()
+        else {
+            unreachable!("an insert record is an object")
+        };
+        fields.rotate_left(1);
+        let record = Value::Obj(fields).compact();
+        let log = crate::json::base64_encode(format!("{record}\n").as_bytes());
+        {
+            let s = MappingService::open(&cfg).unwrap();
+            let absorbed = s.handle_line(&format!(r#"{{"admin":"absorb","log":"{log}"}}"#));
+            assert!(absorbed.contains("\"inserted\":1"), "{absorbed}");
+            s.flush_persistence();
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                format!("{record}\n")
+            );
+        }
+        let s = MappingService::open(&cfg).unwrap();
+        assert_eq!(s.load_report().entries, 1);
+        assert_eq!(
+            s.handle_line(line),
+            cold.replace("\"cached\":false", "\"cached\":true")
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// The acceptance scenario: under GDSF a ~45 ms viem entry outlives a
     /// flood of ~1 ms rank-local entries that overflows the cache many
     /// times, while under LRU the same flood evicts it.
@@ -1155,24 +1215,45 @@ mod tests {
         assert!(v.get("degraded").is_none(), "{out}");
     }
 
-    /// Answers `{"admin":"export","request":REQUEST}` (with an id) and
-    /// returns the answer and its decoded log lines.
-    fn export(s: &MappingService, request: &str) -> (Value, Vec<String>) {
-        let out = s.handle_line(&format!(
-            r#"{{"id":3,"admin":"export","request":{request}}}"#
-        ));
-        let v = Value::parse(&out).unwrap();
-        assert_eq!(v.get("id").and_then(Value::as_u64), Some(3), "{out}");
-        assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{out}");
-        assert_eq!(v.get("admin").and_then(Value::as_str), Some("export"));
-        let log = v.get("log").and_then(Value::as_str).unwrap();
-        let text = String::from_utf8(crate::json::base64_decode(log).unwrap()).unwrap();
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        assert_eq!(
-            v.get("entries").and_then(Value::as_u64),
-            Some(lines.len() as u64)
+    /// Answers `{"admin":"write_through","request":REQUEST}` with the
+    /// worker's `degrade` flag and returns the answer R it carries and its
+    /// log's decoded lines (`None` for a `null` log).
+    fn write_through_with(
+        s: &MappingService,
+        request: &str,
+        degrade: bool,
+    ) -> (String, Option<Vec<String>>) {
+        let mut out = String::new();
+        s.handle_line_into(
+            &format!(r#"{{"admin":"write_through","request":{request}}}"#),
+            degrade,
+            &mut out,
         );
-        (v, lines)
+        let v = Value::parse(&out).unwrap();
+        let rest = out
+            .strip_prefix(r#"{"status":"ok","admin":"write_through","log":"#)
+            .unwrap_or_else(|| panic!("not a write-through answer: {out}"));
+        let (log, rest) = match rest.strip_prefix("null") {
+            Some(rest) => (None, rest),
+            None => {
+                let (log, rest) = rest[1..].split_once('"').unwrap();
+                (Some(log), rest)
+            }
+        };
+        let response = rest
+            .strip_prefix(r#","response":"#)
+            .and_then(|r| r.strip_suffix('}'))
+            .unwrap();
+        assert_eq!(v.get("response"), Some(&Value::parse(response).unwrap()));
+        let lines = log.map(|log| {
+            let text = String::from_utf8(crate::json::base64_decode(log).unwrap()).unwrap();
+            text.lines().map(str::to_string).collect()
+        });
+        (response.to_string(), lines)
+    }
+
+    fn write_through(s: &MappingService, request: &str) -> (String, Option<Vec<String>>) {
+        write_through_with(s, request, false)
     }
 
     fn key_of(line: &str) -> CacheKey {
@@ -1180,108 +1261,130 @@ mod tests {
     }
 
     #[test]
-    fn export_ships_a_resident_entry_as_its_insert_record() {
+    fn write_through_ships_a_computed_entry_as_its_insert_record() {
         let s = service();
-        let line = r#"{"dims":[12,8],"nodes":8,"algorithm":"kdtree"}"#;
-        let cold = s.handle_line(line);
-        // a permuted, cost-only form of the request names the same entry
-        let (v, records) = export(
-            &s,
-            r#"{"dims":[8,12],"nodes":8,"algorithm":"kdtree","want_mapping":false}"#,
-        );
+        let line = r#"{"id":7,"dims":[12,8],"nodes":8,"algorithm":"kdtree"}"#;
+        let (response, records) = write_through(&s, line);
+        // the answer is the plain request's, byte for byte
+        assert_eq!(response, service().handle_line(line));
         let key = key_of(line);
         let entry = s.cache.peek(&key).unwrap();
-        assert_eq!(records, vec![insert_line(&key, &entry)]);
+        assert_eq!(records, Some(vec![insert_line(&key, &entry)]));
 
         // absorbing the log elsewhere serves the same bytes without compute
+        let log = crate::json::base64_encode(format!("{}\n", insert_line(&key, &entry)).as_bytes());
         let replica = service();
-        let absorbed = replica.handle_line(&format!(
-            r#"{{"admin":"absorb","log":"{}"}}"#,
-            v.get("log").and_then(Value::as_str).unwrap()
-        ));
+        let absorbed = replica.handle_line(&format!(r#"{{"admin":"absorb","log":"{log}"}}"#));
         assert!(absorbed.contains("\"inserted\":1"), "{absorbed}");
         let warm = replica.handle_line(line);
-        assert_eq!(warm, cold.replace("\"cached\":false", "\"cached\":true"));
+        assert_eq!(
+            warm,
+            response.replace("\"cached\":false", "\"cached\":true")
+        );
         assert_eq!(replica.cache_stats().misses, 0);
+        // a permuted, cost-only form of the request now hits: nothing ships
+        let permuted = r#"{"dims":[8,12],"nodes":8,"algorithm":"kdtree","want_mapping":false}"#;
+        let (response, records) = write_through(&s, permuted);
+        assert!(response.contains("\"cached\":true"), "{response}");
+        assert_eq!(records, Some(vec![]));
     }
 
     #[test]
-    fn export_of_an_unknown_key_is_empty_and_computes_nothing() {
+    fn write_through_of_a_bad_request_ships_nothing_and_computes_nothing() {
         let s = service();
-        let (_, records) = export(&s, r#"{"dims":[12,8],"nodes":8}"#);
-        assert!(records.is_empty());
-        assert_eq!(s.cache_stats().len, 0);
-        // a malformed or missing request is an error line, id echoed
-        for line in [
-            r#"{"id":4,"admin":"export","request":{"dims":[4,4]}}"#,
-            r#"{"id":4,"admin":"export","request":7}"#,
-            r#"{"id":4,"admin":"export"}"#,
-        ] {
-            let v = Value::parse(&s.handle_line(line)).unwrap();
-            assert_eq!(v.get("id").and_then(Value::as_u64), Some(4), "{line}");
-            assert_eq!(
-                v.get("status").and_then(Value::as_str),
-                Some("error"),
-                "{line}"
-            );
+        // a malformed request is answered like a batch item: R is the error
+        for (request, needle) in [(r#"{"id":4,"dims":[4,4]}"#, "allocation"), ("7", "object")] {
+            let (response, records) = write_through(&s, request);
+            let v = Value::parse(&response).unwrap();
+            assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+            assert!(response.contains(needle), "{response}");
+            assert_eq!(records, Some(vec![]));
         }
+        assert_eq!(s.cache_stats().len, 0);
+        // without a request the admin line itself is refused, id echoed
+        let v = Value::parse(&s.handle_line(r#"{"id":4,"admin":"write_through"}"#)).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(4));
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+        // an envelope id is echoed first, like every admin answer's
+        let out = s.handle_line(r#"{"id":4,"admin":"write_through","request":7}"#);
+        assert!(
+            out.starts_with(r#"{"id":4,"status":"ok","admin":"write_through","log":"","#),
+            "{out}"
+        );
     }
 
     #[test]
-    fn export_refuses_a_log_absorb_could_not_take() {
+    fn write_through_marks_records_an_absorb_line_could_not_take() {
         // a 3.1M-position table: its record, base64-encoded again as the
         // log, needs an absorb line over the 4 MiB line limit
         let s = service();
         let line = r#"{"dims":[2048,1536],"nodes":48,"algorithm":"blocked","want_mapping":false}"#;
-        assert!(s.handle_line(line).contains("\"status\":\"ok\""));
-        let out = s.handle_line(&format!(r#"{{"admin":"export","request":{line}}}"#));
-        let v = Value::parse(&out).unwrap();
-        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
-        assert!(out.contains("line limit"), "{out}");
+        let (response, records) = write_through(&s, line);
+        assert!(response.contains("\"cached\":false"), "{response}");
+        assert_eq!(records, None, "computed, but the records cannot ship");
     }
 
     #[test]
-    fn export_of_a_fallback_request_ships_the_requested_and_the_served_entry() {
+    fn write_through_of_a_fallback_request_ships_the_requested_and_the_served_entry() {
         let s = service();
         let line = r#"{"dims":[16,4],"nodes":8,"algorithm":"blocked","max_jsum":100,
             "on_over_budget":"fallback","want_mapping":false}"#;
-        let served = Value::parse(&s.handle_line(line)).unwrap();
+        let (response, records) = write_through(&s, line);
+        let served = Value::parse(&response).unwrap();
         let served = served.get("algorithm").and_then(Value::as_str).unwrap();
-        let (_, records) = export(&s, line);
         let algorithms: Vec<&str> = records
+            .unwrap()
             .iter()
-            .map(|r| match crate::persist::parse_record(r).unwrap() {
-                crate::persist::Record::Insert(key, _) => key.algorithm.wire_name(),
-                other => panic!("export shipped a non-insert record {other:?}"),
+            .map(|r| match parse_record(r).unwrap() {
+                Record::Insert(key, _) => key.algorithm.wire_name(),
+                other => panic!("write-through shipped a non-insert record {other:?}"),
             })
             .collect();
         assert_eq!(algorithms.first(), Some(&"blocked"));
         assert_eq!(algorithms.last(), Some(&served));
         assert_ne!(served, "blocked");
         // every entry the request created, in the order it created them
-        assert_eq!(records.len(), s.cache_stats().len);
+        assert_eq!(algorithms.len(), s.cache_stats().len);
     }
 
     #[test]
-    fn export_leaves_recency_and_counters_alone() {
-        let s = MappingService::new(&ServiceConfig {
-            cache_shards: 1,
-            ..ServiceConfig::default()
-        });
+    fn write_through_leaves_recency_and_counters_as_the_plain_request_does() {
         let lines = [
             r#"{"dims":[12,8],"nodes":8,"want_mapping":false}"#,
             r#"{"dims":[6,6],"nodes":4,"want_mapping":false}"#,
             r#"{"dims":[9,4],"nodes":3,"want_mapping":false}"#,
         ];
-        for line in lines {
-            s.handle_line(line);
+        let state = |s: &MappingService| (s.cache_stats(), s.cache.shard_keys_mru_first(0));
+        let warmed = || {
+            let s = MappingService::new(&ServiceConfig {
+                cache_shards: 1,
+                ..ServiceConfig::default()
+            });
+            for line in &lines[1..] {
+                s.handle_line(line);
+            }
+            s
+        };
+        let (plain, enveloped) = (warmed(), warmed());
+        // a miss (recording its log peeks, never touches), then a hit on
+        // the least recently used key
+        for line in [lines[0], lines[1]] {
+            let answer = plain.handle_line(line);
+            assert_eq!(write_through(&enveloped, line).0, answer);
+            assert_eq!(state(&enveloped), state(&plain));
         }
-        s.handle_line(lines[1]);
-        let before = (s.cache_stats(), s.cache.shard_keys_mru_first(0));
-        // the least recently used key: a recency bump would move it first
-        let (_, records) = export(&s, lines[0]);
-        assert_eq!(records.len(), 1);
-        assert_eq!((s.cache_stats(), s.cache.shard_keys_mru_first(0)), before);
+    }
+
+    #[test]
+    fn write_through_answers_with_the_worker_degrade_flag() {
+        let s = service();
+        let line = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
+        let (response, records) = write_through_with(&s, line, true);
+        let mut plain = String::new();
+        service().handle_line_into(line, true, &mut plain);
+        assert_eq!(response, plain);
+        assert!(response.contains("\"degraded\":true"), "{response}");
+        assert_eq!(records.map(|r| r.len()), Some(1), "the entry was computed");
     }
 
     #[test]

@@ -523,7 +523,8 @@ fn backend_stats(addr: &str) -> (u64, u64, u64) {
 /// Write-through ships the entry the serving backend computed: after one
 /// viem miss through the router, the secondary holds the entry without
 /// having computed it (`misses:0`), and once the primary is SIGKILLed the
-/// secondary answers `"cached":true`, byte-equal to a single process.
+/// secondary answers `"cached":true`, byte-equal to a single process.  A
+/// batch item's miss is shipped the same way.
 #[test]
 fn write_through_ships_the_entry_and_the_secondary_computes_nothing() {
     let single = Server::spawn("127.0.0.1:0", &[], &[]);
@@ -554,10 +555,33 @@ fn write_through_ships_the_entry_and_the_secondary_computes_nothing() {
         "the secondary must absorb the entry, not compute it"
     );
 
+    // a batch item owned by the same pair: its miss ships too
+    let item = (1..)
+        .map(|seed| {
+            format!(
+                r#"{{"id":6,"dims":[24,20],"nodes":8,"algorithm":"viem","seed":{}}}"#,
+                3 + seed
+            )
+        })
+        .find(|item| oracle.replica_specs(&Value::parse(item).unwrap()) == owners)
+        .unwrap();
+    let batch = format!(r#"{{"batch":[{item}]}}"#);
+    let cold_batch = ask(&mut conn, &mut reader, &batch);
+    assert!(cold_batch.contains("\"cached\":false"), "{cold_batch}");
+    assert_eq!(
+        replay(&single.addr, std::slice::from_ref(&batch)),
+        [cold_batch]
+    );
+    assert_eq!(backend_stats(&specs[primary]), (0, 2, 2));
+    assert_eq!(backend_stats(&specs[secondary]), (0, 0, 2));
+
     backends[primary].kill9();
     let warm = ask(&mut conn, &mut reader, line);
     assert!(warm.contains("\"cached\":true"), "{warm}");
     assert_eq!(replay(&single.addr, &[line.to_string()]), [warm]);
+    let warm_batch = ask(&mut conn, &mut reader, &batch);
+    assert!(warm_batch.contains("\"cached\":true"), "{warm_batch}");
+    assert_eq!(replay(&single.addr, &[batch]), [warm_batch]);
 }
 
 /// `{"admin":"stats"}` is answered by the router itself: one line
