@@ -112,7 +112,7 @@ impl Value {
 
     /// Container nesting depth, as [`MAX_DEPTH`] counts it: 0 for a
     /// scalar, 1 for an array or object of scalars.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         let deepest = |values: &mut dyn Iterator<Item = &Value>| {
             1 + values.map(Value::depth).max().unwrap_or(0)
         };
@@ -413,7 +413,7 @@ pub fn base64_encode(bytes: &[u8]) -> String {
 
 /// Appends the [`base64_encode`] of `bytes` to `out`: the output is sized
 /// once, then filled a whole 3-byte group (4 symbols) at a time.
-pub fn base64_encode_into(out: &mut String, bytes: &[u8]) {
+pub(crate) fn base64_encode_into(out: &mut String, bytes: &[u8]) {
     let symbol = |n: u32, shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
     // SAFETY: every byte written below is a BASE64_ALPHABET symbol or `=`,
     // all ASCII, so the String stays valid UTF-8.
@@ -618,7 +618,7 @@ pub fn decode_nodes_compact(s: &str) -> Result<Vec<u32>, String> {
 /// so unbounded nesting would let one hostile request line overflow the
 /// connection thread's stack and abort the whole process; the protocol
 /// needs two levels (`batch` of objects of arrays of arrays).
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -632,7 +632,7 @@ impl PersistLog {
     /// Queues an insert record that is already one line of text, without
     /// its newline, and that [`parse_record`] accepted: an absorbed record
     /// is appended as received instead of being serialised again.
-    pub fn record_insert_line(&self, line: String) {
+    pub(crate) fn record_insert_line(&self, line: String) {
         self.send(line);
     }
 

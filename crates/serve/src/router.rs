@@ -725,8 +725,9 @@ impl Router {
                     Some(log) => self.absorb(backend, log),
                     None => self.forward(backend, envelope).map(drop),
                 };
-                self.fanouts
-                    .fetch_add(delivered.is_ok() as u64, Ordering::Relaxed);
+                if delivered.is_ok() {
+                    self.fanouts.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         out.push_str(response);
@@ -1488,6 +1489,29 @@ mod tests {
         );
         assert!(other.is_empty());
         assert_eq!(fanouts, 0);
+    }
+
+    #[test]
+    fn a_request_too_deep_or_too_long_to_wrap_goes_out_raw() {
+        // nested to the parser's limit: the envelope would add a level
+        let deep = format!(
+            r#"{{"id":{}0{},"dims":[12,8],"nodes":8}}"#,
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        // within the envelope's length of the line limit
+        let long = format!(
+            r#"{{"id":"{}","dims":[12,8],"nodes":8}}"#,
+            "x".repeat(MAX_LINE_BYTES - 48)
+        );
+        assert!(long.len() < MAX_LINE_BYTES);
+        for line in [deep, long] {
+            let (out, serving, other, fanouts) = route_scripted(&line, &answer(r#""TE9H""#, MISS));
+            assert_eq!(out, MISS);
+            assert_eq!(serving, [line], "forwarded raw");
+            assert!(other.is_empty(), "no write-through");
+            assert_eq!(fanouts, 0);
+        }
     }
 
     proptest::proptest! {
