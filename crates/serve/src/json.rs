@@ -113,12 +113,9 @@ impl Value {
     /// Container nesting depth, as [`MAX_DEPTH`] counts it: 0 for a
     /// scalar, 1 for an array or object of scalars.
     pub(crate) fn depth(&self) -> usize {
-        let deepest = |values: &mut dyn Iterator<Item = &Value>| {
-            1 + values.map(Value::depth).max().unwrap_or(0)
-        };
         match self {
-            Value::Arr(items) => deepest(&mut items.iter()),
-            Value::Obj(fields) => deepest(&mut fields.iter().map(|(_, v)| v)),
+            Value::Arr(items) => 1 + items.iter().map(Value::depth).max().unwrap_or(0),
+            Value::Obj(fields) => 1 + fields.iter().map(|(_, v)| v.depth()).max().unwrap_or(0),
             _ => 0,
         }
     }
@@ -511,21 +508,15 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
     }
 }
 
+/// Reads one varint at `pos`.  Rejects an overlong varint (a final byte
+/// of zero after a continuation byte), so each value has exactly one
+/// accepted encoding.
 #[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    match bytes.get(*pos) {
-        Some(&byte) if byte < 0x80 => {
-            *pos += 1;
-            Ok(byte as u64)
-        }
-        _ => read_long_varint(bytes, pos),
+    if let Some(&byte) = bytes.get(*pos).filter(|&&b| b < 0x80) {
+        *pos += 1;
+        return Ok(byte as u64);
     }
-}
-
-/// [`read_varint`] past its one-byte fast path.  Rejects an overlong
-/// varint (a final byte of zero after a continuation byte), so each value
-/// has exactly one accepted encoding.
-fn read_long_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
     let mut x = 0u64;
     let mut shift = 0u32;
     loop {
