@@ -161,15 +161,17 @@ pub fn evaluate_streaming(
     let mut above = vec![0usize; sizes.len()];
     for off in offsets {
         for (i, &o) in off.iter().enumerate() {
-            below[i] = below[i].max((-o).max(0) as usize);
+            below[i] = below[i].max(o.min(0).unsigned_abs() as usize);
             above[i] = above[i].max(o.max(0) as usize);
         }
     }
+    // an offset reaching past a whole dim leaves no interior position, so
+    // its delta is never read and may wrap
     let mut stride = 1isize;
     let mut deltas = vec![0isize; offsets.len()];
     for i in (0..sizes.len()).rev() {
         for (delta, off) in deltas.iter_mut().zip(offsets) {
-            *delta += off[i] as isize * stride;
+            *delta = delta.wrapping_add((off[i] as isize).wrapping_mul(stride));
         }
         stride *= sizes[i] as isize;
     }
@@ -515,6 +517,27 @@ mod tests {
         // In the blocked mapping of the 50x48 NN instance each process has at
         // most 2 off-node neighbors (up/down).
         assert!(deg.iter().all(|&d| d <= 2));
+    }
+
+    #[test]
+    fn streaming_scores_offsets_far_past_the_grid_like_csr() {
+        // |offset| × stride overflows i64 here; no position is interior
+        let p = MappingProblem::new(
+            Dims::from_slice(&[2, 2048]),
+            Stencil::new(
+                2,
+                vec![vec![9_000_000_000_000_000, 0], vec![0, 1], vec![0, -1]],
+            )
+            .unwrap(),
+            NodeAllocation::homogeneous(4, 1024),
+        )
+        .unwrap();
+        let mapping = Blocked.compute(&p).unwrap();
+        for periodic in [false, true] {
+            let g = CartGraph::build(p.dims(), p.stencil(), periodic);
+            let streaming = evaluate_streaming(p.dims(), p.stencil(), periodic, &mapping);
+            assert_eq!(evaluate(&g, &mapping), streaming);
+        }
     }
 
     #[test]

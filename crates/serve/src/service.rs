@@ -537,9 +537,9 @@ impl MappingService {
                 out.push_str("\"status\":\"ok\",\"admin\":\"write_through\",\"log\":");
                 match records {
                     None => out.push_str("\"\""),
-                    // an absorb line past the line limit would be dropped
-                    // unread: the router then sends the request itself and
-                    // each replica computes the entry
+                    // records evicted again, or an absorb line past the
+                    // line limit (dropped unread): the router sends the
+                    // envelope itself and each replica computes the entry
                     Some(records)
                         if records.is_empty()
                             || ABSORB_LINE_BYTES + records.len().div_ceil(3) * 4
