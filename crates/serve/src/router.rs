@@ -712,9 +712,10 @@ impl Router {
         let Some((records, response)) = split_write_through(&reply) else {
             // a line the backend refused itself (past its line limit, say)
             // answers with its error line; a garbled envelope answers nothing
-            return match reply.starts_with(WRITE_THROUGH_ANSWER) {
-                true => self.push_unavailable(request.get("id").cloned(), out),
-                false => out.push_str(&reply),
+            return if reply.starts_with(WRITE_THROUGH_ANSWER) {
+                self.push_unavailable(request.get("id").cloned(), out)
+            } else {
+                out.push_str(&reply)
             };
         };
         if targets.len() > 1 && records != Some("") {
