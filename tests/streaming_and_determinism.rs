@@ -201,9 +201,6 @@ fn rank_local_mismatch<M: RankLocalMapper>(
     })
 }
 
-/// The allocation of a rank-local oracle instance: `per` processes on every
-/// node when that divides `p` and `heterogeneous` is false, otherwise node
-/// sizes drawn from `1..=2·per` by `seed` (the last node takes the rest).
 /// Scores a random mapping of `sizes` over about `nodes` nodes with the
 /// stencil read from `raw` (offsets back to back; a trailing partial offset
 /// is dropped) both ways and requires identical costs.  Stencils that are
@@ -246,6 +243,9 @@ fn prop_assert_streaming_equals_csr(
     Ok(())
 }
 
+/// The allocation of a rank-local oracle instance: `per` processes on every
+/// node when that divides `p` and `heterogeneous` is false, otherwise node
+/// sizes drawn from `1..=2·per` by `seed` (the last node takes the rest).
 fn oracle_allocation(p: usize, per: usize, heterogeneous: bool, seed: u64) -> NodeAllocation {
     use rand::{Rng, SeedableRng};
     if !heterogeneous && p.is_multiple_of(per) {
