@@ -21,15 +21,17 @@
 //!
 //! Request handling:
 //!
-//! * a **single request line with one owner is forwarded verbatim** (raw
-//!   bytes, not re-rendered), so the backend parses exactly what the
-//!   client sent;
-//! * a **request with more than one owner, and every batch item**, goes
-//!   out as `{"admin":"write_through","request":ITEM}`: the backend
-//!   answers ITEM as a plain request object, exactly as a single process
-//!   treats a batch item, inside `{"status":"ok","admin":"write_through",
-//!   "log":L,"response":R}`, and the router relays R unparsed (batch
-//!   answers reassembled in item order);
+//! * a **single request line is forwarded verbatim** (raw bytes, not
+//!   re-rendered), so the backend parses exactly what the client sent;
+//! * a **batch line is split per item**: each item is routed independently
+//!   by its own canonical key and forwarded as its own line without its
+//!   `"admin"` and `"batch"` keys (a request object ignores both, a line
+//!   would obey them), and the answers are reassembled in item order;
+//! * a request or item with **more than one owner** goes out as
+//!   `{"admin":"write_through","request":ITEM}`: the backend answers ITEM
+//!   as a plain request object inside `{"status":"ok","admin":
+//!   "write_through","log":L,"response":R}`, and the router relays R
+//!   unparsed;
 //! * **unparseable lines, empty or malformed batches and `"admin"` lines**
 //!   are forwarded whole to a backend picked by hashing the raw line bytes
 //!   — deterministic, and the backend produces the identical error (or
@@ -50,8 +52,9 @@
 //! `"cached":true` exactly as the lost primary — and a single process —
 //! would.  Killing any one backend with R ≥ 2 therefore yields zero
 //! `backend unavailable` lines and no cold recompute storm.  Router and
-//! backends must run the same release.  A request too deep or too long to
-//! wrap is forwarded raw, without write-through.
+//! backends must run the same release.  A request too deep or too long for
+//! the envelope goes out raw; when its answer is a miss (`"cached":false`),
+//! the other replicas get the same line and compute the entry.
 //!
 //! **Live resharding**: `{"admin":"reshard","add":ADDR}` (or `"remove"`)
 //! is answered by the router itself.  It builds the new ring, pulls
@@ -691,47 +694,70 @@ impl Router {
         Err(())
     }
 
-    /// Routes one request object, carried as `envelope` (the
-    /// [`WRITE_THROUGH`] line around it), through its replica set and
-    /// appends the answer to `out` — after absorbing the records of any
-    /// entry the serving backend computed into every other replica, or
-    /// sending them the envelope when the records cannot ship.
-    /// Write-through failures are ignored: a down replica warms up later
-    /// through its own misses or a reshard.
-    fn write_through(
-        &self,
-        inner: &RouterInner,
-        targets: &[usize],
-        envelope: &str,
-        request: &Value,
-        out: &mut String,
-    ) {
-        let Ok((reply, served)) = self.forward_replicated(inner, targets, envelope) else {
-            return self.push_unavailable(request.get("id").cloned(), out);
+    /// Routes one request object through its replica set and appends the
+    /// answer to `out`.  `line` is the object as a line a backend answers
+    /// exactly as the object.  With one owner the line goes out raw.  With
+    /// more it goes out in the [`WRITE_THROUGH`] envelope, and a computed
+    /// entry is written through ([`Router::fan_out`]) before the answer is
+    /// released.  A line too deep or too long for the envelope goes out
+    /// raw, and a `"cached":false` answer sends the line itself to the
+    /// other owners.
+    fn route_request(&self, inner: &RouterInner, item: &Value, line: &str, out: &mut String) {
+        let targets = inner.ring.replica_indices(item_hash(item), self.replicas);
+        let envelope = (targets.len() > 1
+            // the envelope nests the request one level deeper and
+            // lengthens the line
+            && item.depth() < MAX_DEPTH
+            && WRITE_THROUGH.len() + line.len() < MAX_LINE_BYTES)
+            .then(|| format!("{WRITE_THROUGH}{line}}}"));
+        let sent = envelope.as_deref().unwrap_or(line);
+        let Ok((reply, served)) = self.forward_replicated(inner, &targets, sent) else {
+            return self.push_unavailable(item.get("id").cloned(), out);
         };
+        if envelope.is_none() {
+            if targets.len() > 1 && reply.contains("\"cached\":false") {
+                self.fan_out(inner, &targets, served, None, line);
+            }
+            return out.push_str(&reply);
+        }
         let Some((records, response)) = split_write_through(&reply) else {
-            // a line the backend refused itself (past its line limit, say)
-            // answers with its error line; a garbled envelope answers nothing
+            // a line the backend refused itself answers with its error
+            // line; a garbled envelope answers nothing
             return if reply.starts_with(WRITE_THROUGH_ANSWER) {
-                self.push_unavailable(request.get("id").cloned(), out)
+                self.push_unavailable(item.get("id").cloned(), out)
             } else {
                 out.push_str(&reply)
             };
         };
-        if targets.len() > 1 && records != Some("") {
-            faultpoint::reach("router.replica_fanout_partial");
-            for &idx in targets.iter().filter(|&&idx| idx != served) {
-                let backend = &inner.backends[idx];
-                let delivered = match records {
-                    Some(log) => self.absorb(backend, log),
-                    None => self.forward(backend, envelope).map(drop),
-                };
-                if delivered.is_ok() {
-                    self.fanouts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if records != Some("") {
+            self.fan_out(inner, &targets, served, records, line);
         }
         out.push_str(response);
+    }
+
+    /// Writes the entry `served` computed through to every other owner in
+    /// `targets`: each absorbs `log` unchanged or, without one, answers
+    /// `line` and computes the entry itself.  Failures are ignored: a down
+    /// replica warms up later through its own misses or a reshard.
+    fn fan_out(
+        &self,
+        inner: &RouterInner,
+        targets: &[usize],
+        served: usize,
+        log: Option<&str>,
+        line: &str,
+    ) {
+        faultpoint::reach("router.replica_fanout_partial");
+        for &idx in targets.iter().filter(|&&idx| idx != served) {
+            let backend = &inner.backends[idx];
+            let delivered = match log {
+                Some(log) => self.absorb(backend, log),
+                None => self.forward(backend, line).map(drop),
+            };
+            if delivered.is_ok() {
+                self.fanouts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Sends an already base64-encoded persistence log to `backend` as one
@@ -752,20 +778,26 @@ impl Router {
     }
 
     /// Routes one non-empty batch: items routed independently by canonical
-    /// key, each in its own write-through envelope (so an item is always
-    /// answered as a plain request object, exactly as a single process
-    /// treats batch items), forwarded strictly in item order (so
-    /// canonically-equal items hit the same backend in the same order a
-    /// single process would process them), answers reassembled in order.
+    /// key, forwarded strictly in item order (so canonically-equal items
+    /// hit the same backend in the same order a single process would
+    /// process them), answers reassembled in order.  An item travels as
+    /// its own line without its `"admin"` and `"batch"` keys: a request
+    /// object ignores both, where a line would obey them.
     fn route_batch(&self, inner: &RouterInner, items: &[Value], out: &mut String) {
         out.push_str("{\"batch\":[");
         for (i, item) in items.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let targets = inner.ring.replica_indices(item_hash(item), self.replicas);
-            let envelope = format!("{WRITE_THROUGH}{}}}", item.compact());
-            self.write_through(inner, &targets, &envelope, item, out);
+            let keyed = |(k, _): &(String, Value)| k == "admin" || k == "batch";
+            let line = match item {
+                Value::Obj(fields) if fields.iter().any(keyed) => {
+                    let plain = fields.iter().filter(|f| !keyed(f)).cloned().collect();
+                    Value::Obj(plain).compact()
+                }
+                _ => item.compact(),
+            };
+            self.route_request(inner, item, &line, out);
         }
         out.push_str("]}");
     }
@@ -1075,30 +1107,19 @@ impl LineHandler for Router {
                 if let Some(items) = batch.as_arr().filter(|items| !items.is_empty()) {
                     return self.route_batch(&inner, items, out);
                 }
-            } else if self.replicas > 1
-                // the envelope nests the request one level deeper and
-                // lengthens the line
-                && v.depth() < MAX_DEPTH
-                && WRITE_THROUGH.len() + line.len() < MAX_LINE_BYTES
-            {
-                let targets = inner.ring.replica_indices(item_hash(v), self.replicas);
-                let envelope = format!("{WRITE_THROUGH}{line}}}");
-                return self.write_through(&inner, &targets, &envelope, v, out);
+            } else {
+                // a single request: routed by canonical key, sent as the
+                // raw bytes the client wrote
+                return self.route_request(&inner, v, line, out);
             }
         }
-        // whole-line forward: single requests route by canonical key and
-        // relay raw bytes; everything else (unparseable lines, empty or
-        // malformed batches, admin lines) routes by the raw line bytes and
-        // the backend produces the identical response a single process would
-        // — failover across the replica set applies to both
-        let targets = match &parsed {
-            Some(v) if v.get("batch").is_none() && v.get("admin").is_none() => {
-                inner.ring.replica_indices(item_hash(v), self.replicas)
-            }
-            _ => inner
-                .ring
-                .replica_indices(fnv1a_64(line.as_bytes()), self.replicas),
-        };
+        // whole-line forward: everything else (unparseable lines, empty or
+        // malformed batches, admin lines) routes by the raw line bytes, and
+        // the backend produces the identical response a single process
+        // would, with failover across the replica set
+        let targets = inner
+            .ring
+            .replica_indices(fnv1a_64(line.as_bytes()), self.replicas);
         match self.forward_replicated(&inner, &targets, line) {
             Ok((response, _)) => out.push_str(&response),
             Err(()) => {
@@ -1380,10 +1401,15 @@ mod tests {
         })
     }
 
-    /// Routes `line` through two scripted replicas that answer envelopes
-    /// with `reply`; returns the router's answer, the lines the serving
-    /// and the other backend read, and the fan-out count.
-    fn route_scripted(line: &str, reply: &str) -> (String, Vec<String>, Vec<String>, u64) {
+    /// Routes `line` through a `replicas`-way router over two scripted
+    /// backends that answer envelopes with `reply`; returns the router's
+    /// answer, the lines the serving and the other backend read, and the
+    /// fan-out count.
+    fn route_scripted_with(
+        replicas: usize,
+        line: &str,
+        reply: &str,
+    ) -> (String, Vec<String>, Vec<String>, u64) {
         let listeners: Vec<_> = (0..2)
             .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
@@ -1391,7 +1417,7 @@ mod tests {
             .iter()
             .map(|l| l.local_addr().unwrap().to_string())
             .collect();
-        let r = Router::new(&specs, 2, Duration::from_secs(5)).unwrap();
+        let r = Router::new(&specs, replicas, Duration::from_secs(5)).unwrap();
         let v = Value::parse(line).unwrap();
         let item = v
             .get("batch")
@@ -1414,6 +1440,10 @@ mod tests {
         let mut seen: Vec<Vec<String>> = backends.into_iter().map(|b| b.join().unwrap()).collect();
         let other = seen.remove(1 - serving);
         (out, seen.remove(0), other, fanouts)
+    }
+
+    fn route_scripted(line: &str, reply: &str) -> (String, Vec<String>, Vec<String>, u64) {
+        route_scripted_with(2, line, reply)
     }
 
     const LINE: &str = r#"{"id":1,"dims":[12,8],"nodes":8}"#;
@@ -1440,15 +1470,11 @@ mod tests {
     }
 
     #[test]
-    fn write_through_sends_the_envelope_when_the_records_cannot_ship() {
+    fn write_through_sends_the_raw_line_when_the_records_cannot_ship() {
         let (out, serving, other, fanouts) = route_scripted(LINE, &answer("null", MISS));
         assert_eq!(out, MISS);
         assert_eq!(serving, [envelope(LINE)]);
-        assert_eq!(
-            other,
-            [envelope(LINE)],
-            "the replica computes the entry itself"
-        );
+        assert_eq!(other, [LINE], "the replica computes the entry itself");
         assert_eq!(fanouts, 1);
     }
 
@@ -1493,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn a_request_too_deep_or_too_long_to_wrap_goes_out_raw() {
+    fn a_request_too_deep_or_too_long_to_wrap_writes_through_raw() {
         // nested to the parser's limit: the envelope would add a level
         let deep = format!(
             r#"{{"id":{}0{},"dims":[12,8],"nodes":8}}"#,
@@ -1506,13 +1532,39 @@ mod tests {
             "x".repeat(MAX_LINE_BYTES - 48)
         );
         assert!(long.len() < MAX_LINE_BYTES);
-        for line in [deep, long] {
-            let (out, serving, other, fanouts) = route_scripted(&line, &answer(r#""TE9H""#, MISS));
-            assert_eq!(out, MISS);
-            assert_eq!(serving, [line], "forwarded raw");
-            assert!(other.is_empty(), "no write-through");
-            assert_eq!(fanouts, 0);
+        // the same request as the one item of a batch under the limit
+        let batch = format!(r#"{{"batch":[{long}]}}"#);
+        assert!(batch.len() < MAX_LINE_BYTES);
+        for (line, sent, want) in [
+            (&deep, &deep, MISS.to_string()),
+            (&long, &long, MISS.to_string()),
+            (&batch, &long, format!(r#"{{"batch":[{MISS}]}}"#)),
+        ] {
+            let (out, serving, other, fanouts) = route_scripted(line, &answer(r#""TE9H""#, MISS));
+            assert_eq!(out, want);
+            assert_eq!(&serving, std::slice::from_ref(sent), "forwarded raw");
+            let want_other = std::slice::from_ref(sent);
+            assert_eq!(&other, want_other, "the miss reaches the other owner");
+            assert_eq!(fanouts, 1);
         }
+    }
+
+    #[test]
+    fn one_owner_requests_and_batch_items_go_out_raw() {
+        let (out, serving, other, fanouts) = route_scripted_with(1, LINE, MISS);
+        assert_eq!(out, MISS);
+        assert_eq!(serving, [LINE]);
+        assert!(other.is_empty(), "{other:?}");
+        assert_eq!(fanouts, 0);
+        // an item's "admin" and "batch" keys stay behind: a line would
+        // obey them, the batch item ignores them
+        let item = r#"{"id":"a","admin":"stats","dims":[12,8],"batch":[1],"nodes":8}"#;
+        let line = format!(r#"{{"batch":[{item}]}}"#);
+        let (out, serving, other, fanouts) = route_scripted_with(1, &line, MISS);
+        assert_eq!(out, format!(r#"{{"batch":[{MISS}]}}"#));
+        assert_eq!(serving, [r#"{"id":"a","dims":[12,8],"nodes":8}"#]);
+        assert!(other.is_empty(), "{other:?}");
+        assert_eq!(fanouts, 0);
     }
 
     proptest::proptest! {

@@ -511,6 +511,45 @@ fn replica_failover_is_invisible_and_byte_identical() {
     }
 }
 
+/// A batch item answers as a plain request object even when it carries
+/// `"admin"` or `"batch"` keys, which a line on its own would obey: through
+/// a one-owner and a two-owner router, cold and warm, the answers are
+/// byte-equal to a single process.
+#[test]
+fn batch_items_with_admin_or_batch_keys_answer_as_request_objects() {
+    let batch = r#"{"batch":[{"id":1,"admin":"stats","dims":[12,8],"nodes":8},{"id":2,"batch":[],"dims":[9,8],"nodes":8,"algorithm":"kdtree","want_mapping":false},{"id":3,"admin":"handoff","batch":[1]}]}"#;
+    let lines = [batch.to_string(), batch.to_string()];
+    let single = Server::spawn("127.0.0.1:0", &[], &[]);
+    let direct = replay(&single.addr, &lines);
+    assert_eq!(
+        direct[0].matches("\"cached\":false").count(),
+        2,
+        "{direct:?}"
+    );
+    assert_eq!(
+        direct[1].matches("\"cached\":true").count(),
+        2,
+        "{direct:?}"
+    );
+    for replicas in ["1", "2"] {
+        let backends: Vec<Server> = (0..3)
+            .map(|_| Server::spawn("127.0.0.1:0", &[], &[]))
+            .collect();
+        let specs: Vec<&str> = backends.iter().map(|b| b.addr.as_str()).collect();
+        let route = specs.join(",");
+        let router = Server::spawn(
+            "127.0.0.1:0",
+            &["--route", &route, "--replicas", replicas],
+            &[],
+        );
+        assert_eq!(
+            replay(&router.addr, &lines),
+            direct,
+            "--replicas {replicas}"
+        );
+    }
+}
+
 /// The stats answer of one backend, asked directly (not through the router).
 fn backend_stats(addr: &str) -> (u64, u64, u64) {
     let (mut conn, mut reader) = connect(addr);
