@@ -23,15 +23,14 @@
 //!
 //! * a **single request line is forwarded verbatim** (raw bytes, not
 //!   re-rendered), so the backend parses exactly what the client sent;
-//! * a **batch line is split per item**: each item is routed independently
-//!   by its own canonical key and forwarded as its own line without its
-//!   `"admin"` and `"batch"` keys (a request object ignores both, a line
-//!   would obey them), and the answers are reassembled in item order;
-//! * a request or item with **more than one owner** goes out as
-//!   `{"admin":"write_through","request":ITEM}`: the backend answers ITEM
-//!   as a plain request object inside `{"status":"ok","admin":
-//!   "write_through","log":L,"response":R}`, and the router relays R
-//!   unparsed;
+//! * a **batch line is split per item**: each item is routed by its own
+//!   canonical key as its own line, without the `"admin"` and `"batch"`
+//!   keys a request object ignores, and the answers are reassembled in
+//!   item order;
+//! * with **more than one owner**, a request or item goes out as
+//!   `{"admin":"write_through","request":ITEM}`, answered with
+//!   `{"status":"ok","admin":"write_through","log":L,"response":R}`, and
+//!   the router relays R unparsed;
 //! * **unparseable lines, empty or malformed batches and `"admin"` lines**
 //!   are forwarded whole to a backend picked by hashing the raw line bytes
 //!   — deterministic, and the backend produces the identical error (or
@@ -45,16 +44,15 @@
 //! serving backend computed, and the router absorbs them unchanged
 //! (`{"admin":"absorb"}`) into each other replica before releasing R.  The
 //! mapping is computed once; the replicas parse a record instead of
-//! running the mapper, and hold the identical entry.  (When the records
-//! cannot ship, `L` is `null` and the other replicas get the envelope and
+//! running the mapper, and hold the identical entry.  (When `L` is `null`,
+//! or a request is too deep or too long to wrap and its raw answer says
+//! `"cached":false`, the other replicas get the request's own line and
 //! compute the entry.)  Converged replica caches are what keep routed
 //! transcripts byte-identical through a failover: the replica answers
 //! `"cached":true` exactly as the lost primary — and a single process —
 //! would.  Killing any one backend with R ≥ 2 therefore yields zero
 //! `backend unavailable` lines and no cold recompute storm.  Router and
-//! backends must run the same release.  A request too deep or too long for
-//! the envelope goes out raw; when its answer is a miss (`"cached":false`),
-//! the other replicas get the same line and compute the entry.
+//! backends must run the same release.
 //!
 //! **Live resharding**: `{"admin":"reshard","add":ADDR}` (or `"remove"`)
 //! is answered by the router itself.  It builds the new ring, pulls
@@ -695,13 +693,15 @@ impl Router {
     }
 
     /// Routes one request object through its replica set and appends the
-    /// answer to `out`.  `line` is the object as a line a backend answers
-    /// exactly as the object.  With one owner the line goes out raw.  With
-    /// more it goes out in the [`WRITE_THROUGH`] envelope, and a computed
-    /// entry is written through ([`Router::fan_out`]) before the answer is
-    /// released.  A line too deep or too long for the envelope goes out
-    /// raw, and a `"cached":false` answer sends the line itself to the
-    /// other owners.
+    /// answer to `out`; `line` is the object as a line a backend answers
+    /// exactly as the object.  With more than one owner the line goes out
+    /// in the [`WRITE_THROUGH`] envelope, and before the answer is released
+    /// the other owners absorb the records of an entry the serving backend
+    /// computed (or, when they cannot ship, answer `line` and compute it).
+    /// Otherwise the line goes out raw; a replicated line too deep or too
+    /// long to wrap writes a `"cached":false` answer through raw.
+    /// Write-through failures are ignored: a down replica warms up later
+    /// through its own misses or a reshard.
     fn route_request(&self, inner: &RouterInner, item: &Value, line: &str, out: &mut String) {
         let targets = inner.ring.replica_indices(item_hash(item), self.replicas);
         let envelope = (targets.len() > 1
@@ -714,49 +714,38 @@ impl Router {
         let Ok((reply, served)) = self.forward_replicated(inner, &targets, sent) else {
             return self.push_unavailable(item.get("id").cloned(), out);
         };
+        let fan_out = |log: Option<&str>| {
+            faultpoint::reach("router.replica_fanout_partial");
+            for &idx in targets.iter().filter(|&&idx| idx != served) {
+                let backend = &inner.backends[idx];
+                let delivered = match log {
+                    Some(log) => self.absorb(backend, log),
+                    None => self.forward(backend, line).map(drop),
+                };
+                if delivered.is_ok() {
+                    self.fanouts.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        };
         if envelope.is_none() {
             if targets.len() > 1 && reply.contains("\"cached\":false") {
-                self.fan_out(inner, &targets, served, None, line);
+                fan_out(None);
             }
             return out.push_str(&reply);
         }
-        let Some((records, response)) = split_write_through(&reply) else {
-            // a line the backend refused itself answers with its error
-            // line; a garbled envelope answers nothing
-            return if reply.starts_with(WRITE_THROUGH_ANSWER) {
-                self.push_unavailable(item.get("id").cloned(), out)
-            } else {
-                out.push_str(&reply)
-            };
-        };
-        if records != Some("") {
-            self.fan_out(inner, &targets, served, records, line);
-        }
-        out.push_str(response);
-    }
-
-    /// Writes the entry `served` computed through to every other owner in
-    /// `targets`: each absorbs `log` unchanged or, without one, answers
-    /// `line` and computes the entry itself.  Failures are ignored: a down
-    /// replica warms up later through its own misses or a reshard.
-    fn fan_out(
-        &self,
-        inner: &RouterInner,
-        targets: &[usize],
-        served: usize,
-        log: Option<&str>,
-        line: &str,
-    ) {
-        faultpoint::reach("router.replica_fanout_partial");
-        for &idx in targets.iter().filter(|&&idx| idx != served) {
-            let backend = &inner.backends[idx];
-            let delivered = match log {
-                Some(log) => self.absorb(backend, log),
-                None => self.forward(backend, line).map(drop),
-            };
-            if delivered.is_ok() {
-                self.fanouts.fetch_add(1, Ordering::Relaxed);
+        match split_write_through(&reply) {
+            Some((records, response)) => {
+                if records != Some("") {
+                    fan_out(records);
+                }
+                out.push_str(response);
             }
+            // a garbled envelope answers nothing; a line the backend
+            // refused answers with its error line
+            None if reply.starts_with(WRITE_THROUGH_ANSWER) => {
+                self.push_unavailable(item.get("id").cloned(), out)
+            }
+            None => out.push_str(&reply),
         }
     }
 
@@ -778,11 +767,10 @@ impl Router {
     }
 
     /// Routes one non-empty batch: items routed independently by canonical
-    /// key, forwarded strictly in item order (so canonically-equal items
-    /// hit the same backend in the same order a single process would
-    /// process them), answers reassembled in order.  An item travels as
-    /// its own line without its `"admin"` and `"batch"` keys: a request
-    /// object ignores both, where a line would obey them.
+    /// key, strictly in item order (so canonically-equal items hit the same
+    /// backend in the same order a single process would process them), each
+    /// as its own line without the `"admin"` and `"batch"` keys a request
+    /// object ignores; answers reassembled in order.
     fn route_batch(&self, inner: &RouterInner, items: &[Value], out: &mut String) {
         out.push_str("{\"batch\":[");
         for (i, item) in items.iter().enumerate() {

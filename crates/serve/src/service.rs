@@ -539,7 +539,7 @@ impl MappingService {
                     None => out.push_str("\"\""),
                     // records evicted again, or an absorb line past the
                     // line limit (dropped unread): the router sends the
-                    // envelope itself and each replica computes the entry
+                    // request itself and each replica computes the entry
                     Some(records)
                         if records.is_empty()
                             || ABSORB_LINE_BYTES + records.len().div_ceil(3) * 4
