@@ -121,10 +121,10 @@ pub fn evaluate(graph: &CartGraph, mapping: &Mapping) -> MappingCost {
 /// position range is scored in parallel chunks, each with its own dense
 /// per-node egress accumulator, and the chunk accumulators are merged at
 /// the end — `O(p)` work, `O(p)` memory, deterministic for every thread
-/// count.  Each chunk walks its positions row by row with an odometer
-/// coordinate.  An *interior* position, where every offset lands inside
-/// the grid without wrapping, reaches each neighbour by a precomputed
-/// linear rank delta; boundary positions apply the offsets coordinate-wise.
+/// count.  Each chunk walks its positions with an odometer coordinate.  An
+/// *interior* position, where every offset lands inside the grid without
+/// wrapping, reaches each neighbour by a precomputed linear rank delta;
+/// boundary positions apply the offsets coordinate-wise.
 ///
 /// # Panics
 ///
@@ -152,7 +152,6 @@ pub fn evaluate_streaming(
     let num_chunks = p.div_ceil(chunk_size).max(1);
 
     let sizes = dims.as_slice();
-    let last = sizes.len() - 1;
     let offsets = stencil.offsets();
     let nodes = mapping.node_of_position_slice();
     // how far the stencil reaches below and above a coordinate, per dim:
@@ -175,7 +174,6 @@ pub fn evaluate_streaming(
         }
         stride *= sizes[i] as isize;
     }
-    let row_interior = below[last]..sizes[last].saturating_sub(above[last]);
 
     let partials: Vec<Vec<u64>> = (0..num_chunks)
         .into_par_iter()
@@ -185,45 +183,27 @@ pub fn evaluate_streaming(
             let mut egress = vec![0u64; num_nodes];
             let mut coord = vec![0usize; sizes.len()];
             stencil_grid::coords::rank_to_coord_into(lo, sizes, &mut coord);
-            let mut u = lo;
-            while u < hi {
-                // the positions of this chunk in the current row: last
-                // coordinate start..end, ranks u..u + (end - start)
-                let start = coord[last];
-                let end = (start + (hi - u)).min(sizes[last]);
-                let outer_interior =
-                    (0..last).all(|i| coord[i] >= below[i] && coord[i] + above[i] < sizes[i]);
-                let (a, b) = if outer_interior {
-                    let a = row_interior.start.clamp(start, end);
-                    (a, row_interior.end.clamp(a, end))
-                } else {
-                    (end, end)
-                };
-                for x in a..b {
-                    let v = u + (x - start);
-                    let nv = nodes[v];
+            for u in lo..hi {
+                let nu = nodes[u];
+                let interior = (0..sizes.len())
+                    .all(|i| coord[i] >= below[i] && coord[i] + above[i] < sizes[i]);
+                if interior {
                     for &delta in &deltas {
-                        if nodes[(v as isize + delta) as usize] != nv {
-                            egress[nv] += 1;
+                        if nodes[(u as isize + delta) as usize] != nu {
+                            egress[nu] += 1;
                         }
                     }
-                }
-                for x in (start..a).chain(b..end) {
-                    let v = u + (x - start);
-                    let nv = nodes[v];
-                    coord[last] = x;
+                } else {
                     for off in offsets {
-                        if let Some(w) = dims.rank_after_offset(&coord, off, periodic) {
-                            if w != v && nodes[w] != nv {
-                                egress[nv] += 1;
+                        if let Some(v) = dims.rank_after_offset(&coord, off, periodic) {
+                            if v != u && nodes[v] != nu {
+                                egress[nu] += 1;
                             }
                         }
                     }
                 }
-                u += end - start;
-                // carry the odometer into the next row
-                coord[last] = 0;
-                for i in (0..last).rev() {
+                // the odometer steps to position u + 1
+                for i in (0..sizes.len()).rev() {
                     coord[i] += 1;
                     if coord[i] < sizes[i] {
                         break;
