@@ -1530,9 +1530,9 @@ mod tests {
         ] {
             let (out, serving, other, fanouts) = route_scripted(line, &answer(r#""TE9H""#, MISS));
             assert_eq!(out, want);
-            assert_eq!(&serving, std::slice::from_ref(sent), "forwarded raw");
-            let want_other = std::slice::from_ref(sent);
-            assert_eq!(&other, want_other, "the miss reaches the other owner");
+            let sent = std::slice::from_ref(sent);
+            assert_eq!(serving, sent, "forwarded raw");
+            assert_eq!(other, sent, "the miss reaches the other owner");
             assert_eq!(fanouts, 1);
         }
     }
