@@ -64,8 +64,10 @@ options:
                        an {\"error\":\"overloaded\"} line (default 1024)
   --read-timeout SECS  reap connections stalled mid-line for SECS seconds
                        (default 10; idle keep-alives are never reaped)
-  --degrade-queue N    serve cost-only responses while the worker queue holds
-                       N or more connections (default: off)
+  --degrade-queue N    serve cost-only responses from a worker that takes a
+                       connection while N or more other workers are busy
+                       answering (default: off; 0 always degrades; only
+                       N < --workers can trigger)
   --replicas R         route mode: own each key on the R distinct ring-successor
                        backends (default 1).  Misses write through to every
                        replica; reads serve from the primary and fail over in

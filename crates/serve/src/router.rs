@@ -281,6 +281,9 @@ impl Ring {
 struct BackendConn {
     stream: TcpStream,
     residual: Vec<u8>,
+    /// The read buffer, allocated once per connection rather than
+    /// zero-filled on the stack before every read.
+    chunk: Box<[u8]>,
 }
 
 impl BackendConn {
@@ -320,15 +323,14 @@ impl BackendConn {
                 ));
             }
             self.stream.set_read_timeout(Some(remaining(deadline)?))?;
-            let mut chunk = [0u8; 64 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "backend closed the connection mid-response",
                     ))
                 }
-                Ok(n) => self.residual.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.residual.extend_from_slice(&self.chunk[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -622,6 +624,7 @@ impl Router {
                 return Ok(BackendConn {
                     stream,
                     residual: Vec::new(),
+                    chunk: vec![0; 64 * 1024].into_boxed_slice(),
                 });
             }
         }

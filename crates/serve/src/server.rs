@@ -4,14 +4,16 @@
 //! request line in, one response line out, in order.  The stdin frontend
 //! makes the service usable in pipelines and offline containers and runs
 //! anywhere.  The TCP frontend (Linux: it is built on `epoll(7)`) serves
-//! concurrent clients with a **fixed-size worker pool**: the accept loop
-//! doubles as a dispatcher sharing one `epoll` instance with the workers.
-//! Each connection is registered one-shot (`EPOLLONESHOT`); when its socket
-//! turns readable the dispatcher moves it from the parked map to the run
-//! queue and a worker wakes, drains the complete lines, answers them in
-//! order, and re-arms the registration.  The run queue only ever holds
-//! readable connections and nobody sleeps on a timer, so idle connections
-//! cost zero CPU no matter how many are parked.
+//! concurrent clients with a **fixed-size worker pool** whose workers block
+//! in `epoll_wait` on one shared instance themselves.  Each connection is
+//! registered one-shot (`EPOLLONESHOT`); when its socket turns readable
+//! exactly one waiting worker wakes with its event, takes it from the
+//! parked map, drains the complete lines, answers them in order, and
+//! re-arms the registration, so a request wakes one thread.  The accept
+//! thread only accepts, sheds and reaps, on its own listener-only epoll
+//! instance.  Idle workers sleep without a timeout, so idle connections
+//! cost zero CPU no matter how many are parked; an idle server wakes only
+//! the accept thread, on its 50 ms tick.
 //!
 //! A connection is only ever held by one worker at a time, which preserves
 //! the per-connection response order (and therefore batch ordering and the
@@ -33,11 +35,16 @@
 //! → epoll park → frame → canonicalise → cache/route → serialise) is
 //! documented in `docs/ARCHITECTURE.md`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
+// off Unix no epoll instance, and so no wake pair, is ever made
+#[cfg(not(unix))]
+use std::net::TcpStream as WakeStream;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream as WakeStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{MapResponse, ResponseBody};
@@ -106,26 +113,33 @@ impl LineFramer {
         }
     }
 
-    /// Feeds `bytes`, appending every completed frame to `frames`.
-    pub fn push(&mut self, bytes: &[u8], frames: &mut Vec<Frame>) {
-        for &b in bytes {
-            if b == b'\n' {
-                if self.discarding {
-                    self.discarding = false;
-                    frames.push(Frame::TooLong);
-                } else {
-                    frames.push(self.take_frame());
-                }
-            } else if self.discarding {
-                // swallow the rest of an overlong line
-            } else {
-                self.buf.push(b);
-                if self.buf.len() > MAX_LINE_BYTES {
+    /// Feeds `bytes`, appending every completed frame to `frames`.  Each
+    /// run up to the next newline is copied at once; a run that would take
+    /// the line past [`MAX_LINE_BYTES`] is not copied at all.
+    pub fn push(&mut self, mut bytes: &[u8], frames: &mut Vec<Frame>) {
+        loop {
+            let newline = bytes.iter().position(|&b| b == b'\n');
+            let run = &bytes[..newline.unwrap_or(bytes.len())];
+            // while discarding, the rest of an overlong line is swallowed
+            if !self.discarding {
+                if run.len() > MAX_LINE_BYTES - self.buf.len() {
                     self.buf.clear();
                     self.buf.shrink_to_fit();
                     self.discarding = true;
+                } else {
+                    self.buf.extend_from_slice(run);
                 }
             }
+            let Some(end) = newline else {
+                return;
+            };
+            if self.discarding {
+                self.discarding = false;
+                frames.push(Frame::TooLong);
+            } else {
+                frames.push(self.take_frame());
+            }
+            bytes = &bytes[end + 1..];
         }
     }
 
@@ -255,10 +269,13 @@ pub struct ServeOptions {
     /// timeout is disconnected (a draining-but-slow reader is fine — the
     /// timer restarts with every partial write).
     pub write_timeout: Duration,
-    /// Run-queue depth past which responses degrade: mapping requests that
-    /// did not ask a point query are answered cost-only (no table payload,
-    /// `"degraded":true`) so the saturated pool spends its cycles on answers
-    /// rather than table serialisation.  `usize::MAX` disables degradation.
+    /// Busy-worker count at which responses degrade: a worker that takes a
+    /// connection while this many *other* workers are inside a serve turn
+    /// answers mapping requests that did not ask a point query cost-only
+    /// (no table payload, `"degraded":true`), so the saturated pool spends
+    /// its cycles on answers rather than table serialisation.  `0` always
+    /// degrades; with `workers` W only values below W can trigger;
+    /// `usize::MAX` disables degradation.
     pub degrade_queue: usize,
 }
 
@@ -325,8 +342,8 @@ fn try_admit(live: &AtomicUsize, max_conns: usize) -> bool {
     }
 }
 
-/// One pooled connection: its socket (non-blocking while queued) plus the
-/// framing state carrying bytes between turns.
+/// One pooled connection: its socket (non-blocking between writes) plus
+/// the framing state carrying bytes between turns.
 struct Conn {
     stream: TcpStream,
     framer: LineFramer,
@@ -344,29 +361,27 @@ struct Conn {
     _live: LiveGuard,
 }
 
-/// Shared worker-pool state: the run queue of connections with pending
-/// input, parked idle connections, plus overload/drain bookkeeping.
+/// Shared worker-pool state: parked connections, the epoll instance the
+/// workers wait on, plus overload bookkeeping.
 struct PoolState {
-    queue: Mutex<VecDeque<Conn>>,
-    ready: Condvar,
     /// Connections waiting for readiness, keyed by token.  The park/unpark
-    /// lock also serialises the one-shot re-arm against the dispatcher's
-    /// event lookup, so an event can never arrive "between" re-arm and
-    /// insert and get lost.
+    /// lock also serialises the one-shot re-arm against a worker's event
+    /// lookup, so an event can never arrive "between" re-arm and insert
+    /// and get lost.
     parked: Mutex<HashMap<u64, Conn>>,
     /// Admitted-and-not-yet-closed connection count, for shedding.
     live: AtomicUsize,
-    /// Set when the accept loop stops: workers finish in-flight lines on
-    /// queued connections, then exit instead of requeueing.
-    draining: AtomicBool,
-    /// The shared epoll instance.
+    /// Workers inside a serve turn, for [`ServeOptions::degrade_queue`].
+    busy: AtomicUsize,
+    /// The epoll instance every worker blocks in: one-shot connection
+    /// registrations plus the level-triggered drain wake fd.
     epoll: Epoll,
     opts: ServeOptions,
 }
 
 enum Turn {
     /// The read budget ran out with the socket still (possibly) readable;
-    /// the connection goes straight back on the run queue.
+    /// the connection is re-armed like a drained one.
     Ready,
     /// The socket was drained to `WouldBlock` (`progressed` says whether
     /// any bytes were read first); the connection is parked.
@@ -378,8 +393,9 @@ enum Turn {
     Closed,
 }
 
-/// Reads per turn before a connection is requeued, so one firehose client
-/// cannot monopolise a worker while other connections wait.
+/// Reads per turn before a connection is re-armed, so one firehose client
+/// cannot monopolise a worker while other connections wait: a re-armed
+/// readable socket fires again at the tail of the kernel's ready list.
 const TURN_READ_BUDGET: usize = 32;
 
 fn serve_turn(service: &dyn LineHandler, conn: &mut Conn, degrade: bool) -> Turn {
@@ -456,14 +472,14 @@ fn reap_stalled(mut conn: Conn) {
     let _ = conn.stream.write_all(READ_TIMEOUT_LINE_NL.as_bytes());
 }
 
-/// Parks a drained connection until its socket turns readable again: the
-/// one-shot registration is (re-)armed and the connection moves to the
-/// parked map, both under the parked lock so the dispatcher cannot observe
-/// the event before the connection is findable.  Re-arming is
-/// level-triggered, so bytes that arrived while the worker held the
-/// connection fire immediately.
+/// Parks a connection until its socket turns readable: the one-shot
+/// registration is (re-)armed and the connection moves to the parked map,
+/// both under the parked lock so no worker can take the event before the
+/// connection is findable.  Arming is level-triggered, so bytes that
+/// arrived while a worker held the connection (or before a fresh one was
+/// first parked) fire immediately.
 fn park(state: &PoolState, mut conn: Conn) {
-    let fd = stream_fd(&conn.stream);
+    let fd = raw_fd(&conn.stream);
     let mut parked = state.parked.lock().expect("parked map poisoned");
     let armed = if conn.registered {
         state.epoll.rearm(fd, conn.token)
@@ -483,42 +499,44 @@ fn park(state: &PoolState, mut conn: Conn) {
     }
 }
 
-fn requeue(state: &PoolState, conn: Conn) {
-    let mut queue = state.queue.lock().expect("pool queue poisoned");
-    queue.push_back(conn);
-    state.ready.notify_one();
+/// Takes the connection parked under `token`; `None` for a stale token
+/// (already reaped, or never parked).
+fn unpark(state: &PoolState, token: u64) -> Option<Conn> {
+    state
+        .parked
+        .lock()
+        .expect("parked map poisoned")
+        .remove(&token)
 }
 
+/// The token of the drain wake fd in the shared epoll instance
+/// (connections count from 1).
+const WAKE_TOKEN: u64 = 0;
+
+/// A pool worker: blocks in `epoll_wait` on the shared instance for one
+/// event at a time and serves the connection it names, so a request wakes
+/// exactly one thread.  The wake fd's event starts the drain.
 fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
     loop {
-        let (mut conn, queue_depth) = {
-            let mut queue = state.queue.lock().expect("pool queue poisoned");
-            loop {
-                match queue.pop_front() {
-                    Some(conn) => break (conn, queue.len()),
-                    None => {
-                        if state.draining.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let (guard, _) = state
-                            .ready
-                            .wait_timeout(queue, Duration::from_millis(20))
-                            .expect("pool queue poisoned");
-                        queue = guard;
-                    }
-                }
+        let token = match state.epoll.wait_one(-1) {
+            Ok(Some(event)) => event.token,
+            Ok(None) => continue, // interrupted by a signal
+            Err(e) => {
+                eprintln!("stencil-serve: worker cannot wait for readiness: {e}");
+                return;
             }
         };
-        if state.draining.load(Ordering::Acquire) {
-            // Finish whatever complete lines this connection already sent,
-            // then close it; nothing is requeued during a drain.
-            while let Turn::Ready | Turn::Drained { progressed: true } =
-                serve_turn(&*service, &mut conn, false)
-            {}
-            continue;
+        if token == WAKE_TOKEN {
+            drain(&*service, &state);
+            return;
         }
-        let degrade = queue_depth >= state.opts.degrade_queue;
-        let turn = serve_turn(&*service, &mut conn, degrade);
+        let Some(mut conn) = unpark(&state, token) else {
+            continue;
+        };
+        // the other workers mid-turn stand in for a run-queue depth
+        let others = state.busy.fetch_add(1, Ordering::AcqRel);
+        let turn = serve_turn(&*service, &mut conn, others >= state.opts.degrade_queue);
+        state.busy.fetch_sub(1, Ordering::AcqRel);
         if conn.framer.has_partial() {
             conn.partial_since.get_or_insert_with(Instant::now);
         } else {
@@ -526,8 +544,26 @@ fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
         }
         match turn {
             Turn::Closed => {}
-            Turn::Ready => requeue(&state, conn),
-            Turn::Drained { .. } => park(&state, conn),
+            Turn::Ready | Turn::Drained { .. } => park(&state, conn),
+        }
+    }
+}
+
+/// The drain: finishes the complete lines of every connection already
+/// reported readable, then closes it instead of parking it.  The wake fd
+/// is level-triggered and never read, so it is reported by every wait; a
+/// wait that reports nothing else means no connection is left ready.
+fn drain(service: &dyn LineHandler, state: &PoolState) {
+    let mut events = Vec::with_capacity(64);
+    while state.epoll.wait(&mut events, 0).is_ok()
+        && events.iter().any(|event| event.token != WAKE_TOKEN)
+    {
+        for event in &events {
+            if let Some(mut conn) = unpark(state, event.token) {
+                while let Turn::Ready | Turn::Drained { progressed: true } =
+                    serve_turn(service, &mut conn, false)
+                {}
+            }
         }
     }
 }
@@ -590,16 +626,16 @@ pub fn serve_listener(
 /// Overload behaviour: a connection arriving while
 /// [`ServeOptions::max_conns`] connections are already live is answered with
 /// one [`OVERLOADED_LINE`] and closed — load is shed explicitly instead of
-/// queueing unboundedly.  When the run queue is deeper than
-/// [`ServeOptions::degrade_queue`], responses degrade to cost-only (flagged
-/// `"degraded":true`).  A connection stalled mid-line past
-/// [`ServeOptions::read_timeout`] is answered with [`READ_TIMEOUT_LINE`]
-/// and closed.
+/// queueing unboundedly.  When a worker takes a connection while at least
+/// [`ServeOptions::degrade_queue`] other workers are mid-turn, its
+/// responses degrade to cost-only (flagged `"degraded":true`).  A
+/// connection stalled mid-line past [`ServeOptions::read_timeout`] is
+/// answered with [`READ_TIMEOUT_LINE`] and closed.
 ///
 /// Drain behaviour: once `shutdown` is observed the accept loop stops, the
-/// workers finish the complete lines already received on queued connections,
-/// every socket is closed, and the call returns `Ok(())` — the caller can
-/// then flush and compact persistence before exiting.
+/// workers finish the complete lines already received on connections
+/// reported readable, every socket is closed, and the call returns `Ok(())`
+/// — the caller can then flush and compact persistence before exiting.
 pub fn serve_listener_with(
     service: Arc<dyn LineHandler>,
     listener: TcpListener,
@@ -607,12 +643,12 @@ pub fn serve_listener_with(
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     let epoll = Epoll::new()?;
+    let (wake_tx, wake_rx) = wake_pair()?;
+    epoll.add(raw_fd(&wake_rx), WAKE_TOKEN, false)?;
     let state = Arc::new(PoolState {
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
         parked: Mutex::new(HashMap::new()),
         live: AtomicUsize::new(0),
-        draining: AtomicBool::new(false),
+        busy: AtomicUsize::new(0),
         epoll,
         opts,
     });
@@ -623,9 +659,9 @@ pub fn serve_listener_with(
         handles.push(std::thread::spawn(move || worker_loop(service, state)));
     }
     listener.set_nonblocking(true)?;
-    let result = dispatch(&state, &listener, &shutdown);
-    state.draining.store(true, Ordering::Release);
-    state.ready.notify_all();
+    let result = accept_loop(&state, &listener, &shutdown);
+    // one byte makes the wake fd readable for good: every worker sees it
+    (&wake_tx).write_all(&[1])?;
     for handle in handles {
         let _ = handle.join();
     }
@@ -665,48 +701,28 @@ fn try_accept(state: &Arc<PoolState>, stream: TcpStream, peer: String, token: u6
     })
 }
 
-/// The epoll token of the listening socket (connections count from 1).
-const LISTENER_TOKEN: u64 = 0;
-
-/// The dispatcher's `epoll_wait` timeout: bounds how stale the shutdown
+/// The accept loop's `epoll_wait` timeout: bounds how stale the shutdown
 /// flag and the mid-line reap deadlines can get.  This is *not* a
-/// per-connection poll — an idle deployment wakes one thread 20×/s total,
+/// per-connection poll — an idle server wakes this one thread 20×/s total,
 /// independent of connection count.
-const DISPATCH_TICK_MS: i32 = 50;
+const ACCEPT_TICK_MS: i32 = 50;
 
-/// The epoll dispatcher: the accept loop and the readiness pump in one
-/// thread.  Listener events accept-drain new connections straight onto the
-/// run queue; connection events unpark the connection for the workers; each
-/// tick also reaps parked connections that stalled mid-line past the read
-/// deadline.
-fn dispatch(
+/// The accept loop: waits on its own listener-only epoll instance, parks
+/// new connections for the workers, and each tick reaps parked connections
+/// that stalled mid-line past the read deadline.
+fn accept_loop(
     state: &Arc<PoolState>,
     listener: &TcpListener,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
-    let epoll = &state.epoll;
+    let epoll = Epoll::new()?;
     // the listener stays level-triggered (not one-shot): it keeps firing
     // until every pending connection is accepted
-    epoll.add(listener_fd(listener), LISTENER_TOKEN, false)?;
-    let mut events = Vec::with_capacity(256);
-    let mut next_token: u64 = 1;
+    epoll.add(raw_fd(listener), 0, false)?;
+    let mut next_token = WAKE_TOKEN + 1;
     while !shutdown.load(Ordering::Acquire) {
-        epoll.wait(&mut events, DISPATCH_TICK_MS)?;
-        for event in &events {
-            let token = event.token;
-            if token == LISTENER_TOKEN {
-                accept_ready(state, listener, &mut next_token);
-            } else {
-                let unparked = state
-                    .parked
-                    .lock()
-                    .expect("parked map poisoned")
-                    .remove(&token);
-                // a token already reaped (or never parked) is stale: ignore
-                if let Some(conn) = unparked {
-                    requeue(state, conn);
-                }
-            }
+        if epoll.wait_one(ACCEPT_TICK_MS)?.is_some() {
+            accept_ready(state, listener, &mut next_token);
         }
         reap_expired(state);
     }
@@ -733,9 +749,8 @@ fn accept_ready(state: &Arc<PoolState>, listener: &TcpListener, next_token: &mut
         let token = *next_token;
         *next_token += 1;
         if let Some(conn) = try_accept(state, stream, addr.to_string(), token) {
-            // straight to the workers: a fresh socket may already hold a
-            // request, and if not the first serve turn parks it
-            requeue(state, conn);
+            // a fresh socket that already holds a request fires at once
+            park(state, conn);
         }
     }
 }
@@ -766,25 +781,25 @@ fn reap_expired(state: &PoolState) {
     }
 }
 
+/// The drain signal's socket pair: the read end sits level-triggered in
+/// the shared epoll instance, the accept loop writes one byte to the other.
 #[cfg(unix)]
-fn stream_fd(stream: &TcpStream) -> epoll::RawFd {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
+fn wake_pair() -> std::io::Result<(WakeStream, WakeStream)> {
+    WakeStream::pair()
 }
 
 #[cfg(unix)]
-fn listener_fd(listener: &TcpListener) -> epoll::RawFd {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
+fn raw_fd(io: &impl std::os::unix::io::AsRawFd) -> epoll::RawFd {
+    io.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn stream_fd(_stream: &TcpStream) -> epoll::RawFd {
+fn wake_pair() -> std::io::Result<(WakeStream, WakeStream)> {
     unreachable!("no epoll instance exists off-Linux")
 }
 
 #[cfg(not(unix))]
-fn listener_fd(_listener: &TcpListener) -> epoll::RawFd {
+fn raw_fd<T>(_io: &T) -> epoll::RawFd {
     unreachable!("no epoll instance exists off-Linux")
 }
 
@@ -861,6 +876,94 @@ mod tests {
             frames,
             vec![Frame::TooLong, Frame::Line("{\"ok\":1}".to_string())]
         );
+    }
+
+    /// The byte-at-a-time framer `LineFramer::push` replaced: the oracle
+    /// its run-copying frames and partial state must equal.
+    #[derive(Default)]
+    struct OracleFramer {
+        buf: Vec<u8>,
+        discarding: bool,
+    }
+
+    impl OracleFramer {
+        fn push(&mut self, bytes: &[u8], frames: &mut Vec<Frame>) {
+            for &b in bytes {
+                if b == b'\n' {
+                    if self.discarding {
+                        self.discarding = false;
+                        frames.push(Frame::TooLong);
+                    } else {
+                        frames.push(match String::from_utf8(std::mem::take(&mut self.buf)) {
+                            Ok(line) => Frame::Line(line),
+                            Err(_) => Frame::BadUtf8,
+                        });
+                    }
+                } else if !self.discarding {
+                    self.buf.push(b);
+                    if self.buf.len() > MAX_LINE_BYTES {
+                        self.buf.clear();
+                        self.discarding = true;
+                    }
+                }
+            }
+        }
+
+        fn has_partial(&self) -> bool {
+            !self.buf.is_empty() || self.discarding
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Random lines (empty, short, invalid UTF-8, and from 2 bytes under
+        /// to 2 bytes over the limit), optionally with an unterminated tail,
+        /// fed in random chunks that often end next to a newline: the frames
+        /// and the partial-line state after every chunk equal the oracle's.
+        #[test]
+        fn framer_copying_runs_frames_like_the_byte_at_a_time_oracle(
+            kinds in proptest::collection::vec(0usize..13, 0..7),
+            unterminated in proptest::bool::ANY,
+            cuts in proptest::collection::vec(0u64..u64::MAX, 0..24),
+            near_newlines in proptest::bool::ANY,
+        ) {
+            let mut stream = Vec::new();
+            for (i, &kind) in kinds.iter().enumerate() {
+                match kind {
+                    0 => {}
+                    1..=3 => stream.extend_from_slice(format!("{{\"id\":{i}}}").as_bytes()),
+                    4..=7 => stream.extend_from_slice(b"ok \xff\xfe tail"),
+                    long => stream.resize(stream.len() + MAX_LINE_BYTES - 10 + long, b'x'),
+                }
+                stream.push(b'\n');
+            }
+            if unterminated {
+                stream.extend_from_slice(b"{\"half\":");
+            }
+            let mut ends: Vec<usize> = cuts
+                .iter()
+                .map(|&cut| (cut % (stream.len() as u64 + 1)) as usize)
+                .collect();
+            if near_newlines {
+                for (i, _) in stream.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+                    ends.extend([i, i + 1]);
+                }
+            }
+            ends.push(stream.len());
+            ends.sort_unstable();
+            let (mut framer, mut oracle) = (LineFramer::new(), OracleFramer::default());
+            let (mut frames, mut expected) = (Vec::new(), Vec::new());
+            let mut start = 0;
+            for end in ends {
+                framer.push(&stream[start..end], &mut frames);
+                oracle.push(&stream[start..end], &mut expected);
+                start = end;
+                proptest::prop_assert_eq!(framer.has_partial(), oracle.has_partial());
+                proptest::prop_assert!(frames == expected, "frames diverged at byte {end}");
+            }
+            proptest::prop_assert_eq!(frames.len(), kinds.len());
+        }
     }
 
     #[test]

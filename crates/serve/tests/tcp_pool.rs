@@ -8,12 +8,13 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stencil_serve::json::Value;
-use stencil_serve::server::{serve_listener_with, ServeOptions};
+use stencil_serve::server::{serve_listener_with, LineHandler, ServeOptions};
 use stencil_serve::service::{MappingService, ServiceConfig};
 
 /// Binds an ephemeral port and serves it with the given options.
@@ -301,4 +302,98 @@ fn write_timeout_tears_down_a_client_that_stops_reading() {
     let mut reply = String::new();
     BufReader::new(fresh).read_line(&mut reply).unwrap();
     assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+}
+
+/// A handler that blocks a worker on a `hold` line until released and
+/// answers every other line with the `degrade` flag it was called with.
+struct Holder {
+    held: Mutex<Sender<()>>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl LineHandler for Holder {
+    fn handle_line_into(&self, line: &str, degrade: bool, out: &mut String) {
+        if line == "hold" {
+            self.held.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            out.push_str("released");
+        } else {
+            out.push_str(if degrade { "degraded" } else { "full" });
+        }
+    }
+}
+
+fn send_line(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    reply.trim_end().to_string()
+}
+
+/// Runs one `hold` on a two-worker pool with the given `degrade_queue` and
+/// returns what a probe line on another connection sees while the hold
+/// lasts, and what a probe sees after the release.
+fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
+    let (held_tx, held_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    let holder = Arc::new(Holder {
+        held: Mutex::new(held_tx),
+        release: Mutex::new(release_rx),
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = {
+        let flag = Arc::clone(&shutdown);
+        let opts = ServeOptions {
+            workers: 2,
+            degrade_queue,
+            ..ServeOptions::default()
+        };
+        std::thread::spawn(move || serve_listener_with(holder, listener, opts, flag))
+    };
+    let mut holding = TcpStream::connect(addr).unwrap();
+    let mut holding_reader = BufReader::new(holding.try_clone().unwrap());
+    holding.write_all(b"hold\n").unwrap();
+    held_rx.recv().unwrap(); // one worker is now inside its serve turn
+
+    let mut probe = TcpStream::connect(addr).unwrap();
+    let mut probe_reader = BufReader::new(probe.try_clone().unwrap());
+    let during = send_line(&mut probe, &mut probe_reader, "probe");
+
+    release_tx.send(()).unwrap();
+    let mut released = String::new();
+    holding_reader.read_line(&mut released).unwrap();
+    assert_eq!(released, "released\n");
+    // the held worker leaves its turn after its answer is on the wire,
+    // so a probe racing that exit may still count it as busy
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let after = loop {
+        let reply = send_line(&mut probe, &mut probe_reader, "probe");
+        if reply == "full" || Instant::now() > deadline {
+            break reply;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    shutdown.store(true, Ordering::Release);
+    drop((holding, holding_reader, probe, probe_reader));
+    server.join().unwrap().unwrap();
+    (during, after)
+}
+
+/// `degrade_queue` counts the *other* workers inside a serve turn: with
+/// two workers and a limit of 1, a line served while the other worker is
+/// held degrades; with a limit of 2 it cannot, and after the release
+/// neither does.
+#[test]
+fn lines_served_while_other_workers_are_busy_degrade() {
+    assert_eq!(
+        probe_around_a_hold(1),
+        ("degraded".to_string(), "full".to_string())
+    );
+    assert_eq!(
+        probe_around_a_hold(2),
+        ("full".to_string(), "full".to_string())
+    );
 }
