@@ -365,16 +365,9 @@ fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
     let mut released = String::new();
     holding_reader.read_line(&mut released).unwrap();
     assert_eq!(released, "released\n");
-    // the held worker leaves its turn after its answer is on the wire,
-    // so a probe racing that exit may still count it as busy
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let after = loop {
-        let reply = send_line(&mut probe, &mut probe_reader, "probe");
-        if reply == "full" || Instant::now() > deadline {
-            break reply;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    // the held connection is re-armed only after its worker has left the
+    // turn, so a probe on it cannot count that worker as busy
+    let after = send_line(&mut holding, &mut holding_reader, "probe");
 
     shutdown.store(true, Ordering::Release);
     drop((holding, holding_reader, probe, probe_reader));
@@ -385,9 +378,13 @@ fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
 /// `degrade_queue` counts the *other* workers inside a serve turn: with
 /// two workers and a limit of 1, a line served while the other worker is
 /// held degrades; with a limit of 2 it cannot, and after the release
-/// neither does.
+/// neither does.  A limit of 0 always degrades.
 #[test]
 fn lines_served_while_other_workers_are_busy_degrade() {
+    assert_eq!(
+        probe_around_a_hold(0),
+        ("degraded".to_string(), "degraded".to_string())
+    );
     assert_eq!(
         probe_around_a_hold(1),
         ("degraded".to_string(), "full".to_string())
