@@ -533,7 +533,6 @@ fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
         let Some(mut conn) = unpark(&state, token) else {
             continue;
         };
-        // the other workers mid-turn stand in for a run-queue depth
         let others = state.busy.fetch_add(1, Ordering::AcqRel);
         let turn = serve_turn(&*service, &mut conn, others >= state.opts.degrade_queue);
         state.busy.fetch_sub(1, Ordering::AcqRel);
