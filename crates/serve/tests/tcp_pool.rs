@@ -330,12 +330,19 @@ fn send_line(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str
     reply.trim_end().to_string()
 }
 
-/// Runs one `hold` on a two-worker pool with the given `degrade_queue` and
-/// returns what a probe line on another connection sees while the hold
-/// lasts, and what a probe sees after the release.
-fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
-    let (held_tx, held_rx) = channel();
-    let (release_tx, release_rx) = channel();
+/// A pool serving [`Holder`] with `opts`: its address, shutdown flag and
+/// serving thread, plus the channels that report and release a hold.
+struct HeldPool {
+    addr: std::net::SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    server: std::thread::JoinHandle<std::io::Result<()>>,
+    held: Receiver<()>,
+    release: Sender<()>,
+}
+
+fn start_holder(opts: ServeOptions) -> HeldPool {
+    let (held_tx, held) = channel();
+    let (release, release_rx) = channel();
     let holder = Arc::new(Holder {
         held: Mutex::new(held_tx),
         release: Mutex::new(release_rx),
@@ -343,15 +350,32 @@ fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = Arc::new(AtomicBool::new(false));
-    let server = {
-        let flag = Arc::clone(&shutdown);
-        let opts = ServeOptions {
-            workers: 2,
-            degrade_queue,
-            ..ServeOptions::default()
-        };
-        std::thread::spawn(move || serve_listener_with(holder, listener, opts, flag))
-    };
+    let flag = Arc::clone(&shutdown);
+    let server = std::thread::spawn(move || serve_listener_with(holder, listener, opts, flag));
+    HeldPool {
+        addr,
+        shutdown,
+        server,
+        held,
+        release,
+    }
+}
+
+/// Runs one `hold` on a two-worker pool with the given `degrade_queue` and
+/// returns what a probe line on another connection sees while the hold
+/// lasts, and what a probe sees after the release.
+fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
+    let HeldPool {
+        addr,
+        shutdown,
+        server,
+        held: held_rx,
+        release: release_tx,
+    } = start_holder(ServeOptions {
+        workers: 2,
+        degrade_queue,
+        ..ServeOptions::default()
+    });
     let mut holding = TcpStream::connect(addr).unwrap();
     let mut holding_reader = BufReader::new(holding.try_clone().unwrap());
     holding.write_all(b"hold\n").unwrap();
@@ -393,4 +417,40 @@ fn lines_served_while_other_workers_are_busy_degrade() {
         probe_around_a_hold(2),
         ("full".to_string(), "full".to_string())
     );
+}
+
+/// A line that arrives after the drain has begun, on a connection admitted
+/// before it, is still answered: the only worker is held while the
+/// shutdown flag is set, the line is sent once the accept loop has had time
+/// to write the wake byte (so its event usually queues behind the wake and
+/// the drain serves it; if not, the worker serves it before it sees the
+/// wake), and then the hold is released.
+#[test]
+fn drain_answers_lines_that_arrive_while_the_workers_are_busy() {
+    let pool = start_holder(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let mut late = TcpStream::connect(pool.addr).unwrap();
+    let mut late_reader = BufReader::new(late.try_clone().unwrap());
+    assert_eq!(send_line(&mut late, &mut late_reader, "probe"), "full");
+    let mut holding = TcpStream::connect(pool.addr).unwrap();
+    let mut holding_reader = BufReader::new(holding.try_clone().unwrap());
+    holding.write_all(b"hold\n").unwrap();
+    pool.held.recv().unwrap();
+
+    pool.shutdown.store(true, Ordering::Release);
+    // the accept loop notices the flag within its 50 ms tick
+    std::thread::sleep(Duration::from_millis(300));
+    late.write_all(b"probe\n").unwrap();
+    pool.release.send(()).unwrap();
+
+    let mut released = String::new();
+    holding_reader.read_line(&mut released).unwrap();
+    assert_eq!(released, "released\n");
+    // an unanswered line is closed with its bytes unread: EOF or a reset
+    let mut answer = String::new();
+    let _ = late_reader.read_line(&mut answer);
+    assert_eq!(answer, "full\n", "the drain must answer the late line");
+    pool.server.join().unwrap().unwrap();
 }
