@@ -365,27 +365,21 @@ fn start_holder(opts: ServeOptions) -> HeldPool {
 /// returns what a probe line on another connection sees while the hold
 /// lasts, and what a probe sees after the release.
 fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
-    let HeldPool {
-        addr,
-        shutdown,
-        server,
-        held: held_rx,
-        release: release_tx,
-    } = start_holder(ServeOptions {
+    let pool = start_holder(ServeOptions {
         workers: 2,
         degrade_queue,
         ..ServeOptions::default()
     });
-    let mut holding = TcpStream::connect(addr).unwrap();
+    let mut holding = TcpStream::connect(pool.addr).unwrap();
     let mut holding_reader = BufReader::new(holding.try_clone().unwrap());
     holding.write_all(b"hold\n").unwrap();
-    held_rx.recv().unwrap(); // one worker is now inside its serve turn
+    pool.held.recv().unwrap(); // one worker is now inside its serve turn
 
-    let mut probe = TcpStream::connect(addr).unwrap();
+    let mut probe = TcpStream::connect(pool.addr).unwrap();
     let mut probe_reader = BufReader::new(probe.try_clone().unwrap());
     let during = send_line(&mut probe, &mut probe_reader, "probe");
 
-    release_tx.send(()).unwrap();
+    pool.release.send(()).unwrap();
     let mut released = String::new();
     holding_reader.read_line(&mut released).unwrap();
     assert_eq!(released, "released\n");
@@ -393,9 +387,9 @@ fn probe_around_a_hold(degrade_queue: usize) -> (String, String) {
     // turn, so a probe on it cannot count that worker as busy
     let after = send_line(&mut holding, &mut holding_reader, "probe");
 
-    shutdown.store(true, Ordering::Release);
+    pool.shutdown.store(true, Ordering::Release);
     drop((holding, holding_reader, probe, probe_reader));
-    server.join().unwrap().unwrap();
+    pool.server.join().unwrap().unwrap();
     (during, after)
 }
 
