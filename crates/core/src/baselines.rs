@@ -11,7 +11,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use stencil_grid::coords::rank_to_coord_into;
-use stencil_grid::Coord;
 
 /// The blocked (identity) mapping: rank `r` owns grid position `r`, so node
 /// `i` owns a contiguous row-major block of `n_i` grid cells.  This is what
@@ -22,10 +21,6 @@ pub struct Blocked;
 impl RankLocalMapper for Blocked {
     fn local_name(&self) -> &str {
         "Blocked"
-    }
-
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        problem.dims().coord_of(rank)
     }
 
     fn remap_rank_into(

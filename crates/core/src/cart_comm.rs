@@ -4,7 +4,7 @@
 //! explicit stencil so that the library can reorder ranks for arbitrary
 //! `k`-neighborhoods.  [`CartStencilComm`] is the library-level equivalent:
 //! it takes the grid, the stencil, the node allocation and a reordering
-//! algorithm and exposes the resulting rank permutation together with
+//! [`Algorithm`] and exposes the resulting rank permutation together with
 //! topology queries (new/old ranks, coordinates, stencil neighbors).
 //!
 //! The actual message-passing communicator built on top of this lives in the
@@ -15,53 +15,92 @@ use crate::hyperplane::Hyperplane;
 use crate::kdtree::KdTree;
 use crate::metrics::{evaluate, MappingCost};
 use crate::nodecart::Nodecart;
-use crate::problem::{MapError, Mapper, MappingProblem};
+use crate::problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
 use crate::stencil_strips::StencilStrips;
 use crate::viem::GraphMapper;
 use crate::Mapping;
 use stencil_grid::{CartGraph, Coord, Dims, NodeAllocation, Stencil};
 
-/// Selection of the rank-reordering algorithm used when creating a
-/// [`CartStencilComm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReorderAlgorithm {
-    /// No reordering (blocked mapping) — `reorder = 0` in MPI terms.
-    None,
-    /// The Hyperplane algorithm (Section V-A).
+/// The reordering algorithm: the `reorder` argument of
+/// `MPIX_Cart_stencil_comm`, the `"algorithm"` of a `stencil-serve`
+/// request, and the one place that turns either into a mapper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Algorithm {
+    /// Recursive bisection with stencil-aware cut selection (Section V-A).
     Hyperplane,
-    /// The k-d Tree algorithm (Section V-B).
+    /// k-d-tree-style recursive halving (Section V-B).
     KdTree,
-    /// The Stencil Strips algorithm (Section V-C).
+    /// Strip decomposition scaled to the stencil bounding box (Section V-C).
     StencilStrips,
-    /// Gropp's Nodecart algorithm.
+    /// Gropp's prime-factorisation Cartesian mapping.
     Nodecart,
-    /// The VieM-style general graph mapper.
-    GraphMapper,
+    /// VieM-style multilevel partitioning + swap search (expensive).
+    Viem,
+    /// The blocked (identity) mapping, no reordering — `reorder = 0` in MPI
+    /// terms.
+    Blocked,
 }
 
-impl ReorderAlgorithm {
-    /// Instantiates the corresponding mapper.
-    pub fn mapper(&self, seed: u64) -> Box<dyn Mapper> {
-        match self {
-            ReorderAlgorithm::None => Box::new(Blocked),
-            ReorderAlgorithm::Hyperplane => Box::new(Hyperplane::default()),
-            ReorderAlgorithm::KdTree => Box::new(KdTree),
-            ReorderAlgorithm::StencilStrips => Box::new(StencilStrips),
-            ReorderAlgorithm::Nodecart => Box::new(Nodecart),
-            ReorderAlgorithm::GraphMapper => Box::new(GraphMapper::with_seed(seed)),
+impl Algorithm {
+    /// Parses a wire name.
+    pub fn from_wire(name: &str) -> Result<Algorithm, String> {
+        match name {
+            "hyperplane" => Ok(Algorithm::Hyperplane),
+            "kdtree" => Ok(Algorithm::KdTree),
+            "stencil_strips" => Ok(Algorithm::StencilStrips),
+            "nodecart" => Ok(Algorithm::Nodecart),
+            "viem" => Ok(Algorithm::Viem),
+            "blocked" => Ok(Algorithm::Blocked),
+            other => Err(format!(
+                "unknown algorithm {other:?} (expected hyperplane, kdtree, stencil_strips, \
+                 nodecart, viem or blocked)"
+            )),
         }
     }
 
-    /// All algorithm variants, in the order used by the paper's figures.
-    pub fn all() -> [ReorderAlgorithm; 6] {
-        [
-            ReorderAlgorithm::Hyperplane,
-            ReorderAlgorithm::KdTree,
-            ReorderAlgorithm::StencilStrips,
-            ReorderAlgorithm::Nodecart,
-            ReorderAlgorithm::GraphMapper,
-            ReorderAlgorithm::None,
-        ]
+    /// The wire name.
+    pub fn wire_name(&self) -> &'static str {
+        match self {
+            Algorithm::Hyperplane => "hyperplane",
+            Algorithm::KdTree => "kdtree",
+            Algorithm::StencilStrips => "stencil_strips",
+            Algorithm::Nodecart => "nodecart",
+            Algorithm::Viem => "viem",
+            Algorithm::Blocked => "blocked",
+        }
+    }
+
+    /// Whether the algorithm uses the request seed (only the randomised
+    /// `viem` pipeline does; keeping the seed out of the other algorithms'
+    /// cache keys avoids pointless cache fragmentation).
+    pub fn uses_seed(&self) -> bool {
+        matches!(self, Algorithm::Viem)
+    }
+
+    /// Instantiates the mapper; `seed` drives the randomised `Viem`
+    /// pipeline and is ignored by the others.
+    pub fn mapper(&self, seed: u64) -> Box<dyn Mapper> {
+        match self {
+            Algorithm::Hyperplane => Box::new(Hyperplane::default()),
+            Algorithm::KdTree => Box::new(KdTree),
+            Algorithm::StencilStrips => Box::new(StencilStrips),
+            Algorithm::Nodecart => Box::new(Nodecart),
+            Algorithm::Viem => Box::new(GraphMapper::with_seed(seed)),
+            Algorithm::Blocked => Box::new(Blocked),
+        }
+    }
+
+    /// The single-rank form of the mapper, for the algorithms every process
+    /// can run on its own (the paper's three and `Blocked`); `None` for
+    /// Nodecart and `Viem`, which compute the whole mapping at once.
+    pub fn rank_local(&self) -> Option<Box<dyn RankLocalMapper>> {
+        Some(match self {
+            Algorithm::Hyperplane => Box::new(Hyperplane::default()),
+            Algorithm::KdTree => Box::new(KdTree),
+            Algorithm::StencilStrips => Box::new(StencilStrips),
+            Algorithm::Blocked => Box::new(Blocked),
+            Algorithm::Nodecart | Algorithm::Viem => return None,
+        })
     }
 }
 
@@ -82,15 +121,15 @@ impl CartStencilComm {
     /// * `dims` / `periodic` — the Cartesian grid and its boundary condition,
     /// * `stencil` — the `k`-neighborhood,
     /// * `alloc` — the node allocation of the "old communicator",
-    /// * `reorder` — the reordering algorithm (use
-    ///   [`ReorderAlgorithm::None`] for the MPI `reorder = 0` behaviour),
+    /// * `reorder` — the reordering algorithm ([`Algorithm::Blocked`] is
+    ///   the MPI `reorder = 0` behaviour),
     /// * `seed` — seed for randomised algorithms.
     pub fn create(
         dims: Dims,
         periodic: bool,
         stencil: Stencil,
         alloc: NodeAllocation,
-        reorder: ReorderAlgorithm,
+        reorder: Algorithm,
         seed: u64,
     ) -> Result<Self, MapError> {
         let problem = MappingProblem::with_periodicity(dims, stencil, alloc, periodic)?;
@@ -110,7 +149,7 @@ impl CartStencilComm {
         ndims: usize,
         dims: &[usize],
         periodic: bool,
-        reorder: ReorderAlgorithm,
+        reorder: Algorithm,
         stencil_flat: &[i64],
         alloc: NodeAllocation,
         seed: u64,
@@ -201,7 +240,7 @@ impl CartStencilComm {
 mod tests {
     use super::*;
 
-    fn comm(reorder: ReorderAlgorithm) -> CartStencilComm {
+    fn comm(reorder: Algorithm) -> CartStencilComm {
         CartStencilComm::create(
             Dims::from_slice(&[8, 6]),
             false,
@@ -215,7 +254,7 @@ mod tests {
 
     #[test]
     fn none_reorder_is_identity() {
-        let c = comm(ReorderAlgorithm::None);
+        let c = comm(Algorithm::Blocked);
         assert_eq!(c.algorithm(), "Blocked");
         assert_eq!(c.size(), 48);
         for r in 0..48 {
@@ -226,11 +265,11 @@ mod tests {
 
     #[test]
     fn reordering_improves_cost() {
-        let blocked = comm(ReorderAlgorithm::None).cost();
+        let blocked = comm(Algorithm::Blocked).cost();
         for alg in [
-            ReorderAlgorithm::Hyperplane,
-            ReorderAlgorithm::KdTree,
-            ReorderAlgorithm::StencilStrips,
+            Algorithm::Hyperplane,
+            Algorithm::KdTree,
+            Algorithm::StencilStrips,
         ] {
             let c = comm(alg);
             assert!(c.cost().j_sum <= blocked.j_sum, "{alg:?}");
@@ -243,7 +282,7 @@ mod tests {
 
     #[test]
     fn coordinates_and_neighbors_follow_the_grid() {
-        let c = comm(ReorderAlgorithm::Hyperplane);
+        let c = comm(Algorithm::Hyperplane);
         let coord = c.coords_of_new_rank(13);
         assert_eq!(c.new_rank_at(&coord), 13);
         let neigh = c.neighbors_of_new_rank(13);
@@ -266,7 +305,7 @@ mod tests {
             true,
             Stencil::nearest_neighbor(2),
             NodeAllocation::homogeneous(4, 4),
-            ReorderAlgorithm::KdTree,
+            Algorithm::KdTree,
             0,
         )
         .unwrap();
@@ -284,7 +323,7 @@ mod tests {
             2,
             &[8, 6],
             false,
-            ReorderAlgorithm::StencilStrips,
+            Algorithm::StencilStrips,
             &flat,
             NodeAllocation::homogeneous(4, 12),
             0,
@@ -296,7 +335,7 @@ mod tests {
 
     #[test]
     fn node_of_new_rank_is_consistent_with_mapping() {
-        let c = comm(ReorderAlgorithm::StencilStrips);
+        let c = comm(Algorithm::StencilStrips);
         for new_rank in 0..c.size() {
             let old = c.old_rank_of(new_rank);
             assert_eq!(
@@ -307,8 +346,31 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_list() {
-        assert_eq!(ReorderAlgorithm::all().len(), 6);
-        assert_eq!(ReorderAlgorithm::KdTree.mapper(0).name(), "k-d Tree");
+    fn one_table_names_builds_and_classifies_every_algorithm() {
+        // (algorithm, paper name, rank local)
+        for (alg, name, rank_local) in [
+            (Algorithm::Hyperplane, "Hyperplane", true),
+            (Algorithm::KdTree, "k-d Tree", true),
+            (Algorithm::StencilStrips, "Stencil Strips", true),
+            (Algorithm::Nodecart, "Nodecart", false),
+            (Algorithm::Viem, "VieM-style", false),
+            (Algorithm::Blocked, "Blocked", true),
+        ] {
+            assert_eq!(Algorithm::from_wire(alg.wire_name()), Ok(alg));
+            assert_eq!(alg.mapper(7).name(), name);
+            assert_eq!(
+                alg.rank_local().map(|m| m.local_name().to_string()),
+                rank_local.then(|| name.to_string()),
+            );
+            assert_eq!(alg.uses_seed(), alg == Algorithm::Viem);
+        }
+        assert_eq!(
+            Algorithm::from_wire("metis"),
+            Err(
+                "unknown algorithm \"metis\" (expected hyperplane, kdtree, stencil_strips, \
+                 nodecart, viem or blocked)"
+                    .to_string()
+            )
+        );
     }
 }

@@ -22,9 +22,8 @@
 //! order once.
 
 use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
-use stencil_grid::Coord;
 #[cfg(test)]
-use stencil_grid::Stencil;
+use stencil_grid::{Coord, Stencil};
 
 /// How the single node-size parameter `n` is derived from a heterogeneous
 /// allocation (Section V-A: "one can use the mean, minimum or maximum of the
@@ -67,13 +66,6 @@ impl Hyperplane {
 impl RankLocalMapper for Hyperplane {
     fn local_name(&self) -> &str {
         "Hyperplane"
-    }
-
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        let mut ws = MapWorkspace::new();
-        let mut out = vec![0usize; problem.dims().ndims()];
-        self.remap_rank_into(problem, rank, &mut ws, &mut out);
-        out
     }
 
     fn remap_rank_into(

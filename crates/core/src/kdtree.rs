@@ -18,7 +18,6 @@
 //! dimension at most twice.
 
 use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
-use stencil_grid::Coord;
 
 /// The k-d Tree mapping algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,13 +26,6 @@ pub struct KdTree;
 impl RankLocalMapper for KdTree {
     fn local_name(&self) -> &str {
         "k-d Tree"
-    }
-
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        let mut ws = MapWorkspace::new();
-        let mut out = vec![0usize; problem.dims().ndims()];
-        self.remap_rank_into(problem, rank, &mut ws, &mut out);
-        out
     }
 
     fn remap_rank_into(

@@ -22,6 +22,10 @@
 //! * [`Blocked`](baselines::Blocked), [`RoundRobin`](baselines::RoundRobin)
 //!   and [`RandomMapping`](baselines::RandomMapping) — trivial baselines.
 //!
+//! [`Algorithm`] names the six reordering algorithms a caller can ask for
+//! (the `reorder` argument of the paper's interface, the `stencil-serve`
+//! wire names) and is the one place that builds their mappers.
+//!
 //! ## Objective
 //!
 //! Given the communication graph induced by a grid and a stencil, the cost of
@@ -65,54 +69,10 @@ pub mod problem;
 pub mod stencil_strips;
 pub mod viem;
 
-pub use cart_comm::CartStencilComm;
+pub use cart_comm::{Algorithm, CartStencilComm};
 pub use mapping::Mapping;
 pub use metrics::MappingCost;
 pub use problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
 
 /// Re-export of the grid vocabulary crate for convenience.
 pub use stencil_grid as grid;
-
-/// Returns boxed instances of every mapper evaluated in the paper, in the
-/// order used by the figures: the three new algorithms, the two previous
-/// approaches and the blocked baseline.
-///
-/// `seed` controls the randomised components (the VieM-style local search and
-/// the random baseline are seeded deterministically from it).
-pub fn all_paper_mappers(seed: u64) -> Vec<Box<dyn Mapper>> {
-    vec![
-        Box::new(hyperplane::Hyperplane::default()),
-        Box::new(kdtree::KdTree),
-        Box::new(stencil_strips::StencilStrips),
-        Box::new(nodecart::Nodecart),
-        Box::new(viem::GraphMapper::with_seed(seed)),
-        Box::new(baselines::Blocked),
-        Box::new(baselines::RandomMapping::with_seed(seed)),
-    ]
-}
-
-/// Returns only the three algorithms introduced by the paper.
-pub fn new_paper_mappers() -> Vec<Box<dyn Mapper>> {
-    vec![
-        Box::new(hyperplane::Hyperplane::default()),
-        Box::new(kdtree::KdTree),
-        Box::new(stencil_strips::StencilStrips),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mapper_lists_have_expected_sizes_and_names() {
-        let all = all_paper_mappers(1);
-        assert_eq!(all.len(), 7);
-        let names: Vec<_> = all.iter().map(|m| m.name().to_string()).collect();
-        assert!(names.iter().any(|n| n.contains("Hyperplane")));
-        assert!(names.iter().any(|n| n.contains("k-d Tree")));
-        assert!(names.iter().any(|n| n.contains("Stencil Strips")));
-        assert!(names.iter().any(|n| n.contains("Nodecart")));
-        assert_eq!(new_paper_mappers().len(), 3);
-    }
-}

@@ -280,16 +280,20 @@ pub trait RankLocalMapper: Send + Sync {
     /// Human-readable algorithm name.
     fn local_name(&self) -> &str;
 
-    /// Computes the new grid coordinate of `rank`.
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord;
+    /// Computes the new grid coordinate of `rank` on its own — the paper's
+    /// single-rank algorithm: a fresh [`MapWorkspace`], then
+    /// [`RankLocalMapper::remap_rank_into`].
+    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
+        let mut out = vec![0usize; problem.dims().ndims()];
+        self.remap_rank_into(problem, rank, &mut MapWorkspace::new(), &mut out);
+        out
+    }
 
-    /// Allocation-free variant of [`RankLocalMapper::remap_rank`]: writes the
-    /// coordinate of `rank` into `out` (length `ndims`), reusing the scratch
-    /// buffers of `ws`.  The default implementation delegates to
-    /// `remap_rank`; the paper's algorithms and `Blocked` override it so the
-    /// parallel full-mapping computation performs no per-rank allocation,
-    /// and resume from where `ws` left the previous rank.  The result never
-    /// depends on which ranks `ws` has seen.
+    /// Writes the new grid coordinate of `rank` into `out` (length `ndims`),
+    /// reusing the scratch buffers of `ws`, so the parallel full-mapping
+    /// computation performs no per-rank allocation and resumes from where
+    /// `ws` left the previous rank.  The result never depends on which ranks
+    /// `ws` has seen.
     ///
     /// `ws` must not be reused across different problems or mappers — cached
     /// per-problem state (e.g. the strip layout) is not validated against
@@ -300,10 +304,7 @@ pub trait RankLocalMapper: Send + Sync {
         rank: usize,
         ws: &mut MapWorkspace,
         out: &mut [usize],
-    ) {
-        let _ = ws;
-        out.copy_from_slice(&self.remap_rank(problem, rank));
-    }
+    );
 }
 
 /// Every rank-local mapper is a full mapper: the complete mapping is obtained
@@ -422,8 +423,14 @@ mod tests {
         fn local_name(&self) -> &str {
             "Identity"
         }
-        fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-            problem.dims().coord_of(rank)
+        fn remap_rank_into(
+            &self,
+            problem: &MappingProblem,
+            rank: usize,
+            _ws: &mut MapWorkspace,
+            out: &mut [usize],
+        ) {
+            out.copy_from_slice(&problem.dims().coord_of(rank));
         }
     }
 

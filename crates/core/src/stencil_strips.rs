@@ -18,7 +18,7 @@
 //! cost amortised `O(d)` each.
 
 use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
-use stencil_grid::{Coord, Stencil};
+use stencil_grid::Stencil;
 
 /// The Stencil Strips mapping algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -191,12 +191,6 @@ impl RankLocalMapper for StencilStrips {
         "Stencil Strips"
     }
 
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        let dims = problem.dims().as_slice();
-        let layout = StripLayout::new(dims, problem.stencil(), problem.node_size_parameter());
-        rank_to_coord(dims, &layout, rank)
-    }
-
     fn remap_rank_into(
         &self,
         problem: &MappingProblem,
@@ -211,26 +205,19 @@ impl RankLocalMapper for StencilStrips {
         let layout = ws.strips.get_or_insert_with(|| {
             StripLayout::new(dims, problem.stencil(), problem.node_size_parameter())
         });
-        rank_to_coord_into(dims, layout, rank, Some(&mut ws.strip_cursor), out);
+        rank_to_coord_into(dims, layout, rank, &mut ws.strip_cursor, out);
     }
 }
 
-/// Computes the coordinate of `rank` under a strip layout.
-pub(crate) fn rank_to_coord(dims: &[usize], layout: &StripLayout, rank: usize) -> Coord {
-    let mut coord = vec![0usize; dims.len()];
-    rank_to_coord_into(dims, layout, rank, None, &mut coord);
-    coord
-}
-
-/// Core of [`rank_to_coord`]: decodes `rank` into `out`.  The walk to
-/// `rank`'s strip starts at `cursor`'s strip unless `rank` lies before it,
-/// and leaves `cursor` on `rank`'s strip, reusing its buffers; without a
-/// cursor it starts at the first strip.
-pub(crate) fn rank_to_coord_into(
+/// Decodes the coordinate of `rank` under a strip layout into `out`.  The
+/// walk to `rank`'s strip starts at `at`'s strip unless `rank` lies before
+/// it (or `at` holds no strip yet), and leaves `at` on `rank`'s strip,
+/// reusing its buffers.
+fn rank_to_coord_into(
     dims: &[usize],
     layout: &StripLayout,
     rank: usize,
-    cursor: Option<&mut StripCursor>,
+    at: &mut StripCursor,
     out: &mut [usize],
 ) {
     let along = layout.along;
@@ -238,8 +225,6 @@ pub(crate) fn rank_to_coord_into(
     let num_strips = layout.num_strips();
 
     // Locate the strip containing `rank` by walking the serpentine order.
-    let mut start = StripCursor::default();
-    let at = cursor.unwrap_or(&mut start);
     let mut moved = at.area == 0 || rank < at.first;
     if moved {
         at.indices.reserve(2 * dims.len());
@@ -363,11 +348,11 @@ mod tests {
     #[test]
     fn matches_paper_scores_nearest_neighbor() {
         // Paper Fig. 6: Stencil Strips Jsum = 1244, Jmax = 28 on 50x48/N=50.
+        // The Jsum is a known deviation whose cause is open.
         let prob = problem(&[50, 48], 50, 48, Stencil::nearest_neighbor(2));
         let g = CartGraph::build(prob.dims(), prob.stencil(), false);
         let cost = evaluate(&g, &StencilStrips.compute(&prob).unwrap());
-        assert!(cost.j_sum <= 1500, "Jsum = {}", cost.j_sum);
-        assert!(cost.j_max <= 32, "Jmax = {}", cost.j_max);
+        assert_eq!((cost.j_sum, cost.j_max), (1252, 28));
         let blocked = evaluate(&g, &Blocked.compute(&prob).unwrap());
         assert!(cost.j_sum * 3 < blocked.j_sum);
     }

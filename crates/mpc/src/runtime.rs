@@ -1,7 +1,7 @@
 //! The thread-based message-passing runtime: ranks, channels, point-to-point
 //! messaging and the world barrier.
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// A message in flight: source rank, user tag and payload.
@@ -32,7 +32,7 @@ impl Runtime {
         let mut senders = Vec::with_capacity(num_ranks);
         let mut receivers = Vec::with_capacity(num_ranks);
         for _ in 0..num_ranks {
-            let (tx, rx) = unbounded::<Message>();
+            let (tx, rx) = channel::<Message>();
             senders.push(tx);
             receivers.push(Some(rx));
         }

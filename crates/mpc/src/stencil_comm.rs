@@ -1,21 +1,18 @@
 //! The `MPIX_Cart_stencil_comm` analogue: a stencil-aware, *reordered*
 //! Cartesian communicator built on the message-passing runtime.
 //!
-//! Creation follows the paper's distributed scheme: for the three new
-//! algorithms every rank computes its own new coordinate locally (rank-local
-//! mapping); for the sequential baselines (Nodecart, the VieM-style mapper,
-//! no reordering) rank 0 computes the permutation and scatters it.  An
-//! allgather then makes the inverse permutation known to everybody so that
-//! neighborhood collectives can route messages to the *old* ranks (threads)
-//! that own the neighboring grid positions.
+//! Creation follows the paper's distributed scheme: for the rank-local
+//! algorithms (the three new ones and no reordering, see
+//! [`Algorithm::rank_local`]) every rank computes its own new coordinate
+//! locally; for the sequential baselines (Nodecart, the VieM-style mapper)
+//! rank 0 computes the permutation and scatters it.  An allgather then makes
+//! the inverse permutation known to everybody so that neighborhood
+//! collectives can route messages to the *old* ranks (threads) that own the
+//! neighboring grid positions.
 
 use crate::runtime::Process;
 use stencil_grid::{Coord, Dims, NodeAllocation, Stencil};
-use stencil_mapping::cart_comm::ReorderAlgorithm;
-use stencil_mapping::hyperplane::Hyperplane;
-use stencil_mapping::kdtree::KdTree;
-use stencil_mapping::stencil_strips::StencilStrips;
-use stencil_mapping::{MappingProblem, RankLocalMapper};
+use stencil_mapping::{Algorithm, MappingProblem};
 
 /// A reordered, stencil-aware Cartesian communicator.
 #[derive(Debug, Clone)]
@@ -43,7 +40,7 @@ impl StencilComm {
         periodic: bool,
         stencil: Stencil,
         alloc: NodeAllocation,
-        reorder: ReorderAlgorithm,
+        reorder: Algorithm,
         seed: u64,
     ) -> Self {
         assert_eq!(
@@ -56,21 +53,9 @@ impl StencilComm {
                 .expect("consistent communicator arguments");
 
         // --- compute this rank's new position -------------------------------
-        let my_position = match reorder {
-            ReorderAlgorithm::Hyperplane => {
-                let c = Hyperplane::default().remap_rank(&problem, process.rank());
-                dims.rank_of(&c)
-            }
-            ReorderAlgorithm::KdTree => {
-                let c = KdTree.remap_rank(&problem, process.rank());
-                dims.rank_of(&c)
-            }
-            ReorderAlgorithm::StencilStrips => {
-                let c = StencilStrips.remap_rank(&problem, process.rank());
-                dims.rank_of(&c)
-            }
-            ReorderAlgorithm::None => process.rank(),
-            _ => {
+        let my_position = match reorder.rank_local() {
+            Some(mapper) => dims.rank_of(&mapper.remap_rank(&problem, process.rank())),
+            None => {
                 // sequential algorithms: rank 0 computes, then scatters
                 const SCATTER_TAG: u64 = (1 << 59) + 11;
                 if process.rank() == 0 {
@@ -215,7 +200,7 @@ mod tests {
     use crate::runtime::Runtime;
     use stencil_grid::{Dims, NodeAllocation, Stencil};
 
-    fn run_exchange(reorder: ReorderAlgorithm) {
+    fn run_exchange(reorder: Algorithm) {
         // 6x4 grid on 4 nodes x 6 processes; every process sends its new rank
         // to each neighbor and checks that what it receives matches the
         // sender's position on the grid.
@@ -251,27 +236,27 @@ mod tests {
 
     #[test]
     fn exchange_correct_without_reordering() {
-        run_exchange(ReorderAlgorithm::None);
+        run_exchange(Algorithm::Blocked);
     }
 
     #[test]
     fn exchange_correct_with_hyperplane() {
-        run_exchange(ReorderAlgorithm::Hyperplane);
+        run_exchange(Algorithm::Hyperplane);
     }
 
     #[test]
     fn exchange_correct_with_kdtree() {
-        run_exchange(ReorderAlgorithm::KdTree);
+        run_exchange(Algorithm::KdTree);
     }
 
     #[test]
     fn exchange_correct_with_stencil_strips() {
-        run_exchange(ReorderAlgorithm::StencilStrips);
+        run_exchange(Algorithm::StencilStrips);
     }
 
     #[test]
     fn exchange_correct_with_nodecart_scatter_path() {
-        run_exchange(ReorderAlgorithm::Nodecart);
+        run_exchange(Algorithm::Nodecart);
     }
 
     #[test]
@@ -283,7 +268,7 @@ mod tests {
                 true,
                 Stencil::nearest_neighbor(2),
                 NodeAllocation::homogeneous(4, 4),
-                ReorderAlgorithm::KdTree,
+                Algorithm::KdTree,
                 0,
             );
             comm.out_degree()
@@ -301,7 +286,7 @@ mod tests {
             false,
             Stencil::nearest_neighbor(2),
             NodeAllocation::homogeneous(4, 6),
-            ReorderAlgorithm::StencilStrips,
+            Algorithm::StencilStrips,
             0,
         )
         .unwrap();
@@ -312,7 +297,7 @@ mod tests {
                 false,
                 Stencil::nearest_neighbor(2),
                 NodeAllocation::homogeneous(4, 6),
-                ReorderAlgorithm::StencilStrips,
+                Algorithm::StencilStrips,
                 0,
             );
             comm.new_rank()

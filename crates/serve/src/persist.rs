@@ -360,10 +360,10 @@ impl CacheSnapshotter {
 }
 
 /// The write-behind log writer: a background thread appending records so
-/// the request path only pays one bounded channel send.  With a
-/// [`CacheSnapshotter`] attached, the thread also compacts the log in place
-/// (atomic tmp-write + rename swap) whenever it outgrows the configured
-/// threshold — see the module docs for the crash-safety argument.
+/// the request path only pays one bounded channel send.  Through its
+/// [`CacheSnapshotter`] the thread also compacts the log in place (atomic
+/// tmp-write + rename swap) whenever it outgrows the configured threshold —
+/// see the module docs for the crash-safety argument.
 pub struct PersistLog {
     tx: Option<SyncSender<Msg>>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -384,7 +384,7 @@ struct WriterState {
     compact_at: u64,
     /// The configured threshold `--compact-bytes` (0 = off).
     compact_bytes: u64,
-    snapshotter: Option<CacheSnapshotter>,
+    snapshotter: CacheSnapshotter,
     stats: Arc<StatCells>,
 }
 
@@ -408,7 +408,7 @@ impl WriterState {
 
     /// Whether the live log has outgrown its threshold.
     fn over_threshold(&self) -> bool {
-        self.compact_at > 0 && self.live_bytes >= self.compact_at && self.snapshotter.is_some()
+        self.compact_at > 0 && self.live_bytes >= self.compact_at
     }
 
     /// Online compaction: freeze the cache, drain the queue into the old
@@ -417,9 +417,7 @@ impl WriterState {
     /// append handle.  Returns the flush/compact acks collected from the
     /// drained queue; the caller sends them once the swap is durable.
     fn compact(&mut self) -> Vec<SyncSender<()>> {
-        let Some(snapshotter) = self.snapshotter.clone() else {
-            return Vec::new();
-        };
+        let snapshotter = self.snapshotter.clone();
         faultpoint::reach("persist.compact.begin");
         let mut acks: Vec<SyncSender<()>> = Vec::new();
         snapshotter.with_frozen(|lines| {
@@ -508,13 +506,13 @@ impl WriterState {
 
 impl PersistLog {
     /// Opens the log at `path` for appending and spawns the writer thread.
-    /// `compact_bytes` is the online-compaction threshold (0 disables it);
-    /// compaction also needs a `snapshotter` to freeze and image the cache
-    /// — without one, only explicit [`PersistLog::compact`] flushes.
+    /// `compact_bytes` is the online-compaction threshold (0 disables it;
+    /// [`PersistLog::compact`] still compacts); `snapshotter` freezes and
+    /// images the cache for every compaction.
     pub fn open_append(
         path: &Path,
         compact_bytes: u64,
-        snapshotter: Option<CacheSnapshotter>,
+        snapshotter: CacheSnapshotter,
     ) -> Result<PersistLog, String> {
         let file = OpenOptions::new()
             .append(true)
@@ -580,12 +578,7 @@ impl PersistLog {
                         let _ = ack.send(());
                     }
                     Some(Msg::Compact(ack)) => {
-                        let acks = if state.snapshotter.is_some() {
-                            state.compact()
-                        } else {
-                            state.flush();
-                            Vec::new()
-                        };
+                        let acks = state.compact();
                         dirty = false;
                         let _ = ack.send(());
                         for ack in acks {
@@ -651,9 +644,9 @@ impl PersistLog {
         }
     }
 
-    /// Blocks until the writer has compacted the log (or, without a
-    /// snapshotter, at least flushed it).  Used on drain/shutdown and by
-    /// the crash tests to trigger compaction at a deterministic moment.
+    /// Blocks until the writer has compacted the log.  Used on
+    /// drain/shutdown and by the crash tests to trigger compaction at a
+    /// deterministic moment.
     pub fn compact(&self) {
         if let Some(tx) = &self.tx {
             let (ack_tx, ack_rx) = sync_channel(1);
@@ -661,11 +654,6 @@ impl PersistLog {
                 let _ = ack_rx.recv();
             }
         }
-    }
-
-    /// Number of records lost to a full queue or write errors (diagnostics).
-    pub fn dropped_records(&self) -> u64 {
-        self.stats.dropped.load(Ordering::Relaxed)
     }
 
     /// Monotonic writer counters (appends, drops, flushes, compactions).
@@ -757,7 +745,9 @@ mod tests {
         let path = dir.join("replay.log");
         let _ = std::fs::remove_file(&path);
         {
-            let log = PersistLog::open_append(&path, 0, None).unwrap();
+            // threshold 0 and no compact(): the snapshotter is never used
+            let idle = Arc::new(ShardedLru::new(8, 2));
+            let log = PersistLog::open_append(&path, 0, snapshotter_for(&idle)).unwrap();
             log.record_insert(&key(1), &entry());
             log.record_insert(&key(2), &entry());
             log.record_touch(&key(1));
@@ -817,7 +807,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let cache: Arc<ShardedLru<CacheKey, Arc<CacheEntry>>> = Arc::new(ShardedLru::new(8, 2));
-        let log = PersistLog::open_append(&path, 0, Some(snapshotter_for(&cache))).unwrap();
+        let log = PersistLog::open_append(&path, 0, snapshotter_for(&cache)).unwrap();
         // simulate the service: apply to the cache, then record
         for seed in [1, 2] {
             cache.insert(key(seed), Arc::new(entry()));
@@ -877,7 +867,7 @@ mod tests {
 
         const THRESHOLD: u64 = 4096;
         let cache: Arc<ShardedLru<CacheKey, Arc<CacheEntry>>> = Arc::new(ShardedLru::new(8, 2));
-        let log = PersistLog::open_append(&path, THRESHOLD, Some(snapshotter_for(&cache))).unwrap();
+        let log = PersistLog::open_append(&path, THRESHOLD, snapshotter_for(&cache)).unwrap();
         for seed in [1, 2] {
             cache.insert(key(seed), Arc::new(entry()));
             log.record_insert(&key(seed), &entry());

@@ -43,73 +43,9 @@
 use crate::json::Value;
 use stencil_grid::{Dims, NodeAllocation, Stencil};
 
-/// Mapping algorithms addressable over the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// Recursive bisection with stencil-aware cut selection (Section V-A).
-    Hyperplane,
-    /// k-d-tree-style recursive halving (Section V-B).
-    KdTree,
-    /// Strip decomposition scaled to the stencil bounding box (Section V-C).
-    StencilStrips,
-    /// Gropp's prime-factorisation Cartesian mapping.
-    Nodecart,
-    /// VieM-style multilevel partitioning + swap search (expensive).
-    Viem,
-    /// The scheduler's blocked (identity) mapping.
-    Blocked,
-}
-
-impl Algorithm {
-    /// Parses a wire name.
-    pub fn from_wire(name: &str) -> Result<Algorithm, String> {
-        match name {
-            "hyperplane" => Ok(Algorithm::Hyperplane),
-            "kdtree" => Ok(Algorithm::KdTree),
-            "stencil_strips" => Ok(Algorithm::StencilStrips),
-            "nodecart" => Ok(Algorithm::Nodecart),
-            "viem" => Ok(Algorithm::Viem),
-            "blocked" => Ok(Algorithm::Blocked),
-            other => Err(format!(
-                "unknown algorithm {other:?} (expected hyperplane, kdtree, stencil_strips, \
-                 nodecart, viem or blocked)"
-            )),
-        }
-    }
-
-    /// The wire name.
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            Algorithm::Hyperplane => "hyperplane",
-            Algorithm::KdTree => "kdtree",
-            Algorithm::StencilStrips => "stencil_strips",
-            Algorithm::Nodecart => "nodecart",
-            Algorithm::Viem => "viem",
-            Algorithm::Blocked => "blocked",
-        }
-    }
-
-    /// Whether the algorithm uses the request seed (only the randomised
-    /// `viem` pipeline does; keeping the seed out of the other algorithms'
-    /// cache keys avoids pointless cache fragmentation).
-    pub fn uses_seed(&self) -> bool {
-        matches!(self, Algorithm::Viem)
-    }
-
-    /// Relative recompute cost of one grid position under this algorithm,
-    /// used by GDSF eviction (entry cost = volume × weight).  The weights
-    /// mirror the measured asymmetry from the paper's setting: the
-    /// multilevel viem pipeline costs ~45 ms where the rank-local mappers
-    /// cost ~1 ms, so a viem entry is worth roughly 50 cheap entries of the
-    /// same size.  Deterministic (a pure function of the algorithm), so
-    /// costs never need to be persisted — replay re-derives them.
-    pub fn cost_weight(&self) -> u64 {
-        match self {
-            Algorithm::Viem => 50,
-            _ => 1,
-        }
-    }
-}
+/// Mapping algorithms addressable over the wire, by their
+/// [`wire_name`](Algorithm::wire_name).
+pub use stencil_mapping::Algorithm;
 
 /// The node-table wire form of a response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -721,36 +657,6 @@ mod tests {
             r#"{"status":"ok","algorithm":"hyperplane","cached":true,"degraded":true,"j_sum":2,"j_max":1}"#
         );
         assert!(!resp(false).to_value().compact().contains("degraded"));
-    }
-
-    #[test]
-    fn cost_weights_reflect_the_recompute_asymmetry() {
-        assert_eq!(Algorithm::Viem.cost_weight(), 50);
-        for alg in [
-            Algorithm::Hyperplane,
-            Algorithm::KdTree,
-            Algorithm::StencilStrips,
-            Algorithm::Nodecart,
-            Algorithm::Blocked,
-        ] {
-            assert_eq!(alg.cost_weight(), 1);
-        }
-    }
-
-    #[test]
-    fn algorithm_wire_names_roundtrip() {
-        for alg in [
-            Algorithm::Hyperplane,
-            Algorithm::KdTree,
-            Algorithm::StencilStrips,
-            Algorithm::Nodecart,
-            Algorithm::Viem,
-            Algorithm::Blocked,
-        ] {
-            assert_eq!(Algorithm::from_wire(alg.wire_name()).unwrap(), alg);
-        }
-        assert!(Algorithm::Viem.uses_seed());
-        assert!(!Algorithm::Hyperplane.uses_seed());
     }
 
     #[test]

@@ -567,26 +567,9 @@ fn drain(service: &dyn LineHandler, state: &PoolState) {
     }
 }
 
-/// Binds `addr` and serves connections forever on a pool of `workers`
-/// threads.  Prints the bound address to stderr (useful with port 0).
-pub fn serve_tcp<A: ToSocketAddrs>(
-    service: Arc<dyn LineHandler>,
-    addr: A,
-    workers: usize,
-) -> std::io::Result<()> {
-    serve_tcp_with(
-        service,
-        addr,
-        ServeOptions {
-            workers,
-            ..ServeOptions::default()
-        },
-        Arc::new(AtomicBool::new(false)),
-    )
-}
-
 /// Binds `addr` and serves connections with full [`ServeOptions`] control,
 /// returning cleanly once `shutdown` is set (the SIGTERM drain path).
+/// Prints the bound address to stderr (useful with port 0).
 pub fn serve_tcp_with<A: ToSocketAddrs>(
     service: Arc<dyn LineHandler>,
     addr: A,
@@ -598,27 +581,9 @@ pub fn serve_tcp_with<A: ToSocketAddrs>(
     serve_listener_with(service, listener, opts, shutdown)
 }
 
-/// Serves connections accepted from an existing listener (split out so tests
-/// can bind an ephemeral port themselves) on a pool of `workers` threads;
-/// the calling thread runs the accept loop and never returns under normal
-/// operation.  See [`serve_listener_with`] for overload/drain control.
-pub fn serve_listener(
-    service: Arc<dyn LineHandler>,
-    listener: TcpListener,
-    workers: usize,
-) -> std::io::Result<()> {
-    serve_listener_with(
-        service,
-        listener,
-        ServeOptions {
-            workers,
-            ..ServeOptions::default()
-        },
-        Arc::new(AtomicBool::new(false)),
-    )
-}
-
-/// Serves connections accepted from `listener` until `shutdown` is set.
+/// Serves connections accepted from `listener` (split out so tests can bind
+/// an ephemeral port themselves) until `shutdown` is set; the calling
+/// thread runs the accept loop.
 /// Fails at once, before serving anything, when no `epoll` instance can be
 /// created (the TCP frontend needs Linux).
 ///
@@ -1032,7 +997,12 @@ mod tests {
         {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
-                let _ = serve_listener(service, listener, 2);
+                let opts = ServeOptions {
+                    workers: 2,
+                    ..ServeOptions::default()
+                };
+                let shutdown = Arc::new(AtomicBool::new(false));
+                let _ = serve_listener_with(service, listener, opts, shutdown);
             });
         }
         let ask = |line: &str| -> String {

@@ -28,15 +28,9 @@ use crate::protocol::{
     Algorithm, Encoding, MapRequest, MapResponse, OverBudget, Payload, Query, ResponseBody,
 };
 use crate::server::MAX_LINE_BYTES;
-use stencil_mapping::baselines::Blocked;
 use stencil_mapping::canonical::{canonicalize, Canonical};
-use stencil_mapping::hyperplane::Hyperplane;
-use stencil_mapping::kdtree::KdTree;
 use stencil_mapping::metrics::evaluate_streaming;
-use stencil_mapping::nodecart::Nodecart;
-use stencil_mapping::stencil_strips::StencilStrips;
-use stencil_mapping::viem::GraphMapper;
-use stencil_mapping::{Mapper, MappingProblem};
+use stencil_mapping::MappingProblem;
 
 /// Cache key of one canonical mapping computation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -162,13 +156,20 @@ impl Clone for CacheEntry {
     }
 }
 
-/// The GDSF recompute cost of a cache entry: grid volume × the algorithm's
-/// [`Algorithm::cost_weight`].  A pure function of the key, so the
-/// persistence log never stores costs — replay re-derives them.  Ignored
-/// under LRU eviction.
+/// The GDSF recompute cost of a cache entry: grid volume × the
+/// algorithm's relative recompute cost per grid position.  The weights
+/// mirror the measured asymmetry from the paper's setting: the multilevel
+/// viem pipeline costs ~45 ms where the rank-local mappers cost ~1 ms, so a
+/// viem entry is worth roughly 50 cheap entries of the same size.  A pure
+/// function of the key, so the persistence log never stores costs — replay
+/// re-derives them.  Ignored under LRU eviction.
 pub fn entry_cost(key: &CacheKey) -> u64 {
     let volume: u64 = key.dims.iter().map(|&d| d as u64).product();
-    volume.saturating_mul(key.algorithm.cost_weight())
+    let weight = match key.algorithm {
+        Algorithm::Viem => 50,
+        _ => 1,
+    };
+    volume.saturating_mul(weight)
 }
 
 /// Service tuning knobs.
@@ -266,7 +267,7 @@ impl MappingService {
                 let report = load_and_compact(path, &cache)?;
                 let snapshotter =
                     CacheSnapshotter::new(Arc::clone(&cache), Arc::clone(&persist_locks));
-                let log = PersistLog::open_append(path, cfg.compact_bytes, Some(snapshotter))?;
+                let log = PersistLog::open_append(path, cfg.compact_bytes, snapshotter)?;
                 (Some(log), report)
             }
         };
@@ -773,15 +774,8 @@ impl MappingService {
             req.periodic,
         )
         .map_err(|e| format!("inconsistent problem: {e}"))?;
-        let mapper: Box<dyn Mapper> = match algorithm {
-            Algorithm::Hyperplane => Box::new(Hyperplane::default()),
-            Algorithm::KdTree => Box::new(KdTree),
-            Algorithm::StencilStrips => Box::new(StencilStrips),
-            Algorithm::Nodecart => Box::new(Nodecart),
-            Algorithm::Viem => Box::new(GraphMapper::with_seed(seed)),
-            Algorithm::Blocked => Box::new(Blocked),
-        };
-        let mapping = mapper
+        let mapping = algorithm
+            .mapper(seed)
             .compute(&problem)
             .map_err(|e| format!("{}: {e}", algorithm.wire_name()))?;
         let cost = evaluate_streaming(&canon.dims, &canon.stencil, req.periodic, &mapping);
@@ -1400,6 +1394,29 @@ mod tests {
         assert_eq!(entry_cost(&key(vec![4, 2], Algorithm::Hyperplane)), 8);
         assert_eq!(entry_cost(&key(vec![4, 2], Algorithm::Viem)), 400);
         assert_eq!(entry_cost(&key(vec![8, 8], Algorithm::KdTree)), 64);
+    }
+
+    #[test]
+    fn entry_costs_reflect_the_recompute_asymmetry() {
+        // per grid position: viem weighs 50, every other algorithm 1
+        let key = |algorithm| CacheKey {
+            dims: vec![1],
+            stencil: vec![1, -1],
+            periodic: false,
+            alloc: vec![1],
+            algorithm,
+            seed: 0,
+        };
+        for (algorithm, weight) in [
+            (Algorithm::Hyperplane, 1),
+            (Algorithm::KdTree, 1),
+            (Algorithm::StencilStrips, 1),
+            (Algorithm::Nodecart, 1),
+            (Algorithm::Viem, 50),
+            (Algorithm::Blocked, 1),
+        ] {
+            assert_eq!(entry_cost(&key(algorithm)), weight, "{algorithm:?}");
+        }
     }
 
     #[test]

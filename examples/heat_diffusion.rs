@@ -27,7 +27,7 @@ const ITERATIONS: usize = 50;
 
 /// Runs the Jacobi iteration under a given reordering and returns the final
 /// field indexed by grid position (machine-independent result).
-fn run_simulation(reorder: ReorderAlgorithm) -> Vec<f64> {
+fn run_simulation(reorder: Algorithm) -> Vec<f64> {
     let results = Runtime::run(DIMS[0] * DIMS[1], move |mut p| {
         let comm = StencilComm::create(
             &mut p,
@@ -75,11 +75,11 @@ fn main() {
     );
 
     // 1. numerical equivalence under reordering -----------------------------
-    let reference = run_simulation(ReorderAlgorithm::None);
+    let reference = run_simulation(Algorithm::Blocked);
     for alg in [
-        ReorderAlgorithm::Hyperplane,
-        ReorderAlgorithm::KdTree,
-        ReorderAlgorithm::StencilStrips,
+        Algorithm::Hyperplane,
+        Algorithm::KdTree,
+        Algorithm::StencilStrips,
     ] {
         let field = run_simulation(alg);
         let max_diff = reference

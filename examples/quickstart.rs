@@ -70,7 +70,7 @@ fn main() {
         false,
         Stencil::nearest_neighbor(2),
         NodeAllocation::homogeneous(50, 48),
-        ReorderAlgorithm::StencilStrips,
+        Algorithm::StencilStrips,
         0,
     )
     .unwrap();

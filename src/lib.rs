@@ -49,7 +49,6 @@ pub mod prelude {
     pub use stencil_grid::{dims_create, CartGraph, Dims, NodeAllocation, Stencil};
     pub use stencil_mapping::analysis::{InstanceSpec, StencilKind};
     pub use stencil_mapping::baselines::{Blocked, RandomMapping, RoundRobin};
-    pub use stencil_mapping::cart_comm::ReorderAlgorithm;
     pub use stencil_mapping::hyperplane::Hyperplane;
     pub use stencil_mapping::kdtree::KdTree;
     pub use stencil_mapping::metrics;
@@ -57,7 +56,8 @@ pub mod prelude {
     pub use stencil_mapping::stencil_strips::StencilStrips;
     pub use stencil_mapping::viem::GraphMapper;
     pub use stencil_mapping::{
-        CartStencilComm, MapError, Mapper, Mapping, MappingCost, MappingProblem, RankLocalMapper,
+        Algorithm, CartStencilComm, MapError, Mapper, Mapping, MappingCost, MappingProblem,
+        RankLocalMapper,
     };
 }
 

@@ -13,7 +13,7 @@ fn reordered_exchange_is_data_equivalent_to_blocked() {
     let nodes = 6;
     let per_node = 8;
 
-    let run = |alg: ReorderAlgorithm| -> Vec<Vec<u32>> {
+    let run = |alg: Algorithm| -> Vec<Vec<u32>> {
         let mut per_position: Vec<Vec<u32>> = vec![Vec::new(); dims[0] * dims[1]];
         let results = Runtime::run(dims[0] * dims[1], move |mut p| {
             let comm = StencilComm::create(
@@ -46,12 +46,12 @@ fn reordered_exchange_is_data_equivalent_to_blocked() {
         per_position
     };
 
-    let reference = run(ReorderAlgorithm::None);
+    let reference = run(Algorithm::Blocked);
     for alg in [
-        ReorderAlgorithm::Hyperplane,
-        ReorderAlgorithm::KdTree,
-        ReorderAlgorithm::StencilStrips,
-        ReorderAlgorithm::Nodecart,
+        Algorithm::Hyperplane,
+        Algorithm::KdTree,
+        Algorithm::StencilStrips,
+        Algorithm::Nodecart,
     ] {
         let got = run(alg);
         assert_eq!(got, reference, "{alg:?} changed the exchanged data");

@@ -132,10 +132,10 @@ proptest! {
         let p = d0 * d1;
         if p % groups == 0 {
             let alg = match alg_choice % 4 {
-                0 => ReorderAlgorithm::Hyperplane,
-                1 => ReorderAlgorithm::KdTree,
-                2 => ReorderAlgorithm::StencilStrips,
-                _ => ReorderAlgorithm::None,
+                0 => Algorithm::Hyperplane,
+                1 => Algorithm::KdTree,
+                2 => Algorithm::StencilStrips,
+                _ => Algorithm::Blocked,
             };
             let comm = CartStencilComm::create(
                 Dims::from_slice(&[d0, d1]),
