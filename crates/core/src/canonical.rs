@@ -22,6 +22,8 @@
 //! [`MAX_CANONICAL_NDIMS`] dimensions only the offset order is normalised and
 //! the identity permutation is kept.
 
+use std::cmp::Ordering;
+
 use crate::mapping::Mapping;
 use crate::problem::{MapError, MappingProblem};
 use stencil_grid::{Dims, Stencil};
@@ -45,6 +47,9 @@ pub struct Canonical {
     pub perm: Vec<usize>,
 }
 
+/// Per original dimension: its size and its canonical row-major stride.
+type Strides = ([usize; MAX_CANONICAL_NDIMS], [usize; MAX_CANONICAL_NDIMS]);
+
 impl Canonical {
     /// Whether the canonical form kept the original dimension order (the
     /// stencil offset order may still have changed).
@@ -54,55 +59,74 @@ impl Canonical {
 
     /// Transports a `position → value` table computed on the canonical grid
     /// back to the original grid: entry `x` of the result describes original
-    /// grid position `x`.
+    /// grid position `x`.  Collects [`Canonical::for_each_restored`].
     ///
     /// # Panics
     ///
-    /// Panics if `original` is not a permutation of the canonical dims or
-    /// `canonical_table` does not cover the grid.
+    /// As [`Canonical::for_each_restored`].
     pub fn restore_positions<T: Copy>(&self, original: &Dims, canonical_table: &[T]) -> Vec<T> {
-        assert_eq!(original.ndims(), self.dims.ndims(), "dimensionality");
-        assert_eq!(canonical_table.len(), self.dims.volume(), "table length");
-        assert_eq!(original.volume(), self.dims.volume(), "grid volume");
-        let d = original.ndims();
-        if self.is_identity_permutation() {
+        if self.strides(original).is_none() {
+            // the identity visit, copied at once
+            assert_eq!(canonical_table.len(), self.dims.volume(), "table length");
             return canonical_table.to_vec();
         }
-        // Allocation-free sweep (this sits on the serve hit path for every
-        // permuted request): walk the original grid row-major with an
-        // odometer and keep the corresponding canonical index incrementally
-        // updated.  `weight[j]` is the canonical row-major stride of the
-        // canonical axis holding original dimension `j`, so bumping original
-        // digit `j` moves the canonical index by `weight[j]` and a rollover
-        // rewinds it by `(size_j - 1) * weight[j]`.
-        let mut weight = vec![0usize; d];
-        {
-            let mut stride = 1usize;
-            for i in (0..d).rev() {
-                weight[self.perm[i]] = stride;
-                stride *= self.dims.size(i);
-            }
-        }
-        let sizes = original.as_slice();
         let mut out = Vec::with_capacity(canonical_table.len());
-        let mut coord = vec![0usize; d];
-        let mut canon_pos = 0usize;
+        self.for_each_restored(original, canonical_table, |x| out.push(x));
+        out
+    }
+
+    /// Visits a `position → value` table computed on the canonical grid in
+    /// the original grid's row-major order: the `x`-th call receives the
+    /// entry of original grid position `x`, so a writer can stream the
+    /// restored table without materialising it.  The identity permutation
+    /// visits the table as it is.  Otherwise an odometer walks the outer
+    /// original dimensions, and the innermost one is a strided run through
+    /// the canonical table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `original` is not a permutation of the canonical dims,
+    /// `canonical_table` does not cover the grid, or `perm` is not the
+    /// identity on more than [`MAX_CANONICAL_NDIMS`] dimensions (which
+    /// [`canonicalize`] never produces).
+    pub fn for_each_restored<T: Copy>(
+        &self,
+        original: &Dims,
+        canonical_table: &[T],
+        mut f: impl FnMut(T),
+    ) {
+        assert_eq!(canonical_table.len(), self.dims.volume(), "table length");
+        let Some((sizes, weight)) = self.strides(original) else {
+            canonical_table.iter().for_each(|&x| f(x));
+            return;
+        };
+        let d = original.ndims();
+        let (inner_len, inner_stride) = (sizes[d - 1], weight[d - 1]);
+        let mut coord = [0usize; MAX_CANONICAL_NDIMS];
+        // canonical index of the current original row's first entry
+        let mut row = 0usize;
         loop {
-            out.push(canonical_table[canon_pos]);
-            // odometer increment, last original dimension fastest
-            let mut i = d;
+            canonical_table[row..]
+                .iter()
+                .step_by(inner_stride)
+                .take(inner_len)
+                .for_each(|&x| f(x));
+            // odometer over the outer original dimensions: bumping digit
+            // `i` moves the canonical index by `weight[i]`, a rollover
+            // rewinds it by `sizes[i] * weight[i]`
+            let mut i = d - 1;
             loop {
                 if i == 0 {
-                    return out;
+                    return;
                 }
                 i -= 1;
                 coord[i] += 1;
-                canon_pos += weight[i];
+                row += weight[i];
                 if coord[i] < sizes[i] {
                     break;
                 }
                 coord[i] = 0;
-                canon_pos -= sizes[i] * weight[i];
+                row -= sizes[i] * weight[i];
             }
         }
     }
@@ -116,22 +140,45 @@ impl Canonical {
     ///
     /// # Panics
     ///
-    /// Panics if `original` is not a permutation of the canonical dims or
-    /// `x` is outside the grid.
+    /// As [`Canonical::for_each_restored`], and if `x` is outside the grid.
     pub fn canonical_index_of(&self, original: &Dims, x: usize) -> usize {
-        assert_eq!(original.ndims(), self.dims.ndims(), "dimensionality");
-        assert_eq!(original.volume(), self.dims.volume(), "grid volume");
         assert!(x < original.volume(), "position outside the grid");
-        if self.is_identity_permutation() {
+        let Some((sizes, weight)) = self.strides(original) else {
             return x;
+        };
+        let mut rest = x;
+        let mut index = 0;
+        for j in (0..original.ndims()).rev() {
+            index += rest % sizes[j] * weight[j];
+            rest /= sizes[j];
         }
-        let d = original.ndims();
-        let coord = original.coord_of(x);
-        let mut canon_coord = vec![0usize; d];
-        for i in 0..d {
-            canon_coord[i] = coord[self.perm[i]];
+        index
+    }
+
+    /// `None` for the identity permutation, whose restored table is the
+    /// canonical one.  Otherwise, per original dimension `j`, its size and
+    /// `weight[j]`: the canonical row-major stride of the canonical axis
+    /// holding original dimension `j`.
+    fn strides(&self, original: &Dims) -> Option<Strides> {
+        let d = self.dims.ndims();
+        assert_eq!(original.ndims(), d, "dimensionality");
+        assert_eq!(original.volume(), self.dims.volume(), "grid volume");
+        if self.is_identity_permutation() {
+            return None;
         }
-        self.dims.rank_of(&canon_coord)
+        assert!(
+            d <= MAX_CANONICAL_NDIMS,
+            "a dimension permutation over more than {MAX_CANONICAL_NDIMS} dims"
+        );
+        let (mut sizes, mut weight) = ([0usize; MAX_CANONICAL_NDIMS], [0; MAX_CANONICAL_NDIMS]);
+        let mut stride = 1usize;
+        for i in (0..d).rev() {
+            sizes[self.perm[i]] = self.dims.size(i);
+            weight[self.perm[i]] = stride;
+            stride *= self.dims.size(i);
+        }
+        assert_eq!(&sizes[..d], original.as_slice(), "original dims");
+        Some((sizes, weight))
     }
 
     /// Rebuilds a [`Mapping`] for the *original* problem from a
@@ -155,45 +202,54 @@ impl Canonical {
 pub fn canonicalize(dims: &Dims, stencil: &Stencil) -> Canonical {
     let d = dims.ndims();
     debug_assert_eq!(stencil.ndims(), d, "stencil and dims must agree");
-    // candidate = (permuted dims, sorted permuted offsets, the permutation)
-    type Candidate = (Vec<usize>, Vec<Vec<i64>>, Vec<usize>);
-    let mut best: Option<Candidate> = None;
-    let mut consider = |perm: &[usize]| {
-        let cand_dims: Vec<usize> = perm.iter().map(|&i| dims.size(i)).collect();
-        let mut cand_offsets: Vec<Vec<i64>> = stencil
-            .offsets()
-            .iter()
-            .map(|o| perm.iter().map(|&i| o[i]).collect())
-            .collect();
-        cand_offsets.sort_unstable();
-        let better = match &best {
-            None => true,
-            Some((bd, bo, _)) => (&cand_dims, &cand_offsets) < (bd, bo),
-        };
-        if better {
-            best = Some((cand_dims, cand_offsets, perm.to_vec()));
-        }
-    };
+    let size = |&i: &usize| dims.size(i);
+    let mut best_perm: Vec<usize> = (0..d).collect();
+    // the best permutation's sorted offsets, built only once a candidate
+    // ties with it on dims
+    let mut best_offsets = None;
     if d <= MAX_CANONICAL_NDIMS {
         // Lexicographic permutation enumeration keeps ties deterministic:
         // the first (smallest) permutation achieving the minimum is kept.
-        let mut perm: Vec<usize> = (0..d).collect();
-        loop {
-            consider(&perm);
-            if !next_permutation(&mut perm) {
-                break;
+        // The dims compare first, so only a tie builds offsets.
+        let mut perm = best_perm.clone();
+        while next_permutation(&mut perm) {
+            match perm.iter().map(size).cmp(best_perm.iter().map(size)) {
+                Ordering::Greater => {}
+                Ordering::Less => {
+                    best_perm.copy_from_slice(&perm);
+                    best_offsets = None;
+                }
+                Ordering::Equal => {
+                    let best =
+                        best_offsets.get_or_insert_with(|| permuted_offsets(stencil, &best_perm));
+                    let cand = permuted_offsets(stencil, &perm);
+                    if cand < *best {
+                        *best = cand;
+                        best_perm.copy_from_slice(&perm);
+                    }
+                }
             }
         }
-    } else {
-        let identity: Vec<usize> = (0..d).collect();
-        consider(&identity);
     }
-    let (cand_dims, cand_offsets, perm) = best.expect("at least one permutation considered");
+    let offsets = best_offsets.unwrap_or_else(|| permuted_offsets(stencil, &best_perm));
     Canonical {
-        dims: Dims::new(cand_dims).expect("permuted dims stay valid"),
-        stencil: Stencil::new(d, cand_offsets).expect("permuted stencil stays valid"),
-        perm,
+        dims: Dims::new(best_perm.iter().map(size).collect()).expect("permuted dims stay valid"),
+        stencil: Stencil::new(d, offsets).expect("permuted stencil stays valid"),
+        perm: best_perm,
     }
+}
+
+/// The offsets of `stencil` with their coordinates permuted by `perm`
+/// (coordinate `i` of a result is coordinate `perm[i]` of the original),
+/// sorted.
+fn permuted_offsets(stencil: &Stencil, perm: &[usize]) -> Vec<Vec<i64>> {
+    let mut offsets: Vec<Vec<i64>> = stencil
+        .offsets()
+        .iter()
+        .map(|o| perm.iter().map(|&i| o[i]).collect())
+        .collect();
+    offsets.sort_unstable();
+    offsets
 }
 
 /// Advances `perm` to the next lexicographic permutation; returns `false`
@@ -234,6 +290,55 @@ mod tests {
             Dims::new(p_dims).unwrap(),
             Stencil::new(dims.ndims(), p_offsets).unwrap(),
         )
+    }
+
+    /// `canonicalize` as it was first written: every permutation builds
+    /// its permuted dims and sorted offsets, and the smallest pair wins.
+    fn reference_canonicalize(dims: &Dims, stencil: &Stencil) -> Canonical {
+        let d = dims.ndims();
+        type Candidate = (Vec<usize>, Vec<Vec<i64>>, Vec<usize>);
+        let mut best: Option<Candidate> = None;
+        let mut consider = |perm: &[usize]| {
+            let cand_dims: Vec<usize> = perm.iter().map(|&i| dims.size(i)).collect();
+            let mut cand_offsets: Vec<Vec<i64>> = stencil
+                .offsets()
+                .iter()
+                .map(|o| perm.iter().map(|&i| o[i]).collect())
+                .collect();
+            cand_offsets.sort_unstable();
+            let better = match &best {
+                None => true,
+                Some((bd, bo, _)) => (&cand_dims, &cand_offsets) < (bd, bo),
+            };
+            if better {
+                best = Some((cand_dims, cand_offsets, perm.to_vec()));
+            }
+        };
+        let mut perm: Vec<usize> = (0..d).collect();
+        loop {
+            consider(&perm);
+            if d > MAX_CANONICAL_NDIMS || !next_permutation(&mut perm) {
+                break;
+            }
+        }
+        let (cand_dims, cand_offsets, perm) = best.expect("at least one permutation considered");
+        Canonical {
+            dims: Dims::new(cand_dims).unwrap(),
+            stencil: Stencil::new(d, cand_offsets).unwrap(),
+            perm,
+        }
+    }
+
+    /// Position `x`'s entry of the restored table, from coordinates: the
+    /// definition the odometer must agree with.
+    fn restored_by_coordinates(c: &Canonical, original: &Dims, table: &[u32]) -> Vec<u32> {
+        (0..original.volume())
+            .map(|x| {
+                let coord = original.coord_of(x);
+                let canon: Vec<usize> = c.perm.iter().map(|&j| coord[j]).collect();
+                table[c.dims.rank_of(&canon)]
+            })
+            .collect()
     }
 
     #[test]
@@ -376,6 +481,65 @@ mod tests {
             let cb = canonicalize(&p_dims, &p_stencil);
             prop_assert_eq!(&ca.dims, &cb.dims);
             prop_assert_eq!(&ca.stencil, &cb.stencil);
+        }
+
+        /// The dims-first search picks the exhaustive construction's
+        /// representative and permutation.  Sizes repeat often (drawn from
+        /// 1..4), so dims tie and the offsets decide; explicit stencils
+        /// make the offsets asymmetric.
+        #[test]
+        fn prop_canonicalize_matches_the_exhaustive_construction(
+            sizes in proptest::collection::vec(1usize..4, 1..6),
+            stencil_choice in 0u8..4,
+            raw_offsets in proptest::collection::vec(
+                proptest::collection::vec(-2i64..3, 5..6), 1..6),
+        ) {
+            let dims = Dims::new(sizes).unwrap();
+            let d = dims.ndims();
+            let explicit: Vec<Vec<i64>> =
+                raw_offsets.iter().map(|o| o[..d].to_vec()).collect();
+            let stencil = match stencil_choice {
+                0 => Stencil::nearest_neighbor(d),
+                1 => Stencil::nearest_neighbor_with_hops(d),
+                2 if d >= 2 => Stencil::component(d),
+                _ => match Stencil::new(d, explicit) {
+                    Ok(s) => s,
+                    Err(_) => Stencil::nearest_neighbor(d),
+                },
+            };
+            prop_assert_eq!(canonicalize(&dims, &stencil), reference_canonicalize(&dims, &stencil));
+        }
+
+        /// The odometer (through `restore_positions`) and
+        /// `canonical_index_of` agree with the coordinate definition in
+        /// every permutation of 1–5-D dims, identity included.
+        #[test]
+        fn prop_restore_and_index_follow_the_coordinates(
+            sizes in proptest::collection::vec(1usize..6, 1..6),
+            perm_seed in 0usize..120,
+        ) {
+            let d = sizes.len();
+            let mut perm: Vec<usize> = (0..d).collect();
+            for _ in 0..perm_seed {
+                if !next_permutation(&mut perm) {
+                    perm = (0..d).collect();
+                }
+            }
+            let dims = Dims::new(sizes).unwrap();
+            let c = Canonical {
+                stencil: Stencil::nearest_neighbor(d),
+                perm: perm.clone(),
+                dims: dims.clone(),
+            };
+            let original =
+                Dims::new((0..d).map(|j| dims.size(perm.iter().position(|&p| p == j).unwrap())).collect())
+                    .unwrap();
+            let table: Vec<u32> = (0..dims.volume() as u32).map(|x| x.wrapping_mul(2654435761)).collect();
+            let want = restored_by_coordinates(&c, &original, &table);
+            prop_assert_eq!(&c.restore_positions(&original, &table), &want);
+            for (x, &w) in want.iter().enumerate() {
+                prop_assert_eq!(table[c.canonical_index_of(&original, x)], w);
+            }
         }
 
         /// A mapping computed on the canonical problem transports back to a

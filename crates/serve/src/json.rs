@@ -255,14 +255,131 @@ const DIGIT_PAIRS: [u8; 200] = {
 
 /// Appends a `u32` in decimal without going through `f64` or `fmt`
 /// machinery.  Produces the same digits as `write_f64(out, x as f64)` for
-/// every `u32` (both print the exact integer), which keeps verbose node
-/// tables byte-identical to the old `Value::Num(n as f64)` path.  This is
-/// the per-entry inner loop of verbose table responses (grid-volume calls
-/// per response), hence the pair table and the unchecked append.
+/// every `u32` (both print the exact integer), which keeps node ids
+/// byte-identical to the `Value::Num(n as f64)` tree writer.  Whole
+/// tables go through [`write_u32_array`]'s writer, which writes the same
+/// digits.
 #[inline]
-pub fn write_u32(out: &mut String, mut x: u32) {
-    let mut buf = [0u8; 10];
-    let mut i = buf.len();
+pub fn write_u32(out: &mut String, x: u32) {
+    let mut buf = [0u8; U32_ENTRY_BYTES];
+    let i = write_digits(&mut buf, x);
+    // SAFETY: buf[i..10] holds only ASCII digits, so appending the raw
+    // bytes keeps the String valid UTF-8.
+    unsafe { out.as_mut_vec() }.extend_from_slice(&buf[i..10]);
+}
+
+/// Appends `[x0,x1,…]` for a `u32` slice.  The service's restoring walk
+/// over a cached table feeds the same per-entry writer: entries below 1000
+/// are one four-byte copy each, larger ones go through the pair table.
+pub fn write_u32_array(out: &mut String, xs: &[u32]) {
+    let mut w = U32ArrayWriter::new(out, xs.len());
+    xs.iter().for_each(|&x| w.push(x));
+    w.finish();
+}
+
+/// `SMALL_U32[x]` is `x` in decimal followed by a comma, padded to four
+/// bytes, for `x < 1000`: every node id of an allocation of up to 1000
+/// nodes is one four-byte copy.
+const SMALL_U32: [[u8; 4]; 1000] = {
+    let mut t = [[0u8; 4]; 1000];
+    let mut x = 0;
+    while x < 1000 {
+        let text = [
+            b'0' + (x / 100) as u8,
+            b'0' + (x / 10 % 10) as u8,
+            b'0' + (x % 10) as u8,
+            b',',
+        ];
+        // leading zeros dropped
+        let skip = (x < 100) as usize + (x < 10) as usize;
+        let mut i = 0;
+        while i + skip < 4 {
+            t[x][i] = text[i + skip];
+            i += 1;
+        }
+        x += 1;
+    }
+    t
+};
+
+/// Most bytes one [`U32ArrayWriter::push`] writes: the ten digits of
+/// `u32::MAX` and a comma.
+const U32_ENTRY_BYTES: usize = 11;
+
+/// Streams a JSON array of `u32`s into a `String`, one [`push`] per
+/// entry, so a slice or a restoring walk over a cached table can feed the
+/// same loop body.  Digits equal [`write_u32`]'s.
+///
+/// [`push`]: U32ArrayWriter::push
+pub(crate) struct U32ArrayWriter<'a> {
+    /// The output's bytes; only ASCII is written to them.
+    v: &'a mut Vec<u8>,
+    /// Entries that still fit in the spare capacity at
+    /// [`U32_ENTRY_BYTES`] each.
+    room: usize,
+}
+
+impl<'a> U32ArrayWriter<'a> {
+    /// Appends `[` and reserves room for `len` entries and the `]`.
+    pub(crate) fn new(out: &'a mut String, len: usize) -> Self {
+        // SAFETY: the writer appends only ASCII ('[', digits, ',' and
+        // ']'), so the String stays valid UTF-8.
+        let v = unsafe { out.as_mut_vec() };
+        v.reserve(len * U32_ENTRY_BYTES + 2);
+        v.push(b'[');
+        let room = (v.capacity() - v.len()) / U32_ENTRY_BYTES;
+        U32ArrayWriter { v, room }
+    }
+
+    /// Appends `x` and its trailing comma.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, x: u32) {
+        if self.room == 0 {
+            self.v.reserve(64 * U32_ENTRY_BYTES + 1);
+            self.room = (self.v.capacity() - self.v.len()) / U32_ENTRY_BYTES;
+        }
+        self.room -= 1;
+        let len = self.v.len();
+        // SAFETY: `room` was at least 1 above, so the spare capacity holds
+        // U32_ENTRY_BYTES more bytes past `len` (`new` and the branch above
+        // reserve them, and each push uses at most that many).  Both
+        // branches store at most U32_ENTRY_BYTES bytes there, all ASCII,
+        // and `set_len` covers only bytes just written.
+        unsafe {
+            let dst = self.v.as_mut_ptr().add(len);
+            if x < 1000 {
+                // one fixed four-byte store; the length keeps the digits
+                // and the comma
+                std::ptr::copy_nonoverlapping(SMALL_U32[x as usize].as_ptr(), dst, 4);
+                self.v
+                    .set_len(len + 2 + (x >= 10) as usize + (x >= 100) as usize);
+            } else {
+                let mut buf = [b','; U32_ENTRY_BYTES];
+                let start = write_digits(&mut buf, x);
+                std::ptr::copy_nonoverlapping(
+                    buf.as_ptr().add(start),
+                    dst,
+                    U32_ENTRY_BYTES - start,
+                );
+                self.v.set_len(len + U32_ENTRY_BYTES - start);
+            }
+        }
+    }
+
+    /// Closes the array: the last entry's comma becomes `]`.
+    pub(crate) fn finish(self) {
+        match self.v.last_mut() {
+            Some(last @ b',') => *last = b']',
+            _ => self.v.push(b']'),
+        }
+    }
+}
+
+/// Writes the decimal digits of `x` right-aligned into `buf[..10]` with
+/// the pair table and returns the index of the first digit.
+#[inline]
+fn write_digits(buf: &mut [u8; U32_ENTRY_BYTES], mut x: u32) -> usize {
+    let mut i = 10;
     while x >= 100 {
         let pair = (x % 100) as usize * 2;
         x /= 100;
@@ -279,56 +396,7 @@ pub fn write_u32(out: &mut String, mut x: u32) {
         i -= 1;
         buf[i] = b'0' + x as u8;
     }
-    // SAFETY: buf[i..] holds only ASCII digits, so appending the raw bytes
-    // keeps the String valid UTF-8.
-    unsafe { out.as_mut_vec() }.extend_from_slice(&buf[i..]);
-}
-
-/// Appends `[x0,x1,…]` for a `u32` slice: the whole array — brackets,
-/// commas and digits — goes through one byte buffer reserved up front, so
-/// the per-entry cost is a couple of byte pushes instead of a `String`
-/// round-trip per number.  Digits are identical to [`write_u32`] (same pair
-/// table), so the output stays byte-identical to the `Value` tree writer.
-pub fn write_u32_array(out: &mut String, xs: &[u32]) {
-    // SAFETY: every byte pushed below is ASCII ('[', ']', ',' or a digit),
-    // so the String stays valid UTF-8.
-    let v = unsafe { out.as_mut_vec() };
-    v.reserve(xs.len() * 11 + 2);
-    v.push(b'[');
-    for (k, &x) in xs.iter().enumerate() {
-        if k > 0 {
-            v.push(b',');
-        }
-        if x < 10 {
-            v.push(b'0' + x as u8);
-        } else if x < 100 {
-            let pair = x as usize * 2;
-            v.push(DIGIT_PAIRS[pair]);
-            v.push(DIGIT_PAIRS[pair + 1]);
-        } else {
-            let mut buf = [0u8; 10];
-            let mut i = buf.len();
-            let mut x = x;
-            while x >= 100 {
-                let pair = (x % 100) as usize * 2;
-                x /= 100;
-                i -= 2;
-                buf[i] = DIGIT_PAIRS[pair];
-                buf[i + 1] = DIGIT_PAIRS[pair + 1];
-            }
-            if x >= 10 {
-                let pair = x as usize * 2;
-                i -= 2;
-                buf[i] = DIGIT_PAIRS[pair];
-                buf[i + 1] = DIGIT_PAIRS[pair + 1];
-            } else {
-                i -= 1;
-                buf[i] = b'0' + x as u8;
-            }
-            v.extend_from_slice(&buf[i..]);
-        }
-    }
-    v.push(b']');
+    i
 }
 
 /// Appends a JSON string literal (quotes included), escaping exactly as the
@@ -408,13 +476,17 @@ pub fn base64_encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Appends the [`base64_encode`] of `bytes` to `out`: the output is sized
-/// once, then filled a whole 3-byte group (4 symbols) at a time.
+/// Appends the [`base64_encode`] of `bytes` to `out`.
 pub(crate) fn base64_encode_into(out: &mut String, bytes: &[u8]) {
-    let symbol = |n: u32, shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
-    // SAFETY: every byte written below is a BASE64_ALPHABET symbol or `=`,
+    // SAFETY: base64_into appends only BASE64_ALPHABET symbols and `=`,
     // all ASCII, so the String stays valid UTF-8.
-    let v = unsafe { out.as_mut_vec() };
+    base64_into(unsafe { out.as_mut_vec() }, bytes);
+}
+
+/// Appends the base64 of `bytes` to `v`: the output is sized once, then
+/// filled a whole 3-byte group (4 symbols) at a time.
+fn base64_into(v: &mut Vec<u8>, bytes: &[u8]) {
+    let symbol = |n: u32, shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
     let start = v.len();
     v.resize(start + bytes.len().div_ceil(3) * 4, b'=');
     let groups = bytes.chunks_exact(3);
@@ -492,22 +564,6 @@ fn invalid_symbol(group: &[u8]) -> String {
     }
 }
 
-fn push_varint(out: &mut Vec<u8>, mut x: u64) {
-    if x < 0x80 {
-        out.push(x as u8);
-        return;
-    }
-    loop {
-        let byte = (x & 0x7f) as u8;
-        x >>= 7;
-        if x == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 /// Reads one varint at `pos`.  Rejects an overlong varint (a final byte
 /// of zero after a continuation byte), so each value has exactly one
 /// accepted encoding.
@@ -551,16 +607,87 @@ fn unzigzag(x: u64) -> i64 {
 
 /// Encodes a node table in the compact wire form: base64 over
 /// `varint(len)` followed by one zigzag varint per entry holding the delta
-/// to the previous entry (the first delta is against 0).
+/// to the previous entry (the first delta is against 0).  The service
+/// streams permuted tables through the same encoder, so this is the slice
+/// fed to it.
 pub fn encode_nodes_compact(nodes: &[u32]) -> String {
-    let mut bytes = Vec::with_capacity(nodes.len() + 8);
-    push_varint(&mut bytes, nodes.len() as u64);
-    let mut prev = 0i64;
-    for &n in nodes {
-        push_varint(&mut bytes, zigzag(n as i64 - prev));
-        prev = n as i64;
+    let mut out = String::new();
+    let mut enc = CompactEncoder::new(&mut out, nodes.len());
+    nodes.iter().for_each(|&n| enc.push(n));
+    enc.finish();
+    out
+}
+
+/// Streams the [`encode_nodes_compact`] form of a table into a `String`,
+/// one [`push`] per entry, without building the varint bytes or the base64
+/// string first: each varint byte shifts into a 3-byte carry, and every
+/// third byte writes its group's four base64 symbols.
+///
+/// [`push`]: CompactEncoder::push
+pub(crate) struct CompactEncoder<'a> {
+    /// The output's bytes; only base64 symbols and `=` are written.
+    out: &'a mut Vec<u8>,
+    /// The bytes of the open group, most significant first.
+    carry: u32,
+    /// How many bytes `carry` holds: 0, 1 or 2.
+    carried: u32,
+    prev: u32,
+}
+
+impl<'a> CompactEncoder<'a> {
+    /// Starts a table of `len` entries, reserving about one base64 symbol
+    /// and a third per entry (a one-byte varint each).
+    pub(crate) fn new(out: &'a mut String, len: usize) -> Self {
+        // SAFETY: the encoder appends only base64 symbols and `=` (ASCII),
+        // so the String stays valid UTF-8.
+        let out = unsafe { out.as_mut_vec() };
+        out.reserve((len + 10).div_ceil(3) * 4);
+        let mut enc = CompactEncoder {
+            out,
+            carry: 0,
+            carried: 0,
+            prev: 0,
+        };
+        enc.varint(len as u64);
+        enc
     }
-    base64_encode(&bytes)
+
+    /// Appends the next entry.
+    #[inline]
+    pub(crate) fn push(&mut self, n: u32) {
+        let delta = zigzag(n as i64 - self.prev as i64);
+        self.prev = n;
+        self.varint(delta);
+    }
+
+    #[inline]
+    fn varint(&mut self, mut x: u64) {
+        while x >= 0x80 {
+            self.byte((x & 0x7f) as u8 | 0x80);
+            x >>= 7;
+        }
+        self.byte(x as u8);
+    }
+
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.carry = self.carry << 8 | b as u32;
+        self.carried += 1;
+        if self.carried == 3 {
+            let n = self.carry;
+            let symbol = |shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
+            self.out
+                .extend_from_slice(&[symbol(18), symbol(12), symbol(6), symbol(0)]);
+            self.carry = 0;
+            self.carried = 0;
+        }
+    }
+
+    /// Writes the open group, padded.
+    pub(crate) fn finish(self) {
+        let tail = self.carry.to_be_bytes();
+        base64_into(self.out, &tail[4 - self.carried as usize..]);
+    }
 }
 
 /// Decodes the compact wire form back into the node table.  Strict inverse
@@ -1087,21 +1214,22 @@ mod tests {
         );
     }
 
+    fn push_varint(out: &mut Vec<u8>, mut x: u64) {
+        loop {
+            let byte = (x & 0x7f) as u8;
+            x >>= 7;
+            if x == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
     /// The encoder as it stood before the table-driven rewrite: one `char`
     /// push per base64 symbol, one loop turn per varint byte.  The property
     /// below holds today's encoder to its bytes.
     fn reference_encode_nodes_compact(nodes: &[u32]) -> String {
-        fn push_varint(out: &mut Vec<u8>, mut x: u64) {
-            loop {
-                let byte = (x & 0x7f) as u8;
-                x >>= 7;
-                if x == 0 {
-                    out.push(byte);
-                    return;
-                }
-                out.push(byte | 0x80);
-            }
-        }
         let mut bytes = Vec::new();
         push_varint(&mut bytes, nodes.len() as u64);
         let mut prev = 0i64;
@@ -1155,7 +1283,15 @@ mod tests {
                 .collect();
             let encoded = encode_nodes_compact(&table);
             proptest::prop_assert_eq!(&encoded, &reference_encode_nodes_compact(&table));
-            proptest::prop_assert_eq!(decode_nodes_compact(&encoded).unwrap(), table);
+            proptest::prop_assert_eq!(&decode_nodes_compact(&encoded).unwrap(), &table);
+            // streamed behind other output, as the service writes it
+            let mut out = String::from("{\"nodes\":\"");
+            let mut enc = CompactEncoder::new(&mut out, table.len());
+            table.iter().for_each(|&n| enc.push(n));
+            enc.finish();
+            let streamed = out.strip_prefix("{\"nodes\":\"").unwrap();
+            proptest::prop_assert_eq!(streamed, encoded.as_str());
+            proptest::prop_assert_eq!(decode_nodes_compact(streamed).unwrap(), table);
         }
 
         /// Every string the decoder accepts re-encodes to itself: payloads
@@ -1246,6 +1382,40 @@ mod tests {
             write_string(&mut direct, s);
             assert_eq!(direct, Value::str(s).compact(), "str {s:?}");
         }
+    }
+
+    #[test]
+    fn digit_writer_matches_write_u32_in_every_digit_class() {
+        let values = [0u32, 9, 10, 99, 100, 999, 1000, 4799, 99_999, u32::MAX];
+        for &x in &values {
+            let mut one = String::new();
+            write_u32(&mut one, x);
+            let mut array = String::new();
+            write_u32_array(&mut array, &[x]);
+            assert_eq!(array, format!("[{one}]"), "u32 {x}");
+        }
+        let mut all = String::from("x");
+        write_u32_array(&mut all, &values);
+        let want = Value::Arr(values.iter().map(|&x| Value::Num(x as f64)).collect());
+        assert_eq!(all, format!("x{}", want.compact()));
+        let mut empty = String::from("x");
+        write_u32_array(&mut empty, &[]);
+        assert_eq!(empty, "x[]");
+    }
+
+    #[test]
+    fn digit_writer_grows_past_its_reservation() {
+        // reserved for no entries, pushed 10 000 of every width: each push
+        // past the reservation must reserve again before it stores
+        let table: Vec<u32> = (0..10_000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) >> (i % 32))
+            .collect();
+        let mut out = String::new();
+        let mut w = U32ArrayWriter::new(&mut out, 0);
+        table.iter().for_each(|&x| w.push(x));
+        w.finish();
+        let want = Value::Arr(table.iter().map(|&x| Value::Num(x as f64)).collect());
+        assert_eq!(out, want.compact());
     }
 
     #[test]

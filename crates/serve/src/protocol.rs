@@ -40,7 +40,7 @@
 //! (see the README's failure-modes section).  Failures are reported as
 //! `{"id":…, "status":"error", "error":"…"}`; the connection stays usable.
 
-use crate::json::Value;
+use crate::json::{write_f64, write_string, write_u32, write_u32_array, Value};
 use stencil_grid::{Dims, NodeAllocation, Stencil};
 
 /// Mapping algorithms addressable over the wire, by their
@@ -371,11 +371,9 @@ pub enum Payload {
 }
 
 impl MapResponse {
-    /// Renders the response as a JSON value, consuming it — the payload
-    /// strings and tables move into the value instead of being cloned a
-    /// second time, which matters on the cache-hit path.  (A compact-mode
-    /// hit still pays exactly one copy of the memoised encoding out of the
-    /// shared cache entry, in `MappingService::handle_request`.)
+    /// Renders the response as a JSON value, consuming it: the tree-writer
+    /// oracle that the direct writers are tested against.
+    #[cfg(test)]
     pub fn into_value(self) -> Value {
         let mut fields: Vec<(String, Value)> = Vec::new();
         if let Some(id) = self.id {
@@ -434,26 +432,19 @@ impl MapResponse {
         Value::Obj(fields)
     }
 
-    /// Renders the response as a JSON value without consuming it (clones
-    /// the payload; the serving path uses [`MapResponse::write_into`]).
+    /// [`MapResponse::into_value`] without consuming the response.
+    #[cfg(test)]
     pub fn to_value(&self) -> Value {
         self.clone().into_value()
     }
 
     /// Appends the response as compact single-line JSON directly to `out`,
-    /// byte-identical to `self.to_value().compact()` but without building
-    /// the intermediate [`Value`] tree.  A verbose 4800-entry table costs
-    /// one `reserve` and a run of integer pushes here, versus 4800 boxed
-    /// `f64` nodes plus a second serialisation walk on the tree path — this
-    /// is the serving hot path.
+    /// byte-identical to the tree writer (`to_value().compact()`, kept as
+    /// the tests' oracle) without building a [`Value`] tree.  The service
+    /// writes the answers of served cache entries without a `MapResponse`
+    /// (see `MappingService::handle_line_into`), through the same
+    /// envelope and payload field writers.
     pub fn write_into(&self, out: &mut String) {
-        use crate::json::{write_f64, write_string, write_u32, write_u32_array};
-        out.push('{');
-        if let Some(id) = &self.id {
-            out.push_str("\"id\":");
-            id.write_into(out);
-            out.push(',');
-        }
         match &self.body {
             ResponseBody::Ok {
                 algorithm,
@@ -464,62 +455,124 @@ impl MapResponse {
                 j_max,
                 payload,
             } => {
-                out.push_str("\"status\":\"ok\",\"algorithm\":\"");
-                out.push_str(algorithm.wire_name());
-                out.push('"');
-                if let Some(from) = fallback_from {
-                    out.push_str(",\"fallback_from\":\"");
-                    out.push_str(from.wire_name());
-                    out.push('"');
+                OkHead {
+                    id: self.id.as_ref(),
+                    algorithm: *algorithm,
+                    fallback_from: *fallback_from,
+                    cached: *cached,
+                    degraded: *degraded,
+                    j_sum: *j_sum,
+                    j_max: *j_max,
                 }
-                out.push_str(if *cached {
-                    ",\"cached\":true"
-                } else {
-                    ",\"cached\":false"
-                });
-                if *degraded {
-                    out.push_str(",\"degraded\":true");
-                }
-                out.push_str(",\"j_sum\":");
-                write_f64(out, *j_sum as f64);
-                out.push_str(",\"j_max\":");
-                write_f64(out, *j_max as f64);
+                .write(out);
                 match payload {
                     Payload::None => {}
                     Payload::Table(nodes) => {
-                        out.push_str(",\"nodes\":");
+                        out.push_str(NODES_FIELD);
                         write_u32_array(out, nodes);
                     }
                     Payload::TableCompact(encoded) => {
-                        out.push_str(",\"encoding\":\"compact\",\"nodes\":");
+                        out.push_str(COMPACT_NODES_FIELD);
                         write_string(out, encoded);
                     }
                     Payload::Points { ranks, nodes } => {
-                        out.push_str(",\"ranks\":[");
-                        for (i, &r) in ranks.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            write_f64(out, r as f64);
-                        }
-                        out.push_str("],\"nodes\":[");
-                        for (i, &n) in nodes.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            write_u32(out, n);
-                        }
-                        out.push(']');
+                        write_points(out, ranks, nodes.iter().copied());
                     }
                 }
             }
             ResponseBody::Error(msg) => {
+                write_id(out, self.id.as_ref());
                 out.push_str("\"status\":\"error\",\"error\":");
                 write_string(out, msg);
             }
         }
         out.push('}');
     }
+}
+
+/// The key of a verbose node table, after the head.
+pub(crate) const NODES_FIELD: &str = ",\"nodes\":";
+
+/// The keys of a compact node table, after the head; the base64 string
+/// follows.
+pub(crate) const COMPACT_NODES_FIELD: &str = ",\"encoding\":\"compact\",\"nodes\":";
+
+/// Appends `{` and, when there is one, the echoed `"id":…,`.
+fn write_id(out: &mut String, id: Option<&Value>) {
+    out.push('{');
+    if let Some(id) = id {
+        out.push_str("\"id\":");
+        id.write_into(out);
+        out.push(',');
+    }
+}
+
+/// Everything a successful answer writes before its payload: the one
+/// envelope writer of [`MapResponse::write_into`] and of the service's
+/// direct answers.
+pub(crate) struct OkHead<'a> {
+    /// Echoed request id.
+    pub(crate) id: Option<&'a Value>,
+    /// The algorithm whose mapping is served.
+    pub(crate) algorithm: Algorithm,
+    /// The requested algorithm, when a budget fallback replaced it.
+    pub(crate) fallback_from: Option<Algorithm>,
+    /// Whether the canonical cache already held the entry.
+    pub(crate) cached: bool,
+    /// Whether overload degradation stripped the mapping payload.
+    pub(crate) degraded: bool,
+    /// Total inter-node communication edges of the served mapping.
+    pub(crate) j_sum: u64,
+    /// Bottleneck-node egress of the served mapping.
+    pub(crate) j_max: u64,
+}
+
+impl OkHead<'_> {
+    /// Appends `{"id":…,"status":"ok",…,"j_max":…`: the payload fields
+    /// and the closing brace are the caller's.
+    pub(crate) fn write(&self, out: &mut String) {
+        write_id(out, self.id);
+        out.push_str("\"status\":\"ok\",\"algorithm\":\"");
+        out.push_str(self.algorithm.wire_name());
+        out.push('"');
+        if let Some(from) = self.fallback_from {
+            out.push_str(",\"fallback_from\":\"");
+            out.push_str(from.wire_name());
+            out.push('"');
+        }
+        out.push_str(if self.cached {
+            ",\"cached\":true"
+        } else {
+            ",\"cached\":false"
+        });
+        if self.degraded {
+            out.push_str(",\"degraded\":true");
+        }
+        out.push_str(",\"j_sum\":");
+        write_f64(out, self.j_sum as f64);
+        out.push_str(",\"j_max\":");
+        write_f64(out, self.j_max as f64);
+    }
+}
+
+/// Appends a point query's `,"ranks":[…],"nodes":[…]`; `nodes` yields the
+/// node of each rank in turn.
+pub(crate) fn write_points(out: &mut String, ranks: &[usize], nodes: impl Iterator<Item = u32>) {
+    out.push_str(",\"ranks\":[");
+    for (i, &r) in ranks.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_f64(out, r as f64);
+    }
+    out.push_str("],\"nodes\":[");
+    for (i, n) in nodes.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u32(out, n);
+    }
+    out.push(']');
 }
 
 #[cfg(test)]

@@ -19,13 +19,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cache::{CacheStats, EvictionPolicy, ShardedLru};
 use crate::faultpoint;
-use crate::json::{base64_encode_into, encode_nodes_compact, Value};
+use crate::json::{
+    base64_encode_into, encode_nodes_compact, CompactEncoder, U32ArrayWriter, Value,
+};
 use crate::persist::{
     insert_line, load_and_compact, parse_record, CacheSnapshotter, LoadReport, PersistLog,
     PersistStats, Record,
 };
 use crate::protocol::{
-    Algorithm, Encoding, MapRequest, MapResponse, OverBudget, Payload, Query, ResponseBody,
+    write_points, Algorithm, Encoding, MapRequest, MapResponse, OkHead, OverBudget, Query,
+    ResponseBody, COMPACT_NODES_FIELD, NODES_FIELD,
 };
 use crate::server::MAX_LINE_BYTES;
 use stencil_mapping::canonical::{canonicalize, Canonical};
@@ -240,6 +243,86 @@ const FALLBACK_ORDER: [Algorithm; 4] = [
     Algorithm::Nodecart,
 ];
 
+/// A request answered from a cache entry, written straight from the entry
+/// into the output by [`Served::write_into`]: no restored table, varint
+/// buffer or response value is built on the way.
+struct Served {
+    req: MapRequest,
+    canon: Canonical,
+    /// The algorithm whose entry is served (differs from the request's
+    /// under budget fallback).
+    algorithm: Algorithm,
+    fallback_from: Option<Algorithm>,
+    entry: Arc<CacheEntry>,
+    cached: bool,
+    degraded: bool,
+}
+
+impl Served {
+    /// Appends the answer line, byte-identical to [`MapResponse::write_into`]
+    /// over the materialised payload (`Payload::Table` of the restored
+    /// table, `Payload::TableCompact` of its encoding, or
+    /// `Payload::Points`).
+    fn write_into(&self, out: &mut String) {
+        let (req, canon, entry) = (&self.req, &self.canon, &*self.entry);
+        OkHead {
+            id: req.id.as_ref(),
+            algorithm: self.algorithm,
+            fallback_from: self.fallback_from,
+            cached: self.cached,
+            degraded: self.degraded,
+            j_sum: entry.j_sum,
+            j_max: entry.j_max,
+        }
+        .write(out);
+        match &req.query {
+            // point lookups: read the cached canonical table entry-wise,
+            // transporting each queried position through the relabeling —
+            // O(|ranks| · d), no table serialisation at all
+            Some(Query::NewRankOf(ranks)) => write_points(
+                out,
+                ranks,
+                ranks
+                    .iter()
+                    .map(|&x| entry.nodes[canon.canonical_index_of(&req.dims, x)]),
+            ),
+            None if !req.want_mapping || self.degraded => {}
+            None => match req.encoding {
+                Encoding::Verbose => {
+                    out.push_str(NODES_FIELD);
+                    let mut w = U32ArrayWriter::new(out, entry.nodes.len());
+                    canon.for_each_restored(&req.dims, &entry.nodes, |n| w.push(n));
+                    w.finish();
+                }
+                Encoding::Compact => {
+                    out.push_str(COMPACT_NODES_FIELD);
+                    out.push('"');
+                    if canon.is_identity_permutation() {
+                        // the restored table is the canonical one, and
+                        // base64 needs no escaping: the memoised encoding
+                        // goes out as it is
+                        out.push_str(entry.compact_encoding());
+                    } else {
+                        let mut enc = CompactEncoder::new(out, entry.nodes.len());
+                        canon.for_each_restored(&req.dims, &entry.nodes, |n| enc.push(n));
+                        enc.finish();
+                    }
+                    out.push('"');
+                }
+            },
+        }
+        out.push('}');
+    }
+}
+
+/// Appends a handled request's answer line.
+fn write_answer(answer: Result<Served, MapResponse>, out: &mut String) {
+    match answer {
+        Ok(served) => served.write_into(out),
+        Err(error) => error.write_into(out),
+    }
+}
+
 impl MappingService {
     /// Creates a service with the given configuration.
     ///
@@ -345,11 +428,16 @@ impl MappingService {
 
     /// Like [`MappingService::handle_line`], but appends the response line
     /// (without the trailing newline) to `out` instead of allocating a
-    /// fresh `String`.  Responses stream straight into the output via
-    /// [`MapResponse::write_into`] — no intermediate [`Value`] tree is built
-    /// anywhere on the serving path (byte-identical output; see the
-    /// direct-writer tests in `protocol`) — and the TCP workers reuse one
-    /// buffer for a whole turn's worth of responses.
+    /// fresh `String`.  An answer from a cache entry — a hit or a miss,
+    /// single line, batch item, write-through, budget fallback or degraded
+    /// — is written in one pass from the cached canonical table into
+    /// `out`: a verbose table streams through the restoring walk into the
+    /// digit writer, a permuted compact table through it into the compact
+    /// encoder, and a compact table in canonical order appends the entry's
+    /// memoised encoding.  No restored table, response value or [`Value`]
+    /// tree is built (byte-identical to [`MapResponse::write_into`] over
+    /// the materialised payload; see the byte-identity tests), and the TCP
+    /// workers reuse one buffer for a whole turn's worth of responses.
     ///
     /// With `degrade` set every table response is answered cost-only (as if
     /// `want_mapping:false`) and flagged `"degraded":true` — the overloaded
@@ -387,11 +475,11 @@ impl MappingService {
                 if i > 0 {
                     out.push(',');
                 }
-                self.handle_value(item, degrade, None).write_into(out);
+                write_answer(self.handle_value(item, degrade), out);
             }
             out.push_str("]}");
         } else {
-            self.handle_value(&parsed, degrade, None).write_into(out);
+            write_answer(self.handle_value(&parsed, degrade), out);
         }
     }
 
@@ -527,8 +615,13 @@ impl MappingService {
                     error(out, "write_through needs a \"request\" object".to_string());
                     return;
                 };
-                let mut records = None;
-                let response = self.handle_value(item, degrade, Some(&mut records));
+                let answer = self.handle_value(item, degrade);
+                let records = match &answer {
+                    Ok(served) if !served.cached => {
+                        Some(self.write_through_records(&served.req, &served.canon))
+                    }
+                    _ => None,
+                };
                 out.push('{');
                 if let Some(id) = id {
                     out.push_str("\"id\":");
@@ -555,7 +648,7 @@ impl MappingService {
                     }
                 }
                 out.push_str(",\"response\":");
-                response.write_into(out);
+                write_answer(answer, out);
                 out.push('}');
             }
             _ => error(
@@ -576,10 +669,9 @@ impl MappingService {
     /// [`FALLBACK_ORDER`] up to the first entry within budget.  Lookup-only:
     /// [`ShardedLru::peek`] leaves recency and the hit/miss counters alone.
     /// Empty when the requested key is no longer resident.
-    fn write_through_records(&self, req: &MapRequest) -> String {
-        let canon = canonicalize(&req.dims, &req.stencil);
+    fn write_through_records(&self, req: &MapRequest, canon: &Canonical) -> String {
         let peek = |algorithm| {
-            let key = CacheKey::of_canonical(req, &canon, algorithm, req.seed);
+            let key = CacheKey::of_canonical(req, canon, algorithm, req.seed);
             self.cache.peek(&key).map(|entry| (key, entry))
         };
         let mut records = String::new();
@@ -606,44 +698,32 @@ impl MappingService {
         records
     }
 
-    /// Handles one parsed request object.  With `records`, an answer whose
-    /// entry this call computed also sets it to the request's write-through
-    /// log ([`MappingService::write_through_records`]).
-    fn handle_value(
-        &self,
-        v: &Value,
-        degrade: bool,
-        records: Option<&mut Option<String>>,
-    ) -> MapResponse {
-        let req = match MapRequest::from_value(v) {
-            Ok(req) => req,
-            Err(e) => {
-                return MapResponse {
-                    id: v.get("id").cloned(),
-                    body: ResponseBody::Error(e),
-                }
-            }
-        };
-        let response = self.handle_request(&req, degrade);
-        if let (Some(records), ResponseBody::Ok { cached: false, .. }) = (records, &response.body) {
-            *records = Some(self.write_through_records(&req));
+    /// Handles one parsed request object: the entry that answers it, or
+    /// the error answer.
+    fn handle_value(&self, v: &Value, degrade: bool) -> Result<Served, MapResponse> {
+        match MapRequest::from_value(v) {
+            Ok(req) => self.handle_request(req, degrade),
+            Err(e) => Err(MapResponse {
+                id: v.get("id").cloned(),
+                body: ResponseBody::Error(e),
+            }),
         }
-        response
     }
 
     /// Handles one request end to end: canonicalise, cache lookup or
-    /// compute, admission control, transport back to the request's own
-    /// dimension order.
-    fn handle_request(&self, req: &MapRequest, degrade: bool) -> MapResponse {
+    /// compute, admission control.  The answer is written from the entry
+    /// afterwards ([`Served::write_into`]).
+    fn handle_request(&self, req: MapRequest, degrade: bool) -> Result<Served, MapResponse> {
         let canon = canonicalize(&req.dims, &req.stencil);
-        let (entry, cached) = match self.lookup_or_compute(req, &canon, req.algorithm, req.seed) {
+        let fail = |e: String| {
+            Err(MapResponse {
+                id: req.id.clone(),
+                body: ResponseBody::Error(e),
+            })
+        };
+        let (entry, cached) = match self.lookup_or_compute(&req, &canon, req.algorithm, req.seed) {
             Ok(hit) => hit,
-            Err(e) => {
-                return MapResponse {
-                    id: req.id.clone(),
-                    body: ResponseBody::Error(e),
-                }
-            }
+            Err(e) => return fail(e),
         };
 
         // admission control: the streaming-evaluated cost rides in the entry
@@ -652,14 +732,11 @@ impl MappingService {
             if served.1.j_sum > budget {
                 match req.on_over_budget {
                     OverBudget::Reject => {
-                        return MapResponse {
-                            id: req.id.clone(),
-                            body: ResponseBody::Error(format!(
-                                "over budget: {} predicts Jsum = {} > max_jsum = {budget}",
-                                req.algorithm.wire_name(),
-                                served.1.j_sum
-                            )),
-                        }
+                        return fail(format!(
+                            "over budget: {} predicts Jsum = {} > max_jsum = {budget}",
+                            req.algorithm.wire_name(),
+                            served.1.j_sum
+                        ));
                     }
                     OverBudget::Fallback => {
                         let mut found = None;
@@ -667,7 +744,7 @@ impl MappingService {
                             if alg == req.algorithm {
                                 continue;
                             }
-                            match self.lookup_or_compute(req, &canon, alg, req.seed) {
+                            match self.lookup_or_compute(&req, &canon, alg, req.seed) {
                                 Ok((entry, cached)) if entry.j_sum <= budget => {
                                     found = Some((alg, entry, cached, Some(req.algorithm)));
                                     break;
@@ -679,15 +756,12 @@ impl MappingService {
                         match found {
                             Some(f) => served = f,
                             None => {
-                                return MapResponse {
-                                    id: req.id.clone(),
-                                    body: ResponseBody::Error(format!(
-                                        "over budget: no algorithm reaches Jsum <= {budget} \
-                                         (requested {} predicted {})",
-                                        req.algorithm.wire_name(),
-                                        served.1.j_sum
-                                    )),
-                                }
+                                return fail(format!(
+                                    "over budget: no algorithm reaches Jsum <= {budget} \
+                                     (requested {} predicted {})",
+                                    req.algorithm.wire_name(),
+                                    served.1.j_sum
+                                ));
                             }
                         }
                     }
@@ -699,43 +773,15 @@ impl MappingService {
         // overload degradation strips exactly the table payloads — the part
         // whose serialisation cost scales with the grid volume
         let degraded = degrade && req.want_mapping && req.query.is_none();
-        let payload = match &req.query {
-            // point lookups: read the cached canonical table entry-wise,
-            // transporting each queried position through the relabeling —
-            // O(|ranks| · d), no table serialisation at all
-            Some(Query::NewRankOf(ranks)) => Payload::Points {
-                nodes: ranks
-                    .iter()
-                    .map(|&x| entry.nodes[canon.canonical_index_of(&req.dims, x)])
-                    .collect(),
-                ranks: ranks.clone(),
-            },
-            None if !req.want_mapping || degraded => Payload::None,
-            None => match req.encoding {
-                Encoding::Verbose => {
-                    Payload::Table(canon.restore_positions(&req.dims, &entry.nodes))
-                }
-                Encoding::Compact => Payload::TableCompact(if canon.is_identity_permutation() {
-                    // the restored table equals the canonical one, so the
-                    // memoised per-entry encoding is reused as-is
-                    entry.compact_encoding().to_string()
-                } else {
-                    encode_nodes_compact(&canon.restore_positions(&req.dims, &entry.nodes))
-                }),
-            },
-        };
-        MapResponse {
-            id: req.id.clone(),
-            body: ResponseBody::Ok {
-                algorithm,
-                fallback_from,
-                cached,
-                degraded,
-                j_sum: entry.j_sum,
-                j_max: entry.j_max,
-                payload,
-            },
-        }
+        Ok(Served {
+            req,
+            canon,
+            algorithm,
+            fallback_from,
+            entry,
+            cached,
+            degraded,
+        })
     }
 
     /// Returns the cache entry for `(canonical request, algorithm)`,
@@ -804,6 +850,7 @@ impl MappingService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Payload;
 
     fn service() -> MappingService {
         MappingService::new(&ServiceConfig::default())
@@ -1379,6 +1426,144 @@ mod tests {
         assert_eq!(response, plain);
         assert!(response.contains("\"degraded\":true"), "{response}");
         assert_eq!(records.map(|r| r.len()), Some(1), "the entry was computed");
+    }
+
+    /// What [`MapResponse::write_into`] writes for `line` over the
+    /// materialised payload of its resident entry (`None` when the line
+    /// left no entry): the byte oracle of the direct writer.
+    fn materialised_answer(
+        s: &MappingService,
+        line: &str,
+        cached: bool,
+        degrade: bool,
+    ) -> Option<String> {
+        let req = MapRequest::from_value(&Value::parse(line).unwrap()).unwrap();
+        let canon = canonicalize(&req.dims, &req.stencil);
+        let key = CacheKey::of_canonical(&req, &canon, req.algorithm, req.seed);
+        let entry = s.cache.peek(&key)?;
+        let table = canon.restore_positions(&req.dims, &entry.nodes);
+        let degraded = degrade && req.want_mapping && req.query.is_none();
+        let payload = match &req.query {
+            Some(Query::NewRankOf(ranks)) => Payload::Points {
+                ranks: ranks.clone(),
+                nodes: ranks.iter().map(|&x| table[x]).collect(),
+            },
+            None if !req.want_mapping || degraded => Payload::None,
+            None => match req.encoding {
+                Encoding::Verbose => Payload::Table(table),
+                Encoding::Compact => Payload::TableCompact(encode_nodes_compact(&table)),
+            },
+        };
+        let response = MapResponse {
+            id: req.id,
+            body: ResponseBody::Ok {
+                algorithm: req.algorithm,
+                fallback_from: None,
+                cached,
+                degraded,
+                j_sum: entry.j_sum,
+                j_max: entry.j_max,
+                payload,
+            },
+        };
+        let mut out = String::new();
+        response.write_into(&mut out);
+        // the tree writer holds the shared digit writer to its bytes
+        assert_eq!(out, response.into_value().compact());
+        Some(out)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The service's answers equal `MapResponse::write_into` over the
+        /// materialised restored table, its compact encoding or the point
+        /// lookups, byte for byte: 1–4-D dims in every permutation
+        /// (identity included), every stencil, torus or not, node ids in
+        /// every digit class (one process per node on 1024–4096 nodes
+        /// reaches four digits), verbose, compact, point and cost-only
+        /// lines, degraded or not, then mixed batch lines.
+        #[test]
+        fn direct_answers_equal_the_materialised_payload_writer(
+            sizes in proptest::collection::vec(1usize..9, 1..5),
+            wide in 0usize..8,
+            per_node in 0usize..16,
+            stencil in 0usize..3,
+            periodic in proptest::bool::ANY,
+            algorithm in 0usize..5,
+            degrade in proptest::bool::ANY,
+            probe in 0usize..4096,
+        ) {
+            const WIDE: [&[usize]; 5] = [&[1024], &[32, 40], &[16, 8, 9], &[4, 8, 8, 8], &[64, 64]];
+            const ALGORITHMS: [&str; 5] = ["hyperplane", "kdtree", "stencil_strips", "blocked", "nodecart"];
+            let (dims, per) = match WIDE.get(wide) {
+                Some(dims) => (dims.to_vec(), 1),
+                None => {
+                    let p: usize = sizes.iter().product();
+                    let divisors: Vec<usize> = (1..=p).filter(|&d| p.is_multiple_of(d)).collect();
+                    (sizes.clone(), divisors[per_node % divisors.len()])
+                }
+            };
+            let d = dims.len();
+            let p: usize = dims.iter().product();
+            let stencil = ["nearest_neighbor", "hops", "component"][if d < 2 { 0 } else { stencil }];
+            let s = service();
+            let mut perm: Vec<usize> = (0..d).collect();
+            let mut id = 0;
+            loop {
+                let dims: Vec<String> = perm.iter().map(|&i| dims[i].to_string()).collect();
+                let base = format!(
+                    r#""dims":[{}],"stencil":"{stencil}","periodic":{periodic},"nodes":{},"algorithm":"{}""#,
+                    dims.join(","),
+                    p / per,
+                    ALGORITHMS[algorithm],
+                );
+                let ranks = [0, p - 1, p / 2, probe % p];
+                let items = [
+                    format!(r#"{{"id":{id},{base}}}"#),
+                    format!(r#"{{"id":"c{id}",{base},"encoding":"compact"}}"#),
+                    format!(
+                        r#"{{{base},"query":"new_rank_of","ranks":[{},{},{},{}]}}"#,
+                        ranks[0], ranks[1], ranks[2], ranks[3]
+                    ),
+                    format!(r#"{{"id":null,{base},"want_mapping":false}}"#),
+                ];
+                id += 1;
+                for item in &items {
+                    let req = MapRequest::from_value(&Value::parse(item).unwrap()).unwrap();
+                    let key = CacheKey::of_request(&req);
+                    let cached = s.cache.peek(&key).is_some();
+                    let mut got = String::new();
+                    s.handle_line_into(item, degrade, &mut got);
+                    match materialised_answer(&s, item, cached, degrade) {
+                        Some(want) => proptest::prop_assert_eq!(&got, &want, "{}", item),
+                        None => proptest::prop_assert!(got.contains(r#""status":"error""#), "{}", got),
+                    }
+                }
+                // every item's entry is resident now: a batch answers hits
+                let wants: Option<Vec<String>> = items
+                    .iter()
+                    .map(|item| materialised_answer(&s, item, true, degrade))
+                    .collect();
+                if let Some(wants) = wants {
+                    let mut got = String::new();
+                    s.handle_line_into(
+                        &format!(r#"{{"batch":[{},{},{}]}}"#, items[2], items[0], items[1]),
+                        degrade,
+                        &mut got,
+                    );
+                    let want = format!(r#"{{"batch":[{},{},{}]}}"#, wants[2], wants[0], wants[1]);
+                    proptest::prop_assert_eq!(got, want);
+                }
+                // the next permutation in lexicographic order
+                let Some(i) = (1..d).rev().find(|&i| perm[i - 1] < perm[i]) else {
+                    break;
+                };
+                let j = (i..d).rev().find(|&j| perm[j] > perm[i - 1]).unwrap();
+                perm.swap(i - 1, j);
+                perm[i..].reverse();
+            }
+        }
     }
 
     #[test]
