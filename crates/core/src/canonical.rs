@@ -47,6 +47,10 @@ pub struct Canonical {
     pub perm: Vec<usize>,
 }
 
+/// Entries [`Canonical::for_each_restored`] gathers from a permuted table
+/// before handing them out as one run.
+pub const RESTORE_RUN: usize = 512;
+
 /// Per original dimension: its size and its canonical row-major stride.
 type Strides = ([usize; MAX_CANONICAL_NDIMS], [usize; MAX_CANONICAL_NDIMS]);
 
@@ -59,29 +63,28 @@ impl Canonical {
 
     /// Transports a `position → value` table computed on the canonical grid
     /// back to the original grid: entry `x` of the result describes original
-    /// grid position `x`.  Collects [`Canonical::for_each_restored`].
+    /// grid position `x`.  Collects the runs of
+    /// [`Canonical::for_each_restored`].
     ///
     /// # Panics
     ///
     /// As [`Canonical::for_each_restored`].
     pub fn restore_positions<T: Copy>(&self, original: &Dims, canonical_table: &[T]) -> Vec<T> {
-        if self.strides(original).is_none() {
-            // the identity visit, copied at once
-            assert_eq!(canonical_table.len(), self.dims.volume(), "table length");
-            return canonical_table.to_vec();
-        }
         let mut out = Vec::with_capacity(canonical_table.len());
-        self.for_each_restored(original, canonical_table, |x| out.push(x));
+        self.for_each_restored(original, canonical_table, |run| out.extend_from_slice(run));
         out
     }
 
     /// Visits a `position → value` table computed on the canonical grid in
-    /// the original grid's row-major order: the `x`-th call receives the
-    /// entry of original grid position `x`, so a writer can stream the
-    /// restored table without materialising it.  The identity permutation
-    /// visits the table as it is.  Otherwise an odometer walks the outer
+    /// the original grid's row-major order, as consecutive non-empty runs:
+    /// the runs concatenated are the restored table (entry `x` describes
+    /// original grid position `x`), so a writer can stream it slice by
+    /// slice without materialising it.  The identity permutation is one
+    /// run, the table itself.  Otherwise an odometer walks the outer
     /// original dimensions, and the innermost one is a strided run through
-    /// the canonical table.
+    /// the canonical table, gathered into a stack buffer of
+    /// [`RESTORE_RUN`] entries that is handed out whenever it fills and
+    /// once at the end.
     ///
     /// # Panics
     ///
@@ -93,30 +96,47 @@ impl Canonical {
         &self,
         original: &Dims,
         canonical_table: &[T],
-        mut f: impl FnMut(T),
+        mut f: impl FnMut(&[T]),
     ) {
         assert_eq!(canonical_table.len(), self.dims.volume(), "table length");
         let Some((sizes, weight)) = self.strides(original) else {
-            canonical_table.iter().for_each(|&x| f(x));
+            f(canonical_table);
             return;
         };
         let d = original.ndims();
         let (inner_len, inner_stride) = (sizes[d - 1], weight[d - 1]);
+        // a volume is at least 1, so entry 0 exists to fill the buffer
+        let mut buf = [canonical_table[0]; RESTORE_RUN];
+        let mut filled = 0;
         let mut coord = [0usize; MAX_CANONICAL_NDIMS];
         // canonical index of the current original row's first entry
         let mut row = 0usize;
         loop {
-            canonical_table[row..]
-                .iter()
-                .step_by(inner_stride)
-                .take(inner_len)
-                .for_each(|&x| f(x));
+            let mut done = 0;
+            while done < inner_len {
+                let n = (RESTORE_RUN - filled).min(inner_len - done);
+                // the `n` entries this pass gathers, `inner_stride` apart
+                // (indexing read faster than `step_by` here)
+                let src =
+                    &canonical_table[row + done * inner_stride..][..(n - 1) * inner_stride + 1];
+                for (k, slot) in buf[filled..filled + n].iter_mut().enumerate() {
+                    *slot = src[k * inner_stride];
+                }
+                (filled, done) = (filled + n, done + n);
+                if filled == RESTORE_RUN {
+                    f(&buf);
+                    filled = 0;
+                }
+            }
             // odometer over the outer original dimensions: bumping digit
             // `i` moves the canonical index by `weight[i]`, a rollover
             // rewinds it by `sizes[i] * weight[i]`
             let mut i = d - 1;
             loop {
                 if i == 0 {
+                    if filled > 0 {
+                        f(&buf[..filled]);
+                    }
                     return;
                 }
                 i -= 1;
@@ -510,15 +530,27 @@ mod tests {
             prop_assert_eq!(canonicalize(&dims, &stencil), reference_canonicalize(&dims, &stencil));
         }
 
-        /// The odometer (through `restore_positions`) and
-        /// `canonical_index_of` agree with the coordinate definition in
-        /// every permutation of 1–5-D dims, identity included.
+        /// The odometer's runs, concatenated (and through
+        /// `restore_positions`), and `canonical_index_of` agree with the
+        /// coordinate definition in every permutation of 1–5-D dims,
+        /// identity included.  One canonical size may be about as long as
+        /// the gather buffer or longer (the others 1–3), so innermost runs
+        /// end inside, at and past its end, and the last run may hold a
+        /// single entry.
         #[test]
         fn prop_restore_and_index_follow_the_coordinates(
             sizes in proptest::collection::vec(1usize..6, 1..6),
             perm_seed in 0usize..120,
+            long in 0usize..6,
+            long_at in 0usize..5,
         ) {
             let d = sizes.len();
+            let mut sizes = sizes;
+            let long = [0, 700, 1100, RESTORE_RUN - 1, RESTORE_RUN, RESTORE_RUN + 1][long];
+            if long > 0 {
+                sizes.iter_mut().for_each(|s| *s = (*s - 1) % 3 + 1);
+                sizes[long_at % d] = long;
+            }
             let mut perm: Vec<usize> = (0..d).collect();
             for _ in 0..perm_seed {
                 if !next_permutation(&mut perm) {
@@ -536,7 +568,20 @@ mod tests {
                     .unwrap();
             let table: Vec<u32> = (0..dims.volume() as u32).map(|x| x.wrapping_mul(2654435761)).collect();
             let want = restored_by_coordinates(&c, &original, &table);
+            let mut runs: Vec<Vec<u32>> = Vec::new();
+            c.for_each_restored(&original, &table, |run| runs.push(run.to_vec()));
+            prop_assert_eq!(&runs.concat(), &want);
             prop_assert_eq!(&c.restore_positions(&original, &table), &want);
+            // one run for the identity, else full buffers and one
+            // non-empty remainder
+            let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
+            if c.is_identity_permutation() {
+                prop_assert_eq!(lens, vec![want.len()]);
+            } else {
+                let (last, full) = lens.split_last().unwrap();
+                prop_assert!(full.iter().all(|&n| n == RESTORE_RUN), "{:?}", lens);
+                prop_assert!((1..=RESTORE_RUN).contains(last), "{:?}", lens);
+            }
             for (x, &w) in want.iter().enumerate() {
                 prop_assert_eq!(table[c.canonical_index_of(&original, x)], w);
             }

@@ -11,6 +11,8 @@
 //! [`Value::parse`].  Only the shapes these uses need are supported:
 //! objects, arrays, strings, finite numbers, booleans and null.
 
+use std::mem::MaybeUninit;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -262,18 +264,18 @@ const DIGIT_PAIRS: [u8; 200] = {
 #[inline]
 pub fn write_u32(out: &mut String, x: u32) {
     let mut buf = [0u8; U32_ENTRY_BYTES];
-    let i = write_digits(&mut buf, x);
-    // SAFETY: buf[i..10] holds only ASCII digits, so appending the raw
-    // bytes keeps the String valid UTF-8.
-    unsafe { out.as_mut_vec() }.extend_from_slice(&buf[i..10]);
+    let n = put_digits(x, |i, digit| buf[i] = digit);
+    // SAFETY: buf[..n] holds only ASCII digits, so appending the raw bytes
+    // keeps the String valid UTF-8.
+    unsafe { out.as_mut_vec() }.extend_from_slice(&buf[..n]);
 }
 
 /// Appends `[x0,x1,…]` for a `u32` slice.  The service's restoring walk
-/// over a cached table feeds the same per-entry writer: entries below 1000
+/// over a cached table feeds the same writer run by run: entries below 1000
 /// are one four-byte copy each, larger ones go through the pair table.
 pub fn write_u32_array(out: &mut String, xs: &[u32]) {
-    let mut w = U32ArrayWriter::new(out, xs.len());
-    xs.iter().for_each(|&x| w.push(x));
+    let mut w = U32ArrayWriter::new(out);
+    w.write(xs);
     w.finish();
 }
 
@@ -302,67 +304,67 @@ const SMALL_U32: [[u8; 4]; 1000] = {
     t
 };
 
-/// Most bytes one [`U32ArrayWriter::push`] writes: the ten digits of
-/// `u32::MAX` and a comma.
+/// Most bytes one entry of [`U32ArrayWriter::write`] takes: the ten digits
+/// of `u32::MAX` and a comma.
 const U32_ENTRY_BYTES: usize = 11;
 
-/// Streams a JSON array of `u32`s into a `String`, one [`push`] per
-/// entry, so a slice or a restoring walk over a cached table can feed the
-/// same loop body.  Digits equal [`write_u32`]'s.
-///
-/// [`push`]: U32ArrayWriter::push
+/// Entries [`U32ArrayWriter::write`] reserves room for at a time, so the
+/// spare capacity it asks for beyond the text is at most
+/// `U32_ENTRY_BYTES * U32_RESERVE_ENTRIES` bytes whatever the table's
+/// length.
+const U32_RESERVE_ENTRIES: usize = 512;
+
+/// Streams a JSON array of `u32`s into a `String` slice by slice, so a
+/// whole table or the runs of a restoring walk over a cached table go
+/// through the same loop.  Digits equal [`write_u32`]'s.
 pub(crate) struct U32ArrayWriter<'a> {
     /// The output's bytes; only ASCII is written to them.
     v: &'a mut Vec<u8>,
-    /// Entries that still fit in the spare capacity at
-    /// [`U32_ENTRY_BYTES`] each.
-    room: usize,
 }
 
 impl<'a> U32ArrayWriter<'a> {
-    /// Appends `[` and reserves room for `len` entries and the `]`.
-    pub(crate) fn new(out: &'a mut String, len: usize) -> Self {
+    /// Appends `[`.
+    pub(crate) fn new(out: &'a mut String) -> Self {
         // SAFETY: the writer appends only ASCII ('[', digits, ',' and
         // ']'), so the String stays valid UTF-8.
         let v = unsafe { out.as_mut_vec() };
-        v.reserve(len * U32_ENTRY_BYTES + 2);
         v.push(b'[');
-        let room = (v.capacity() - v.len()) / U32_ENTRY_BYTES;
-        U32ArrayWriter { v, room }
+        U32ArrayWriter { v }
     }
 
-    /// Appends `x` and its trailing comma.
-    #[inline(always)]
-    pub(crate) fn push(&mut self, x: u32) {
-        if self.room == 0 {
-            self.v.reserve(64 * U32_ENTRY_BYTES + 1);
-            self.room = (self.v.capacity() - self.v.len()) / U32_ENTRY_BYTES;
-        }
-        self.room -= 1;
-        let len = self.v.len();
-        // SAFETY: `room` was at least 1 above, so the spare capacity holds
-        // U32_ENTRY_BYTES more bytes past `len` (`new` and the branch above
-        // reserve them, and each push uses at most that many).  Both
-        // branches store at most U32_ENTRY_BYTES bytes there, all ASCII,
-        // and `set_len` covers only bytes just written.
-        unsafe {
-            let dst = self.v.as_mut_ptr().add(len);
-            if x < 1000 {
-                // one fixed four-byte store; the length keeps the digits
-                // and the comma
-                std::ptr::copy_nonoverlapping(SMALL_U32[x as usize].as_ptr(), dst, 4);
-                self.v
-                    .set_len(len + 2 + (x >= 10) as usize + (x >= 100) as usize);
-            } else {
-                let mut buf = [b','; U32_ENTRY_BYTES];
-                let start = write_digits(&mut buf, x);
-                std::ptr::copy_nonoverlapping(
-                    buf.as_ptr().add(start),
-                    dst,
-                    U32_ENTRY_BYTES - start,
-                );
-                self.v.set_len(len + U32_ENTRY_BYTES - start);
+    /// Appends each entry of `xs` and its trailing comma.
+    pub(crate) fn write(&mut self, xs: &[u32]) {
+        for chunk in xs.chunks(U32_RESERVE_ENTRIES) {
+            self.v.reserve(chunk.len() * U32_ENTRY_BYTES);
+            let mut len = self.v.len();
+            let base = self.v.as_mut_ptr();
+            for &x in chunk {
+                // SAFETY: the `reserve` above left U32_ENTRY_BYTES of spare
+                // capacity past `len` for every entry of `chunk`, and each
+                // entry stores at most U32_ENTRY_BYTES bytes at `len`, then
+                // advances `len` by at most as many: so every store, and
+                // the `[MaybeUninit<u8>; U32_ENTRY_BYTES]` view of the
+                // spare bytes at `len` (which needs no initialised bytes),
+                // stays inside that chunk's reservation.  All bytes are
+                // ASCII, and `set_len` below covers only bytes written here.
+                unsafe {
+                    let dst = base.add(len);
+                    if x < 1000 {
+                        // one fixed four-byte store; the length keeps the
+                        // digits and the comma
+                        std::ptr::copy_nonoverlapping(SMALL_U32[x as usize].as_ptr(), dst, 4);
+                        len += 2 + (x >= 10) as usize + (x >= 100) as usize;
+                    } else {
+                        len += large_u32_entry(
+                            &mut *dst.cast::<[MaybeUninit<u8>; U32_ENTRY_BYTES]>(),
+                            x,
+                        );
+                    }
+                }
             }
+            // SAFETY: `len` counts only the entries just written, all
+            // inside the reservation (see above).
+            unsafe { self.v.set_len(len) };
         }
     }
 
@@ -375,28 +377,52 @@ impl<'a> U32ArrayWriter<'a> {
     }
 }
 
-/// Writes the decimal digits of `x` right-aligned into `buf[..10]` with
-/// the pair table and returns the index of the first digit.
+/// Writes the digits of an entry of 1000 or more and its comma at the
+/// start of `entry`, straight into the output's spare capacity (digits
+/// assembled in a buffer and copied out read 2.5x slower per id), and
+/// returns their length.  Out of line, so the loop over small ids stays
+/// tight.
+#[cold]
+#[inline(never)]
+fn large_u32_entry(entry: &mut [MaybeUninit<u8>; U32_ENTRY_BYTES], x: u32) -> usize {
+    let n = put_digits(x, |i, digit| {
+        entry[i].write(digit);
+    });
+    entry[n].write(b',');
+    n + 1
+}
+
+/// Hands the decimal digits of `x` to `put(index, digit)`, index 0 the
+/// most significant, with the pair table; returns how many there are.
 #[inline]
-fn write_digits(buf: &mut [u8; U32_ENTRY_BYTES], mut x: u32) -> usize {
-    let mut i = 10;
+fn put_digits(mut x: u32, mut put: impl FnMut(usize, u8)) -> usize {
+    const POWERS: [u32; 9] = [
+        10,
+        100,
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+        1_000_000_000,
+    ];
+    let digits = 1 + POWERS.iter().filter(|&&p| x >= p).count();
+    let mut i = digits;
     while x >= 100 {
         let pair = (x % 100) as usize * 2;
         x /= 100;
         i -= 2;
-        buf[i] = DIGIT_PAIRS[pair];
-        buf[i + 1] = DIGIT_PAIRS[pair + 1];
+        put(i, DIGIT_PAIRS[pair]);
+        put(i + 1, DIGIT_PAIRS[pair + 1]);
     }
     if x >= 10 {
-        let pair = x as usize * 2;
-        i -= 2;
-        buf[i] = DIGIT_PAIRS[pair];
-        buf[i + 1] = DIGIT_PAIRS[pair + 1];
+        put(0, DIGIT_PAIRS[2 * x as usize]);
+        put(1, DIGIT_PAIRS[2 * x as usize + 1]);
     } else {
-        i -= 1;
-        buf[i] = b'0' + x as u8;
+        put(0, b'0' + x as u8);
     }
-    i
+    digits
 }
 
 /// Appends a JSON string literal (quotes included), escaping exactly as the
@@ -608,22 +634,21 @@ fn unzigzag(x: u64) -> i64 {
 /// Encodes a node table in the compact wire form: base64 over
 /// `varint(len)` followed by one zigzag varint per entry holding the delta
 /// to the previous entry (the first delta is against 0).  The service
-/// streams permuted tables through the same encoder, so this is the slice
-/// fed to it.
+/// streams permuted tables through the same encoder run by run, so this is
+/// the whole table fed to it as one slice.
 pub fn encode_nodes_compact(nodes: &[u32]) -> String {
     let mut out = String::new();
     let mut enc = CompactEncoder::new(&mut out, nodes.len());
-    nodes.iter().for_each(|&n| enc.push(n));
+    enc.write(nodes);
     enc.finish();
     out
 }
 
-/// Streams the [`encode_nodes_compact`] form of a table into a `String`,
-/// one [`push`] per entry, without building the varint bytes or the base64
-/// string first: each varint byte shifts into a 3-byte carry, and every
-/// third byte writes its group's four base64 symbols.
-///
-/// [`push`]: CompactEncoder::push
+/// Streams the [`encode_nodes_compact`] form of a table into a `String`
+/// slice by slice, without building the varint bytes or the base64 string
+/// first: each varint byte shifts into a 3-byte carry, and every third
+/// byte writes its group's four base64 symbols.  Three one-byte varints
+/// that start a group skip the carry and are written as one group.
 pub(crate) struct CompactEncoder<'a> {
     /// The output's bytes; only base64 symbols and `=` are written.
     out: &'a mut Vec<u8>,
@@ -652,12 +677,35 @@ impl<'a> CompactEncoder<'a> {
         enc
     }
 
-    /// Appends the next entry.
-    #[inline]
-    pub(crate) fn push(&mut self, n: u32) {
-        let delta = zigzag(n as i64 - self.prev as i64);
-        self.prev = n;
-        self.varint(delta);
+    /// Appends the next entries.
+    pub(crate) fn write(&mut self, nodes: &[u32]) {
+        let mut rest = nodes;
+        loop {
+            // fast path: with no byte carried, three deltas whose zigzag
+            // varints are one byte each are a whole 24-bit group
+            if self.carried == 0 {
+                while let [a, b, c, tail @ ..] = rest {
+                    let (da, db, dc) = (
+                        zigzag(*a as i64 - self.prev as i64),
+                        zigzag(*b as i64 - *a as i64),
+                        zigzag(*c as i64 - *b as i64),
+                    );
+                    if (da | db | dc) >= 0x80 {
+                        break;
+                    }
+                    self.group((da << 16 | db << 8 | dc) as u32);
+                    self.prev = *c;
+                    rest = tail;
+                }
+            }
+            let Some((&n, tail)) = rest.split_first() else {
+                return;
+            };
+            let delta = zigzag(n as i64 - self.prev as i64);
+            self.prev = n;
+            self.varint(delta);
+            rest = tail;
+        }
     }
 
     #[inline]
@@ -674,13 +722,18 @@ impl<'a> CompactEncoder<'a> {
         self.carry = self.carry << 8 | b as u32;
         self.carried += 1;
         if self.carried == 3 {
-            let n = self.carry;
-            let symbol = |shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
-            self.out
-                .extend_from_slice(&[symbol(18), symbol(12), symbol(6), symbol(0)]);
+            self.group(self.carry);
             self.carry = 0;
             self.carried = 0;
         }
+    }
+
+    /// Writes the four base64 symbols of the 24-bit group `n`.
+    #[inline]
+    fn group(&mut self, n: u32) {
+        let symbol = |shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
+        self.out
+            .extend_from_slice(&[symbol(18), symbol(12), symbol(6), symbol(0)]);
     }
 
     /// Writes the open group, padded.
@@ -1265,29 +1318,53 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// The encoder's bytes equal the reference encoder's, for run-like
-        /// tables (small deltas) and arbitrary ones (deltas up to ±2^32),
-        /// of 0–20000 entries, and decode back to the table.
+        /// tables (small deltas), arbitrary ones (deltas up to ±2^32) and
+        /// ones drawn from deltas at the one-byte varint boundary (−65,
+        /// −64, 63, 64) mixed with two- and three-byte ones that shift the
+        /// group alignment mid-table, of 0–20000 entries (often under 12,
+        /// so every length mod 3 is common), fed whole and in random slice
+        /// splits, and decode back to the table.
         #[test]
         fn compact_encoder_matches_the_reference_encoder(
             len in 0usize..20_001,
+            short in proptest::bool::ANY,
             run in 1usize..200,
-            scatter in proptest::bool::ANY,
+            kind in 0u8..3,
             seed in 0u64..u64::MAX,
+            cuts in proptest::collection::vec(0usize..20_001, 0..12),
         ) {
+            const BOUNDARY_DELTAS: [i64; 10] = [-65, -64, 63, 64, 0, 1, -1, 300, -9000, 70_000];
+            let len = if short { len % 12 } else { len };
             let mut x = seed;
+            let mut node = 1_000_000i64;
             let table: Vec<u32> = (0..len)
                 .map(|i| {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if scatter { (x >> 32) as u32 } else { (i / run) as u32 }
+                    match kind {
+                        0 => (i / run) as u32,
+                        1 => (x >> 32) as u32,
+                        _ => {
+                            node += BOUNDARY_DELTAS[(x >> 33) as usize % BOUNDARY_DELTAS.len()];
+                            node as u32
+                        }
+                    }
                 })
                 .collect();
             let encoded = encode_nodes_compact(&table);
             proptest::prop_assert_eq!(&encoded, &reference_encode_nodes_compact(&table));
             proptest::prop_assert_eq!(&decode_nodes_compact(&encoded).unwrap(), &table);
-            // streamed behind other output, as the service writes it
+            // streamed behind other output in random slices, as the
+            // service writes a restored table's runs
+            let mut ends: Vec<usize> = cuts.iter().map(|&c| c % (len + 1)).collect();
+            ends.push(len);
+            ends.sort_unstable();
             let mut out = String::from("{\"nodes\":\"");
             let mut enc = CompactEncoder::new(&mut out, table.len());
-            table.iter().for_each(|&n| enc.push(n));
+            let mut start = 0;
+            for end in ends {
+                enc.write(&table[start..end]);
+                start = end;
+            }
             enc.finish();
             let streamed = out.strip_prefix("{\"nodes\":\"").unwrap();
             proptest::prop_assert_eq!(streamed, encoded.as_str());
@@ -1386,7 +1463,11 @@ mod tests {
 
     #[test]
     fn digit_writer_matches_write_u32_in_every_digit_class() {
-        let values = [0u32, 9, 10, 99, 100, 999, 1000, 4799, 99_999, u32::MAX];
+        // both sides of every power of ten, and the widest id
+        let values: Vec<u32> = (0..10)
+            .flat_map(|k| [10u32.pow(k) - 1, 10u32.pow(k)])
+            .chain([4799, u32::MAX])
+            .collect();
         for &x in &values {
             let mut one = String::new();
             write_u32(&mut one, x);
@@ -1405,14 +1486,23 @@ mod tests {
 
     #[test]
     fn digit_writer_grows_past_its_reservation() {
-        // reserved for no entries, pushed 10 000 of every width: each push
-        // past the reservation must reserve again before it stores
+        // 10 000 entries of every width, fed in slices of 0 to 1 500
+        // entries: each slice, and each reservation-sized chunk of a
+        // longer one, must reserve before it stores
         let table: Vec<u32> = (0..10_000u32)
             .map(|i| i.wrapping_mul(2_654_435_761) >> (i % 32))
             .collect();
         let mut out = String::new();
-        let mut w = U32ArrayWriter::new(&mut out, 0);
-        table.iter().for_each(|&x| w.push(x));
+        let mut w = U32ArrayWriter::new(&mut out);
+        let mut rest = &table[..];
+        for n in (0..).map(|i: usize| i * 337 % 1_501) {
+            let (slice, tail) = rest.split_at(n.min(rest.len()));
+            w.write(slice);
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
         w.finish();
         let want = Value::Arr(table.iter().map(|&x| Value::Num(x as f64)).collect());
         assert_eq!(out, want.compact());

@@ -9,11 +9,14 @@
 //! registered one-shot (`EPOLLONESHOT`); when its socket turns readable
 //! exactly one waiting worker wakes with its event, takes it from the
 //! parked map, drains the complete lines, answers them in order, and
-//! re-arms the registration, so a request wakes one thread.  The accept
-//! thread only accepts, sheds and reaps, on its own listener-only epoll
-//! instance.  Idle workers sleep without a timeout, so idle connections
-//! cost zero CPU no matter how many are parked; an idle server wakes only
-//! the accept thread, on its 50 ms tick.
+//! re-arms the registration, so a request wakes one thread.  A worker
+//! keeps its read, frame and output buffers across turns and writes each
+//! answer on the non-blocking socket first, so an answer the socket takes
+//! at once costs no mode switch.  The accept thread only accepts, sheds
+//! and reaps, on its own listener-only epoll instance.  Idle workers sleep
+//! without a timeout, so idle connections cost zero CPU no matter how many
+//! are parked; an idle server wakes only the accept thread, on its 50 ms
+//! tick.
 //!
 //! A connection is only ever held by one worker at a time, which preserves
 //! the per-connection response order (and therefore batch ordering and the
@@ -36,7 +39,7 @@
 //! documented in `docs/ARCHITECTURE.md`.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 // off Unix no epoll instance, and so no wake pair, is ever made
 #[cfg(not(unix))]
 use std::net::TcpStream as WakeStream;
@@ -215,7 +218,7 @@ pub fn serve_io<R: Read, W: Write>(
 ) -> std::io::Result<()> {
     let mut framer = LineFramer::new();
     let mut frames = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
+    let mut chunk = [0u8; READ_CHUNK_BYTES];
     let mut response = String::new();
     loop {
         let n = match input.read(&mut chunk) {
@@ -342,8 +345,9 @@ fn try_admit(live: &AtomicUsize, max_conns: usize) -> bool {
     }
 }
 
-/// One pooled connection: its socket (non-blocking between writes) plus
-/// the framing state carrying bytes between turns.
+/// One pooled connection: its socket (non-blocking, except while a write's
+/// remainder waits for the client to read) plus the framing state carrying
+/// bytes between turns.
 struct Conn {
     stream: TcpStream,
     framer: LineFramer,
@@ -398,22 +402,58 @@ enum Turn {
 /// readable socket fires again at the tail of the kernel's ready list.
 const TURN_READ_BUDGET: usize = 32;
 
-fn serve_turn(service: &dyn LineHandler, conn: &mut Conn, degrade: bool) -> Turn {
-    let mut frames = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
+/// Bytes one socket read takes at most.
+const READ_CHUNK_BYTES: usize = 16 * 1024;
+
+/// Output capacity a worker keeps between writes: a larger buffer, grown
+/// by one large answer, is released after its write.
+const KEPT_OUTPUT_BYTES: usize = 1 << 20;
+
+/// A pool worker's transport buffers, allocated once per worker and reused
+/// by every turn it serves, whichever connection that turn is for.
+struct WorkerBuffers {
+    /// The socket read buffer.
+    chunk: Box<[u8]>,
+    /// Frames completed by the last read; [`write_responses`] answers and
+    /// empties it.
+    frames: Vec<Frame>,
+    /// The answers of one write, cleared per write and never above
+    /// [`KEPT_OUTPUT_BYTES`] of capacity between writes.
+    out: String,
+}
+
+impl WorkerBuffers {
+    fn new() -> Self {
+        WorkerBuffers {
+            chunk: vec![0; READ_CHUNK_BYTES].into_boxed_slice(),
+            frames: Vec::new(),
+            out: String::new(),
+        }
+    }
+}
+
+/// Serves one turn of a connection: reads to `EAGAIN` (at most
+/// [`TURN_READ_BUDGET`] reads) through the worker's buffers and answers
+/// the complete lines of each read before the next one.
+fn serve_turn(
+    service: &dyn LineHandler,
+    conn: &mut Conn,
+    bufs: &mut WorkerBuffers,
+    degrade: bool,
+) -> Turn {
     let mut progressed = false;
     for _ in 0..TURN_READ_BUDGET {
-        match conn.stream.read(&mut chunk) {
+        match conn.stream.read(&mut bufs.chunk) {
             Ok(0) => {
-                conn.framer.finish(&mut frames);
-                let _ = write_responses(service, conn, &mut frames, degrade);
+                conn.framer.finish(&mut bufs.frames);
+                let _ = write_responses(service, &mut conn.stream, bufs, degrade);
                 return Turn::Closed;
             }
             Ok(n) => {
-                conn.framer.push(&chunk[..n], &mut frames);
+                conn.framer.push(&bufs.chunk[..n], &mut bufs.frames);
                 progressed = true;
-                if !frames.is_empty()
-                    && write_responses(service, conn, &mut frames, degrade).is_err()
+                if !bufs.frames.is_empty()
+                    && write_responses(service, &mut conn.stream, bufs, degrade).is_err()
                 {
                     return Turn::Closed;
                 }
@@ -431,31 +471,49 @@ fn serve_turn(service: &dyn LineHandler, conn: &mut Conn, degrade: bool) -> Turn
     Turn::Ready
 }
 
-/// Answers the drained frames in order, streamed into one buffer and
-/// written with a single `write_all`.  The socket is switched to blocking
-/// for the write so back-pressure never corrupts the response order; the
-/// per-connection [`ServeOptions::write_timeout`] bounds how long that can
-/// hold the worker, so a client that stops reading is disconnected instead
-/// of pinning a pool thread.
+/// Answers the drained frames in order, streamed into the worker's output
+/// buffer and written at once.  The socket stays non-blocking while it
+/// takes the bytes; only a remainder it would not take is written in
+/// blocking mode, so back-pressure never corrupts the response order, and
+/// the per-connection [`ServeOptions::write_timeout`] bounds how long that
+/// can hold the worker: a client that stops reading is disconnected
+/// instead of pinning a pool thread.
 fn write_responses(
     service: &dyn LineHandler,
-    conn: &mut Conn,
-    frames: &mut Vec<Frame>,
+    stream: &mut TcpStream,
+    bufs: &mut WorkerBuffers,
     degrade: bool,
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    for frame in frames.drain(..) {
-        frame_response(service, frame, degrade, &mut out);
+    let out = &mut bufs.out;
+    out.clear();
+    for frame in bufs.frames.drain(..) {
+        frame_response(service, frame, degrade, out);
     }
     if out.is_empty() {
         return Ok(());
     }
-    conn.stream.set_nonblocking(false)?;
-    let result = conn
-        .stream
-        .write_all(out.as_bytes())
-        .and_then(|()| conn.stream.flush());
-    conn.stream.set_nonblocking(true)?;
+    let result = write_nonblocking_first(stream, out.as_bytes());
+    if out.capacity() > KEPT_OUTPUT_BYTES {
+        *out = String::new();
+    }
+    result
+}
+
+/// Writes `bytes` to a non-blocking socket: what one write takes without
+/// blocking, then any rest in blocking mode under the write timeout set at
+/// accept.
+fn write_nonblocking_first(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
+    let written = match stream.write(bytes) {
+        Ok(n) => n,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
+        Err(e) => return Err(e),
+    };
+    if written == bytes.len() {
+        return Ok(());
+    }
+    stream.set_nonblocking(false)?;
+    let result = stream.write_all(&bytes[written..]);
+    stream.set_nonblocking(true)?;
     result
 }
 
@@ -517,6 +575,7 @@ const WAKE_TOKEN: u64 = 0;
 /// event at a time and serves the connection it names, so a request wakes
 /// exactly one thread.  The wake fd's event starts the drain.
 fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
+    let mut bufs = WorkerBuffers::new();
     loop {
         let token = match state.epoll.wait_one(-1) {
             Ok(Some(event)) => event.token,
@@ -527,14 +586,19 @@ fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
             }
         };
         if token == WAKE_TOKEN {
-            drain(&*service, &state);
+            drain(&*service, &state, &mut bufs);
             return;
         }
         let Some(mut conn) = unpark(&state, token) else {
             continue;
         };
         let others = state.busy.fetch_add(1, Ordering::AcqRel);
-        let turn = serve_turn(&*service, &mut conn, others >= state.opts.degrade_queue);
+        let turn = serve_turn(
+            &*service,
+            &mut conn,
+            &mut bufs,
+            others >= state.opts.degrade_queue,
+        );
         state.busy.fetch_sub(1, Ordering::AcqRel);
         if conn.framer.has_partial() {
             conn.partial_since.get_or_insert_with(Instant::now);
@@ -552,7 +616,7 @@ fn worker_loop(service: Arc<dyn LineHandler>, state: Arc<PoolState>) {
 /// reported readable, then closes it instead of parking it.  The wake fd
 /// is level-triggered and never read, so it is reported by every wait; a
 /// wait that reports nothing else means no connection is left ready.
-fn drain(service: &dyn LineHandler, state: &PoolState) {
+fn drain(service: &dyn LineHandler, state: &PoolState, bufs: &mut WorkerBuffers) {
     let mut events = Vec::with_capacity(64);
     while state.epoll.wait(&mut events, 0).is_ok()
         && events.iter().any(|event| event.token != WAKE_TOKEN)
@@ -560,7 +624,7 @@ fn drain(service: &dyn LineHandler, state: &PoolState) {
         for event in &events {
             if let Some(mut conn) = unpark(state, event.token) {
                 while let Turn::Ready | Turn::Drained { progressed: true } =
-                    serve_turn(service, &mut conn, false)
+                    serve_turn(service, &mut conn, bufs, false)
                 {}
             }
         }

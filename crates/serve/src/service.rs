@@ -290,8 +290,8 @@ impl Served {
             None => match req.encoding {
                 Encoding::Verbose => {
                     out.push_str(NODES_FIELD);
-                    let mut w = U32ArrayWriter::new(out, entry.nodes.len());
-                    canon.for_each_restored(&req.dims, &entry.nodes, |n| w.push(n));
+                    let mut w = U32ArrayWriter::new(out);
+                    canon.for_each_restored(&req.dims, &entry.nodes, |run| w.write(run));
                     w.finish();
                 }
                 Encoding::Compact => {
@@ -304,7 +304,7 @@ impl Served {
                         out.push_str(entry.compact_encoding());
                     } else {
                         let mut enc = CompactEncoder::new(out, entry.nodes.len());
-                        canon.for_each_restored(&req.dims, &entry.nodes, |n| enc.push(n));
+                        canon.for_each_restored(&req.dims, &entry.nodes, |run| enc.write(run));
                         enc.finish();
                     }
                     out.push('"');
@@ -1480,13 +1480,17 @@ mod tests {
         /// materialised restored table, its compact encoding or the point
         /// lookups, byte for byte: 1–4-D dims in every permutation
         /// (identity included), every stencil, torus or not, node ids in
-        /// every digit class (one process per node on 1024–4096 nodes
+        /// every digit class (one process per node on 1024–6600 nodes
         /// reaches four digits), verbose, compact, point and cost-only
-        /// lines, degraded or not, then mixed batch lines.
+        /// lines, degraded or not, then mixed batch lines.  `[3,2,1100]`
+        /// on one process per node puts the longest dim innermost: its
+        /// rows are longer than the restoring walk's gather buffer
+        /// (canonical dims sort ascending), and one row holds ids below
+        /// and above 1000.
         #[test]
         fn direct_answers_equal_the_materialised_payload_writer(
             sizes in proptest::collection::vec(1usize..9, 1..5),
-            wide in 0usize..8,
+            wide in 0usize..9,
             per_node in 0usize..16,
             stencil in 0usize..3,
             periodic in proptest::bool::ANY,
@@ -1494,7 +1498,8 @@ mod tests {
             degrade in proptest::bool::ANY,
             probe in 0usize..4096,
         ) {
-            const WIDE: [&[usize]; 5] = [&[1024], &[32, 40], &[16, 8, 9], &[4, 8, 8, 8], &[64, 64]];
+            const WIDE: [&[usize]; 6] =
+                [&[1024], &[32, 40], &[16, 8, 9], &[4, 8, 8, 8], &[64, 64], &[3, 2, 1100]];
             const ALGORITHMS: [&str; 5] = ["hyperplane", "kdtree", "stencil_strips", "blocked", "nodecart"];
             let (dims, per) = match WIDE.get(wide) {
                 Some(dims) => (dims.to_vec(), 1),

@@ -304,6 +304,67 @@ fn write_timeout_tears_down_a_client_that_stops_reading() {
     assert!(reply.contains("\"status\":\"ok\""), "{reply}");
 }
 
+/// Pipelined answers of several MiB, read slowly: the worker writes what
+/// the socket takes without blocking, then the remainder in blocking mode
+/// while the client sleeps between reads.  Every byte must arrive, equal
+/// to the same lines' in-process answers, and the socket must be
+/// non-blocking again afterwards: on a one-worker pool a second client is
+/// served only if the worker's next read on the first connection returns.
+#[test]
+fn slowly_read_pipelined_answers_arrive_whole() {
+    let (_service, addr) = start_server(pool_opts(1));
+    // 240 000 node ids below 100 per table: ~0.7 MB verbose, ~0.3 MB
+    // compact, in the canonical and a permuted dimension order
+    let lines: Vec<String> = [
+        r#""dims":[400,600]"#,
+        r#""dims":[600,400]"#,
+        r#""dims":[600,400],"encoding":"compact""#,
+        r#""dims":[400,600],"encoding":"compact""#,
+    ]
+    .iter()
+    .cycle()
+    .take(10)
+    .enumerate()
+    .map(|(id, fields)| format!(r#"{{"id":{id},{fields},"nodes":100}}"#))
+    .collect();
+    let reference = MappingService::new(&ServiceConfig::default());
+    let mut want = String::new();
+    for line in &lines {
+        reference.handle_line_into(line, false, &mut want);
+        want.push('\n');
+    }
+    assert!(want.len() > 4 << 20, "{} B of answers", want.len());
+
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all((lines.join("\n") + "\n").as_bytes())
+        .unwrap();
+    let mut got = Vec::with_capacity(want.len());
+    let mut chunk = [0u8; 32 * 1024];
+    while got.len() < want.len() {
+        std::thread::sleep(Duration::from_millis(1));
+        let n = conn.read(&mut chunk).unwrap();
+        assert!(n > 0, "EOF after {} of {} B", got.len(), want.len());
+        got.extend_from_slice(&chunk[..n]);
+    }
+    assert!(
+        got == want.as_bytes(),
+        "the answers differ from the in-process ones"
+    );
+
+    let mut other = TcpStream::connect(addr).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    other
+        .write_all(b"{\"id\":1,\"dims\":[4,4],\"nodes\":4,\"want_mapping\":false}\n")
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(other).read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+}
+
 /// A handler that blocks a worker on a `hold` line until released and
 /// answers every other line with the `degrade` flag it was called with.
 struct Holder {
