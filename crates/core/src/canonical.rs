@@ -26,7 +26,7 @@ use std::cmp::Ordering;
 
 use crate::mapping::Mapping;
 use crate::problem::{MapError, MappingProblem};
-use stencil_grid::{Dims, Stencil};
+use stencil_grid::{Dims, NamedStencil, Stencil};
 
 /// Dimensionality up to which the permutation search is exhaustive. `8! =
 /// 40320` candidate permutations is still far cheaper than any mapping
@@ -47,12 +47,13 @@ pub struct Canonical {
     pub perm: Vec<usize>,
 }
 
-/// Entries [`Canonical::for_each_restored`] gathers from a permuted table
-/// before handing them out as one run.
+/// Entries [`Restore::for_each`] gathers from a permuted table before
+/// handing them out as one run.
 pub const RESTORE_RUN: usize = 512;
 
-/// Per original dimension: its size and its canonical row-major stride.
-type Strides = ([usize; MAX_CANONICAL_NDIMS], [usize; MAX_CANONICAL_NDIMS]);
+/// Most offsets a named stencil has on [`MAX_CANONICAL_NDIMS`] dims: the
+/// hops stencil's `2d + 4`.
+const MAX_NAMED_OFFSETS: usize = 2 * MAX_CANONICAL_NDIMS + 4;
 
 impl Canonical {
     /// Whether the canonical form kept the original dimension order (the
@@ -61,18 +62,131 @@ impl Canonical {
         self.perm.iter().enumerate().all(|(i, &p)| i == p)
     }
 
-    /// Transports a `position → value` table computed on the canonical grid
-    /// back to the original grid: entry `x` of the result describes original
-    /// grid position `x`.  Collects the runs of
-    /// [`Canonical::for_each_restored`].
+    /// How a table on the canonical grid reads in the `original` grid's
+    /// row-major order.
     ///
     /// # Panics
     ///
-    /// As [`Canonical::for_each_restored`].
+    /// Panics if `original` is not a permutation of the canonical dims, or
+    /// `perm` is not the identity on more than [`MAX_CANONICAL_NDIMS`]
+    /// dimensions (which [`canonicalize`] never produces).
+    pub fn restore(&self, original: &Dims) -> Restore {
+        let d = self.dims.ndims();
+        assert_eq!(original.ndims(), d, "dimensionality");
+        assert_eq!(original.volume(), self.dims.volume(), "grid volume");
+        if self.is_identity_permutation() {
+            return Restore::identity(original.volume());
+        }
+        assert!(
+            d <= MAX_CANONICAL_NDIMS,
+            "a dimension permutation over more than {MAX_CANONICAL_NDIMS} dims"
+        );
+        let restore = Restore::permuted(self.dims.as_slice(), &self.perm);
+        if let Some(s) = &restore.strides {
+            assert_eq!(&s.sizes[..d], original.as_slice(), "original dims");
+        }
+        restore
+    }
+
+    /// Transports a `position → value` table computed on the canonical grid
+    /// back to the original grid: entry `x` of the result describes original
+    /// grid position `x`.  Collects the runs of [`Restore::for_each`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Canonical::restore`], and if `canonical_table` does not cover
+    /// the grid.
     pub fn restore_positions<T: Copy>(&self, original: &Dims, canonical_table: &[T]) -> Vec<T> {
         let mut out = Vec::with_capacity(canonical_table.len());
-        self.for_each_restored(original, canonical_table, |run| out.extend_from_slice(run));
+        self.restore(original)
+            .for_each(canonical_table, |run| out.extend_from_slice(run));
         out
+    }
+
+    /// The canonical grid position holding original grid position `x` —
+    /// the single-entry counterpart of [`Canonical::restore_positions`]:
+    /// `restore_positions(original, table)[x] ==
+    /// table[canonical_index_of(original, x)]` for every `x`.  This is what
+    /// point queries use to read individual entries of a canonically cached
+    /// table in O(d) without materialising the restored table.
+    ///
+    /// # Panics
+    ///
+    /// As [`Canonical::restore`], and if `x` is outside the grid.
+    pub fn canonical_index_of(&self, original: &Dims, x: usize) -> usize {
+        self.restore(original).index_of(x)
+    }
+
+    /// Rebuilds a [`Mapping`] for the *original* problem from a
+    /// `position → node` table computed on the canonical grid.
+    pub fn restore_mapping(
+        &self,
+        original: &MappingProblem,
+        canonical_node_of_position: &[usize],
+    ) -> Result<Mapping, MapError> {
+        let restored = self.restore_positions(original.dims(), canonical_node_of_position);
+        Mapping::from_node_of_position(original, &restored)
+    }
+}
+
+/// How a table on the canonical grid reads in a request's own dimension
+/// order: the restoring walk and the point lookups of a canonical form,
+/// held inline, so an answer can be written from a cached canonical table
+/// without allocating.  From [`Canonical::restore`] or
+/// [`NamedCanonical::restore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Restore {
+    volume: usize,
+    /// `None` for the identity permutation, whose restored table is the
+    /// canonical one.
+    strides: Option<Strides>,
+}
+
+/// Per original dimension `j`: its size, and `weight[j]`, the canonical
+/// row-major stride of the canonical axis holding original dimension `j`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Strides {
+    d: usize,
+    sizes: [usize; MAX_CANONICAL_NDIMS],
+    weight: [usize; MAX_CANONICAL_NDIMS],
+}
+
+impl Restore {
+    fn identity(volume: usize) -> Restore {
+        Restore {
+            volume,
+            strides: None,
+        }
+    }
+
+    /// The relabeling of canonical `dims` where canonical dimension `i` is
+    /// original dimension `perm[i]` (`perm.len() ≤ MAX_CANONICAL_NDIMS`).
+    fn permuted(dims: &[usize], perm: &[usize]) -> Restore {
+        let volume = dims.iter().product();
+        if perm.iter().enumerate().all(|(i, &p)| i == p) {
+            return Restore::identity(volume);
+        }
+        let d = dims.len();
+        let mut s = Strides {
+            d,
+            sizes: [0; MAX_CANONICAL_NDIMS],
+            weight: [0; MAX_CANONICAL_NDIMS],
+        };
+        let mut stride = 1usize;
+        for i in (0..d).rev() {
+            s.sizes[perm[i]] = dims[i];
+            s.weight[perm[i]] = stride;
+            stride *= dims[i];
+        }
+        Restore {
+            volume,
+            strides: Some(s),
+        }
+    }
+
+    /// Whether the restored table is the canonical one.
+    pub fn is_identity(&self) -> bool {
+        self.strides.is_none()
     }
 
     /// Visits a `position → value` table computed on the canonical grid in
@@ -88,22 +202,13 @@ impl Canonical {
     ///
     /// # Panics
     ///
-    /// Panics if `original` is not a permutation of the canonical dims,
-    /// `canonical_table` does not cover the grid, or `perm` is not the
-    /// identity on more than [`MAX_CANONICAL_NDIMS`] dimensions (which
-    /// [`canonicalize`] never produces).
-    pub fn for_each_restored<T: Copy>(
-        &self,
-        original: &Dims,
-        canonical_table: &[T],
-        mut f: impl FnMut(&[T]),
-    ) {
-        assert_eq!(canonical_table.len(), self.dims.volume(), "table length");
-        let Some((sizes, weight)) = self.strides(original) else {
+    /// Panics if `canonical_table` does not cover the grid.
+    pub fn for_each<T: Copy>(&self, canonical_table: &[T], mut f: impl FnMut(&[T])) {
+        assert_eq!(canonical_table.len(), self.volume, "table length");
+        let Some(Strides { d, sizes, weight }) = self.strides else {
             f(canonical_table);
             return;
         };
-        let d = original.ndims();
         let (inner_len, inner_stride) = (sizes[d - 1], weight[d - 1]);
         // a volume is at least 1, so entry 0 exists to fill the buffer
         let mut buf = [canonical_table[0]; RESTORE_RUN];
@@ -151,65 +256,23 @@ impl Canonical {
         }
     }
 
-    /// The canonical grid position holding original grid position `x` —
-    /// the single-entry counterpart of [`Canonical::restore_positions`]:
-    /// `restore_positions(original, table)[x] ==
-    /// table[canonical_index_of(original, x)]` for every `x`.  This is what
-    /// point queries use to read individual entries of a canonically cached
-    /// table in O(d) without materialising the restored table.
+    /// The canonical grid position holding original grid position `x`.
     ///
     /// # Panics
     ///
-    /// As [`Canonical::for_each_restored`], and if `x` is outside the grid.
-    pub fn canonical_index_of(&self, original: &Dims, x: usize) -> usize {
-        assert!(x < original.volume(), "position outside the grid");
-        let Some((sizes, weight)) = self.strides(original) else {
+    /// Panics if `x` is outside the grid.
+    pub fn index_of(&self, x: usize) -> usize {
+        assert!(x < self.volume, "position outside the grid");
+        let Some(Strides { d, sizes, weight }) = self.strides else {
             return x;
         };
         let mut rest = x;
         let mut index = 0;
-        for j in (0..original.ndims()).rev() {
+        for j in (0..d).rev() {
             index += rest % sizes[j] * weight[j];
             rest /= sizes[j];
         }
         index
-    }
-
-    /// `None` for the identity permutation, whose restored table is the
-    /// canonical one.  Otherwise, per original dimension `j`, its size and
-    /// `weight[j]`: the canonical row-major stride of the canonical axis
-    /// holding original dimension `j`.
-    fn strides(&self, original: &Dims) -> Option<Strides> {
-        let d = self.dims.ndims();
-        assert_eq!(original.ndims(), d, "dimensionality");
-        assert_eq!(original.volume(), self.dims.volume(), "grid volume");
-        if self.is_identity_permutation() {
-            return None;
-        }
-        assert!(
-            d <= MAX_CANONICAL_NDIMS,
-            "a dimension permutation over more than {MAX_CANONICAL_NDIMS} dims"
-        );
-        let (mut sizes, mut weight) = ([0usize; MAX_CANONICAL_NDIMS], [0; MAX_CANONICAL_NDIMS]);
-        let mut stride = 1usize;
-        for i in (0..d).rev() {
-            sizes[self.perm[i]] = self.dims.size(i);
-            weight[self.perm[i]] = stride;
-            stride *= self.dims.size(i);
-        }
-        assert_eq!(&sizes[..d], original.as_slice(), "original dims");
-        Some((sizes, weight))
-    }
-
-    /// Rebuilds a [`Mapping`] for the *original* problem from a
-    /// `position → node` table computed on the canonical grid.
-    pub fn restore_mapping(
-        &self,
-        original: &MappingProblem,
-        canonical_node_of_position: &[usize],
-    ) -> Result<Mapping, MapError> {
-        let restored = self.restore_positions(original.dims(), canonical_node_of_position);
-        Mapping::from_node_of_position(original, &restored)
     }
 }
 
@@ -222,41 +285,56 @@ impl Canonical {
 pub fn canonicalize(dims: &Dims, stencil: &Stencil) -> Canonical {
     let d = dims.ndims();
     debug_assert_eq!(stencil.ndims(), d, "stencil and dims must agree");
-    let size = |&i: &usize| dims.size(i);
-    let mut best_perm: Vec<usize> = (0..d).collect();
-    // the best permutation's sorted offsets, built only once a candidate
-    // ties with it on dims
+    let (perm, offsets) = if d <= MAX_CANONICAL_NDIMS {
+        let (perm, offsets) = search(dims.as_slice(), |perm| permuted_offsets(stencil, perm));
+        (perm[..d].to_vec(), offsets)
+    } else {
+        ((0..d).collect(), None)
+    };
+    let offsets = offsets.unwrap_or_else(|| permuted_offsets(stencil, &perm));
+    Canonical {
+        dims: Dims::new(perm.iter().map(|&i| dims.size(i)).collect())
+            .expect("permuted dims stay valid"),
+        stencil: Stencil::new(d, offsets).expect("permuted stencil stays valid"),
+        perm,
+    }
+}
+
+/// The permutation search of [`canonicalize`] over `sizes.len() ≤`
+/// [`MAX_CANONICAL_NDIMS`] dims: the lexicographically first permutation
+/// minimising `(permuted sizes, offsets(perm))`, where `offsets` builds a
+/// candidate's sorted permuted offsets.  Lexicographic enumeration keeps
+/// ties deterministic, and the sizes compare first, so `offsets` runs only
+/// on a tie.  Returns the permutation (its first `sizes.len()` entries) and
+/// the winner's offsets when they were built.
+fn search<O: Ord>(
+    sizes: &[usize],
+    offsets: impl Fn(&[usize]) -> O,
+) -> ([usize; MAX_CANONICAL_NDIMS], Option<O>) {
+    let d = sizes.len();
+    let mut best = [0; MAX_CANONICAL_NDIMS];
+    best.iter_mut().enumerate().for_each(|(i, p)| *p = i);
     let mut best_offsets = None;
-    if d <= MAX_CANONICAL_NDIMS {
-        // Lexicographic permutation enumeration keeps ties deterministic:
-        // the first (smallest) permutation achieving the minimum is kept.
-        // The dims compare first, so only a tie builds offsets.
-        let mut perm = best_perm.clone();
-        while next_permutation(&mut perm) {
-            match perm.iter().map(size).cmp(best_perm.iter().map(size)) {
-                Ordering::Greater => {}
-                Ordering::Less => {
-                    best_perm.copy_from_slice(&perm);
-                    best_offsets = None;
-                }
-                Ordering::Equal => {
-                    let best =
-                        best_offsets.get_or_insert_with(|| permuted_offsets(stencil, &best_perm));
-                    let cand = permuted_offsets(stencil, &perm);
-                    if cand < *best {
-                        *best = cand;
-                        best_perm.copy_from_slice(&perm);
-                    }
+    let mut perm = best;
+    let size = |&i: &usize| sizes[i];
+    while next_permutation(&mut perm[..d]) {
+        match perm[..d].iter().map(size).cmp(best[..d].iter().map(size)) {
+            Ordering::Greater => {}
+            Ordering::Less => {
+                best = perm;
+                best_offsets = None;
+            }
+            Ordering::Equal => {
+                let kept = best_offsets.get_or_insert_with(|| offsets(&best[..d]));
+                let cand = offsets(&perm[..d]);
+                if cand < *kept {
+                    *kept = cand;
+                    best = perm;
                 }
             }
         }
     }
-    let offsets = best_offsets.unwrap_or_else(|| permuted_offsets(stencil, &best_perm));
-    Canonical {
-        dims: Dims::new(best_perm.iter().map(size).collect()).expect("permuted dims stay valid"),
-        stencil: Stencil::new(d, offsets).expect("permuted stencil stays valid"),
-        perm: best_perm,
-    }
+    (best, best_offsets)
 }
 
 /// The offsets of `stencil` with their coordinates permuted by `perm`
@@ -270,6 +348,113 @@ fn permuted_offsets(stencil: &Stencil, perm: &[usize]) -> Vec<Vec<i64>> {
         .collect();
     offsets.sort_unstable();
     offsets
+}
+
+/// [`canonicalize`] of a named stencil on at most [`MAX_CANONICAL_NDIMS`]
+/// dims, held inline: the same canonical dims, flattened stencil and
+/// permutation, found by the same search without allocating.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NamedCanonical {
+    d: usize,
+    k: usize,
+    perm: [usize; MAX_CANONICAL_NDIMS],
+    dims: [usize; MAX_CANONICAL_NDIMS],
+    /// The sorted permuted offsets, `k` rows of `d` entries.
+    stencil: [i64; MAX_NAMED_OFFSETS * MAX_CANONICAL_NDIMS],
+}
+
+/// A named stencil's permuted offsets, sorted, as [`offset_key`]s.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct NamedRows([i64; MAX_NAMED_OFFSETS]);
+
+/// The offset `step · 1_at` (`step` nonzero, `|step| < 64`) as a key that
+/// orders as the offset rows do: a row with a negative step is less than
+/// every row with a positive one; negative rows order by position, then
+/// step; positive rows by position descending, then step.  (At the first
+/// position where two such rows differ, one of them holds its step and the
+/// other zero.)  Sorted key lists therefore compare as the sorted row lists
+/// of [`permuted_offsets`] do.
+fn offset_key(at: usize, step: i64) -> i64 {
+    let (class, position) = if step < 0 {
+        (0, at)
+    } else {
+        (1, MAX_CANONICAL_NDIMS - at)
+    };
+    (class << 16) | (position as i64) << 8 | (step + 64)
+}
+
+impl NamedCanonical {
+    /// The canonical dimension sizes (`canonicalize(..).dims`).
+    pub fn dims(&self) -> &[usize] {
+        &self.dims[..self.d]
+    }
+
+    /// The canonical stencil, flattened (`canonicalize(..).stencil.to_flat()`).
+    pub fn stencil_flat(&self) -> &[i64] {
+        &self.stencil[..self.k * self.d]
+    }
+
+    /// The dimension relabeling (`canonicalize(..).perm`).
+    pub fn perm(&self) -> &[usize] {
+        &self.perm[..self.d]
+    }
+
+    /// How a table on the canonical grid reads in the request's own
+    /// dimension order.
+    pub fn restore(&self) -> Restore {
+        Restore::permuted(self.dims(), self.perm())
+    }
+}
+
+/// [`canonicalize`]`(sizes, stencil.build(sizes.len()))` for a named
+/// stencil, without allocating; `None` for more than
+/// [`MAX_CANONICAL_NDIMS`] dims, no dims, or a component stencil on fewer
+/// than two.
+pub fn canonicalize_named(sizes: &[usize], stencil: NamedStencil) -> Option<NamedCanonical> {
+    let d = sizes.len();
+    if d == 0 || d > MAX_CANONICAL_NDIMS || (stencil == NamedStencil::Component && d < 2) {
+        return None;
+    }
+    let mut axis_steps = [(0, 0); MAX_NAMED_OFFSETS];
+    let mut k = 0;
+    for axis_step in stencil.axis_steps(d) {
+        axis_steps[k] = axis_step;
+        k += 1;
+    }
+    let rows = |perm: &[usize]| {
+        // permuted coordinate `i` is original coordinate `perm[i]`, so an
+        // offset along original `axis` lands where `perm` holds it
+        let mut at = [0; MAX_CANONICAL_NDIMS];
+        perm.iter().enumerate().for_each(|(i, &axis)| at[axis] = i);
+        let mut rows = NamedRows([0; MAX_NAMED_OFFSETS]);
+        for (row, &(axis, step)) in rows.0.iter_mut().zip(&axis_steps[..k]) {
+            *row = offset_key(at[axis], step);
+        }
+        rows.0[..k].sort_unstable();
+        rows
+    };
+    let (perm, best) = search(sizes, rows);
+    let best = best.unwrap_or_else(|| rows(&perm[..d]));
+    let mut canon = NamedCanonical {
+        d,
+        k,
+        perm,
+        dims: [0; MAX_CANONICAL_NDIMS],
+        stencil: [0; MAX_NAMED_OFFSETS * MAX_CANONICAL_NDIMS],
+    };
+    for i in 0..d {
+        canon.dims[i] = sizes[perm[i]];
+    }
+    for (row, &key) in canon.stencil.chunks_exact_mut(d).zip(&best.0[..k]) {
+        let step = (key & 0xff) - 64;
+        let at = (key >> 8 & 0xff) as usize;
+        row[if step < 0 {
+            at
+        } else {
+            MAX_CANONICAL_NDIMS - at
+        }] = step;
+    }
+    Some(canon)
 }
 
 /// Advances `perm` to the next lexicographic permutation; returns `false`
@@ -471,6 +656,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn named_canonical_form_equals_canonicalize_on_every_small_tie() {
+        // every size vector over {1, 2, 3} on up to 4 dims, and all-equal
+        // sizes (every permutation ties) on 5 to 8
+        let mut shapes: Vec<Vec<usize>> = (1..=4u32)
+            .flat_map(|d| {
+                (0..3usize.pow(d))
+                    .map(move |code| (0..d).map(|i| code / 3usize.pow(i) % 3 + 1).collect())
+            })
+            .collect();
+        shapes.extend((5..=8).map(|d| vec![2; d]));
+        for sizes in shapes {
+            for named in [
+                NamedStencil::NearestNeighbor,
+                NamedStencil::NearestNeighborWithHops,
+                NamedStencil::Component,
+            ] {
+                let Some(inline) = canonicalize_named(&sizes, named) else {
+                    assert!(named == NamedStencil::Component && sizes.len() < 2);
+                    continue;
+                };
+                let dims = Dims::new(sizes.clone()).unwrap();
+                let owned = canonicalize(&dims, &named.build(sizes.len()));
+                assert_eq!(inline.dims(), owned.dims.as_slice(), "{sizes:?} {named:?}");
+                assert_eq!(
+                    inline.stencil_flat(),
+                    owned.stencil.to_flat(),
+                    "{sizes:?} {named:?}"
+                );
+                assert_eq!(inline.perm(), owned.perm.as_slice(), "{sizes:?} {named:?}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -530,6 +749,32 @@ mod tests {
             prop_assert_eq!(canonicalize(&dims, &stencil), reference_canonicalize(&dims, &stencil));
         }
 
+        /// The inline search over a named stencil finds `canonicalize`'s
+        /// dims, flattened stencil and permutation, and restores alike, on
+        /// 1–8 dims whose sizes repeat often (drawn from 1..4, so dims tie
+        /// and the offsets decide).
+        #[test]
+        fn prop_named_canonical_form_equals_canonicalize(
+            sizes in proptest::collection::vec(1usize..4, 1..9),
+            named in 0usize..3,
+        ) {
+            let named = [
+                NamedStencil::NearestNeighbor,
+                NamedStencil::NearestNeighborWithHops,
+                NamedStencil::Component,
+            ][named];
+            let dims = Dims::new(sizes.clone()).unwrap();
+            let Some(inline) = canonicalize_named(&sizes, named) else {
+                prop_assert!(named == NamedStencil::Component && sizes.len() < 2);
+                return Ok(());
+            };
+            let owned = canonicalize(&dims, &named.build(sizes.len()));
+            prop_assert_eq!(inline.dims(), owned.dims.as_slice());
+            prop_assert_eq!(inline.stencil_flat().to_vec(), owned.stencil.to_flat());
+            prop_assert_eq!(inline.perm(), owned.perm.as_slice());
+            prop_assert_eq!(inline.restore(), owned.restore(&dims));
+        }
+
         /// The odometer's runs, concatenated (and through
         /// `restore_positions`), and `canonical_index_of` agree with the
         /// coordinate definition in every permutation of 1–5-D dims,
@@ -569,7 +814,7 @@ mod tests {
             let table: Vec<u32> = (0..dims.volume() as u32).map(|x| x.wrapping_mul(2654435761)).collect();
             let want = restored_by_coordinates(&c, &original, &table);
             let mut runs: Vec<Vec<u32>> = Vec::new();
-            c.for_each_restored(&original, &table, |run| runs.push(run.to_vec()));
+            c.restore(&original).for_each(&table, |run| runs.push(run.to_vec()));
             prop_assert_eq!(&runs.concat(), &want);
             prop_assert_eq!(&c.restore_positions(&original, &table), &want);
             // one run for the identity, else full buffers and one

@@ -52,7 +52,7 @@ pub use coords::{coord_to_rank, rank_to_coord, Coord};
 pub use dims::Dims;
 pub use dims_create::{dims_create, prime_factors};
 pub use graph::CartGraph;
-pub use stencil::{Offset, Stencil};
+pub use stencil::{NamedStencil, Offset, Stencil};
 
 /// Crate-wide error type.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -19,6 +19,45 @@ pub struct Stencil {
     offsets: Vec<Offset>,
 }
 
+/// The paper's three named stencils (Fig. 2).  Every offset of one is a
+/// unit vector times a step, so each is a list of `(axis, step)` pairs:
+/// its constructor ([`Stencil::nearest_neighbor`] and the others) builds
+/// the offsets from that list, and an allocation-free canonical form can
+/// read it without building them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NamedStencil {
+    /// [`Stencil::nearest_neighbor`].
+    NearestNeighbor,
+    /// [`Stencil::nearest_neighbor_with_hops`].
+    NearestNeighborWithHops,
+    /// [`Stencil::component`].
+    Component,
+}
+
+impl NamedStencil {
+    /// The offsets on `ndims` dimensions, in the order the constructor lists
+    /// them, as `(axis, step)`: the offset `step · 1_axis`.
+    pub fn axis_steps(self, ndims: usize) -> impl Iterator<Item = (usize, i64)> {
+        let (axes, hops): (usize, &[i64]) = match self {
+            NamedStencil::NearestNeighbor => (ndims, &[]),
+            NamedStencil::NearestNeighborWithHops => (ndims, &[2, 3]),
+            NamedStencil::Component => (ndims.saturating_sub(1), &[]),
+        };
+        (0..axes)
+            .flat_map(|axis| [(axis, 1), (axis, -1)])
+            .chain(hops.iter().flat_map(|&a| [(0, a), (0, -a)]))
+    }
+
+    /// The stencil on `ndims` dimensions (panics where its constructor does).
+    pub fn build(self, ndims: usize) -> Stencil {
+        match self {
+            NamedStencil::NearestNeighbor => Stencil::nearest_neighbor(ndims),
+            NamedStencil::NearestNeighborWithHops => Stencil::nearest_neighbor_with_hops(ndims),
+            NamedStencil::Component => Stencil::component(ndims),
+        }
+    }
+}
+
 impl Stencil {
     /// Creates a stencil from explicit offsets.
     ///
@@ -72,16 +111,7 @@ impl Stencil {
     /// `S = {±1_i | 0 ≤ i < d}` — one neighbor in each direction of each
     /// dimension.  This is the stencil implied by MPI Cartesian topologies.
     pub fn nearest_neighbor(ndims: usize) -> Self {
-        let mut offsets = Vec::with_capacity(2 * ndims);
-        for i in 0..ndims {
-            let mut plus = vec![0i64; ndims];
-            plus[i] = 1;
-            let mut minus = vec![0i64; ndims];
-            minus[i] = -1;
-            offsets.push(plus);
-            offsets.push(minus);
-        }
-        Stencil { ndims, offsets }
+        Self::from_axis_steps(NamedStencil::NearestNeighbor, ndims)
     }
 
     /// The *component* stencil (Fig. 2b):
@@ -93,16 +123,7 @@ impl Stencil {
             ndims >= 2,
             "component stencil requires at least 2 dimensions"
         );
-        let mut offsets = Vec::with_capacity(2 * (ndims - 1));
-        for i in 0..ndims - 1 {
-            let mut plus = vec![0i64; ndims];
-            plus[i] = 1;
-            let mut minus = vec![0i64; ndims];
-            minus[i] = -1;
-            offsets.push(plus);
-            offsets.push(minus);
-        }
-        Stencil { ndims, offsets }
+        Self::from_axis_steps(NamedStencil::Component, ndims)
     }
 
     /// A one-dimensional component stencil communicating along an arbitrary
@@ -124,16 +145,19 @@ impl Stencil {
     /// `S = {±1_i | 0 ≤ i < d} ∪ {±a·1_0 | a ∈ {2, 3}}` — nearest neighbors
     /// plus two- and three-hop neighbors along the first dimension.
     pub fn nearest_neighbor_with_hops(ndims: usize) -> Self {
-        let mut s = Self::nearest_neighbor(ndims);
-        for a in [2i64, 3i64] {
-            let mut plus = vec![0i64; ndims];
-            plus[0] = a;
-            let mut minus = vec![0i64; ndims];
-            minus[0] = -a;
-            s.offsets.push(plus);
-            s.offsets.push(minus);
-        }
-        s
+        Self::from_axis_steps(NamedStencil::NearestNeighborWithHops, ndims)
+    }
+
+    fn from_axis_steps(named: NamedStencil, ndims: usize) -> Self {
+        let offsets = named
+            .axis_steps(ndims)
+            .map(|(axis, step)| {
+                let mut offset = vec![0i64; ndims];
+                offset[axis] = step;
+                offset
+            })
+            .collect();
+        Stencil { ndims, offsets }
     }
 
     /// Number of dimensions of the stencil offsets.
@@ -285,6 +309,42 @@ impl std::fmt::Display for Stencil {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn named_stencils_list_their_offsets_in_constructor_order() {
+        assert_eq!(
+            Stencil::nearest_neighbor_with_hops(2).offsets(),
+            &[
+                vec![1, 0],
+                vec![-1, 0],
+                vec![0, 1],
+                vec![0, -1],
+                vec![2, 0],
+                vec![-2, 0],
+                vec![3, 0],
+                vec![-3, 0]
+            ]
+        );
+        assert_eq!(
+            Stencil::component(3).offsets(),
+            &[vec![1, 0, 0], vec![-1, 0, 0], vec![0, 1, 0], vec![0, -1, 0]]
+        );
+        for named in [
+            NamedStencil::NearestNeighbor,
+            NamedStencil::NearestNeighborWithHops,
+            NamedStencil::Component,
+        ] {
+            for ndims in 2..6 {
+                let built = named.build(ndims);
+                assert_eq!(built.k(), named.axis_steps(ndims).count());
+                for (offset, (axis, step)) in built.offsets().iter().zip(named.axis_steps(ndims)) {
+                    let mut want = vec![0; ndims];
+                    want[axis] = step;
+                    assert_eq!(offset, &want, "{named:?} on {ndims} dims");
+                }
+            }
+        }
+    }
 
     #[test]
     fn nearest_neighbor_has_2d_offsets() {

@@ -7,10 +7,16 @@
 //!
 //! The cache is split into independently locked shards; a key is assigned to
 //! a shard by its hash, so concurrent requests for different keys rarely
-//! contend on the same mutex.  Each shard keeps a hash map from key to slot
-//! index plus an intrusive doubly-linked recency list over a slot arena,
-//! giving O(1) lookup, touch and insert without per-entry allocation after
-//! the arena has grown to capacity.
+//! contend on the same mutex.  Each shard keeps a hash map from the key's
+//! hash to a slot index plus an intrusive doubly-linked recency list over a
+//! slot arena, giving O(1) lookup, touch and insert without per-entry
+//! allocation after the arena has grown to capacity.  One `DefaultHasher`
+//! pass over a key's bytes picks its shard and keys that shard's map (which
+//! hashes the 8-byte digest again with its own random keys), and the
+//! `*_hashed` methods take that hash precomputed with an equality test, so
+//! a caller can look a key up by a borrowed view of it that hashes alike;
+//! keys whose hashes collide share a chain, and equality is always checked
+//! against the stored key.
 //!
 //! Two eviction policies share that structure (see [`EvictionPolicy`]):
 //!
@@ -33,6 +39,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 const NIL: usize = usize::MAX;
+
+/// The hash [`ShardedLru`] places and finds a key by: one `DefaultHasher`
+/// pass, so a borrowed view whose `Hash` feeds the hasher the same stream
+/// finds the owned key.
+pub fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
 
 /// Which entry a full shard evicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,6 +75,10 @@ impl EvictionPolicy {
 struct Slot<K, V> {
     key: K,
     value: V,
+    /// [`hash_of`] the key.
+    hash: u64,
+    /// The next slot whose key has the same hash (`NIL` ends the chain).
+    same: usize,
     /// Recompute cost, set at insert time (GDSF only; 1 under LRU).
     cost: u64,
     /// Greedy-Dual priority `clock_at_last_use + cost` (unused under LRU).
@@ -69,7 +88,10 @@ struct Slot<K, V> {
 }
 
 struct Shard<K, V> {
-    map: HashMap<K, usize>,
+    /// Key hash → the first slot of its chain.  The map hashes the digest
+    /// again with its own random keys, so requests crafted to share the
+    /// digest's bits cannot pile up in one probe sequence.
+    map: HashMap<u64, usize>,
     slots: Vec<Slot<K, V>>,
     free: Vec<usize>,
     /// Most recently used slot.
@@ -94,6 +116,41 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             policy,
             clock: 0,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// The slot holding the key of hash `hash` that `eq` accepts.
+    fn find(&self, hash: u64, mut eq: impl FnMut(&K) -> bool) -> Option<usize> {
+        let mut idx = *self.map.get(&hash)?;
+        while idx != NIL {
+            if eq(&self.slots[idx].key) {
+                return Some(idx);
+            }
+            idx = self.slots[idx].same;
+        }
+        None
+    }
+
+    /// Takes slot `idx` out of its hash chain.
+    fn unindex(&mut self, idx: usize) {
+        let (hash, same) = (self.slots[idx].hash, self.slots[idx].same);
+        let head = self.map[&hash];
+        if head == idx {
+            if same == NIL {
+                self.map.remove(&hash);
+            } else {
+                self.map.insert(hash, same);
+            }
+            return;
+        }
+        let mut prev = head;
+        while self.slots[prev].same != idx {
+            prev = self.slots[prev].same;
+        }
+        self.slots[prev].same = same;
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -124,8 +181,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<(V, bool)> {
-        let idx = *self.map.get(key)?;
+    fn get(&mut self, hash: u64, eq: impl FnMut(&K) -> bool) -> Option<(V, bool)> {
+        let idx = self.find(hash, eq)?;
         let was_mru = self.head == idx;
         if self.policy == EvictionPolicy::Gdsf {
             // a hit re-earns the entry its full cost above the current clock
@@ -158,11 +215,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    fn insert(&mut self, key: K, value: V, cost: u64) {
+    fn insert(&mut self, hash: u64, key: K, value: V, cost: u64) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&idx) = self.map.get(&key) {
+        if let Some(idx) = self.find(hash, |k| *k == key) {
             self.slots[idx].value = value;
             self.slots[idx].cost = cost;
             self.slots[idx].h = self.clock.saturating_add(cost);
@@ -170,7 +227,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             self.push_front(idx);
             return;
         }
-        if self.map.len() == self.capacity {
+        if self.len() == self.capacity {
             // evict the policy's victim and reuse its slot
             let victim = self.victim();
             debug_assert_ne!(victim, NIL);
@@ -180,41 +237,37 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
                 self.clock = self.clock.max(self.slots[victim].h);
             }
             self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
+            self.unindex(victim);
             self.free.push(victim);
         }
         // priced after any eviction, so the clock advance is reflected
         let h = self.clock.saturating_add(cost);
+        let slot = Slot {
+            key,
+            value,
+            hash,
+            same: self.map.get(&hash).copied().unwrap_or(NIL),
+            cost,
+            h,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx] = Slot {
-                    key: key.clone(),
-                    value,
-                    cost,
-                    h,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[idx] = slot;
                 idx
             }
             None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    cost,
-                    h,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(slot);
                 self.slots.len() - 1
             }
         };
-        self.map.insert(key, idx);
+        self.map.insert(hash, idx);
         self.push_front(idx);
     }
 
     fn keys_mru_first(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut idx = self.head;
         while idx != NIL {
             out.push(self.slots[idx].key.clone());
@@ -224,7 +277,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 
     fn entries_lru_first(&self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut idx = self.tail;
         while idx != NIL {
             out.push((self.slots[idx].key.clone(), self.slots[idx].value.clone()));
@@ -287,9 +340,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// The shard index a key belongs to (stable for the cache's lifetime;
     /// exposed so tests can construct single-shard workloads).
     pub fn shard_of(&self, key: &K) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        self.shard_of_hash(hash_of(key))
+    }
+
+    /// The shard index of a key whose [`hash_of`] is `hash`.
+    pub fn shard_of_hash(&self, hash: u64) -> usize {
+        (hash as usize) % self.shards.len()
     }
 
     /// Looks up `key`, marking it most recently used on a hit.
@@ -303,8 +359,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// as no-ops — for a hot key hit in a loop, only the first touch ever
     /// reaches the log.
     pub fn get_tracking_mru(&self, key: &K) -> Option<(V, bool)> {
-        let shard = &self.shards[self.shard_of(key)];
-        let got = shard.lock().expect("cache shard poisoned").get(key);
+        self.get_tracking_mru_hashed(hash_of(key), |k| k == key)
+    }
+
+    /// [`ShardedLru::get_tracking_mru`] of the key whose [`hash_of`] is
+    /// `hash` and that `eq` accepts: a lookup by a borrowed view of the
+    /// key, hashed once.
+    pub fn get_tracking_mru_hashed(
+        &self,
+        hash: u64,
+        eq: impl FnMut(&K) -> bool,
+    ) -> Option<(V, bool)> {
+        let shard = &self.shards[self.shard_of_hash(hash)];
+        let got = shard.lock().expect("cache shard poisoned").get(hash, eq);
         match got {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -322,11 +389,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// record: the recency effect must be reproduced, but the replay is not
     /// request traffic.  Returns whether the key was resident.
     pub fn touch(&self, key: &K) -> bool {
-        let shard = &self.shards[self.shard_of(key)];
+        let hash = hash_of(key);
+        let shard = &self.shards[self.shard_of_hash(hash)];
         shard
             .lock()
             .expect("cache shard poisoned")
-            .get(key)
+            .get(hash, |k| k == key)
             .is_some()
     }
 
@@ -336,13 +404,18 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// just-computed entry to the other replicas) read through this, so
     /// neither perturbs eviction order.
     pub fn peek(&self, key: &K) -> Option<V> {
-        let shard = self.shards[self.shard_of(key)]
+        self.peek_hashed(hash_of(key), |k| k == key)
+    }
+
+    /// [`ShardedLru::peek`] of the key whose [`hash_of`] is `hash` and that
+    /// `eq` accepts.
+    pub fn peek_hashed(&self, hash: u64, eq: impl FnMut(&K) -> bool) -> Option<V> {
+        let shard = self.shards[self.shard_of_hash(hash)]
             .lock()
             .expect("cache shard poisoned");
         shard
-            .map
-            .get(key)
-            .map(|&idx| shard.slots[idx].value.clone())
+            .find(hash, eq)
+            .map(|idx| shard.slots[idx].value.clone())
     }
 
     /// Inserts (or refreshes) `key` with a unit recompute cost, evicting the
@@ -356,18 +429,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// Under GDSF the cost scales retention (priority `clock + cost`); under
     /// LRU it is ignored, so callers can pass real costs unconditionally.
     pub fn insert_with_cost(&self, key: K, value: V, cost: u64) {
-        let shard = &self.shards[self.shard_of(&key)];
+        let hash = hash_of(&key);
+        let shard = &self.shards[self.shard_of_hash(hash)];
         shard
             .lock()
             .expect("cache shard poisoned")
-            .insert(key, value, cost);
+            .insert(hash, key, value, cost);
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| s.lock().expect("cache shard poisoned").len())
             .sum()
     }
 
@@ -525,6 +599,51 @@ mod tests {
         assert_eq!(c.len(), 0);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (0, 1));
+    }
+
+    /// A key whose hash reads only its first half, so keys sharing it
+    /// collide on the whole 64-bit hash.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Colliding(u64, u64);
+
+    impl Hash for Colliding {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_chain_and_compare_the_stored_keys() {
+        let c: ShardedLru<Colliding, u64> = ShardedLru::new(3, 1);
+        for k in 0..3 {
+            c.insert(Colliding(7, k), k);
+        }
+        assert_eq!(hash_of(&Colliding(7, 0)), hash_of(&Colliding(7, 2)));
+        for k in 0..3 {
+            assert_eq!(c.peek(&Colliding(7, k)), Some(k));
+        }
+        assert_eq!(c.get(&Colliding(7, 9)), None);
+        // evicting from the middle, the head and the tail of a chain
+        c.get(&Colliding(7, 0));
+        c.insert(Colliding(8, 0), 10); // evicts (7, 1)
+        assert_eq!(c.peek(&Colliding(7, 1)), None);
+        assert_eq!(c.peek(&Colliding(7, 0)), Some(0));
+        assert_eq!(c.peek(&Colliding(7, 2)), Some(2));
+        c.insert(Colliding(8, 1), 11); // evicts (7, 2)
+        c.insert(Colliding(8, 2), 12); // evicts (7, 0)
+        assert_eq!(c.len(), 3);
+        for k in 0..3 {
+            assert_eq!(c.peek(&Colliding(7, k)), None);
+            assert_eq!(c.get(&Colliding(8, k)), Some(10 + k));
+        }
+        // a lookup by hash and predicate finds what the owned key finds
+        let hash = hash_of(&Colliding(8, 1));
+        assert_eq!(c.shard_of_hash(hash), c.shard_of(&Colliding(8, 1)));
+        assert_eq!(
+            c.get_tracking_mru_hashed(hash, |k| k.1 == 1),
+            Some((11, false))
+        );
+        assert_eq!(c.peek_hashed(hash, |k| k.1 == 5), None);
     }
 
     fn gdsf_shard(capacity: usize) -> ShardedLru<u64, u64> {

@@ -1,16 +1,29 @@
-//! Minimal JSON value model with a parser, a *compact* (single line)
-//! writer sized for the newline-delimited wire protocol, and a *pretty*
-//! writer for report files.
+//! Minimal JSON: a value model with a parser, a one-pass syntax check over
+//! request lines, streaming writers for the wire protocol, a *pretty*
+//! writer for report files, and the compact node-table codec.
 //!
-//! The build environment is offline, so `serde_json` is unavailable; the
-//! service instead parses requests into this small [`Value`] enum and writes
-//! responses with [`Value::compact`], so that one response occupies exactly
-//! one line.  The benchmark harness builds its report documents (the
-//! `BENCH_*.json` baselines, figure and table dumps) from the same enum,
-//! writes them with [`Value::pretty`] and reads them back with
-//! [`Value::parse`].  Only the shapes these uses need are supported:
-//! objects, arrays, strings, finite numbers, booleans and null.
+//! The build environment is offline, so `serde_json` is unavailable.
+//! * **Reading.** [`Value::parse`] builds a [`Value`] tree (the router,
+//!   the persistence log and the benchmark documents read through it);
+//!   `scan` checks a request line with the same grammar, depth limit and
+//!   error texts without building it, handing out the `Span` of each
+//!   top-level member, and the request rules read spans and tree values
+//!   alike through `Field`.  Numbers and `\u` escapes follow RFC 8259.
+//! * **Writing.** The service streams each response line straight into
+//!   its output buffer with the direct writers ([`write_f64`],
+//!   [`write_u32`], [`write_u64`], [`write_string`], the node-table digit
+//!   writer and the compact encoder), byte-identical to [`Value::compact`]
+//!   for the same shapes, so one response occupies exactly one line.  Admin
+//!   answers and echoed ids are written from [`Value`]s.
+//! * **Reports.** The benchmark harness builds its report documents (the
+//!   `BENCH_*.json` baselines, figure and table dumps) as [`Value`]s,
+//!   writes them with [`Value::pretty`] and reads them back with
+//!   [`Value::parse`].
+//!
+//! Only the shapes these uses need are supported: objects, arrays,
+//! strings, finite numbers, booleans and null.
 
+use std::borrow::Cow;
 use std::mem::MaybeUninit;
 
 /// A JSON value.
@@ -65,12 +78,7 @@ impl Value {
     /// The value as a non-negative integer, if it is one (rejects fractions,
     /// negatives and numbers beyond exact f64 integer range).
     pub fn as_usize(&self) -> Option<usize> {
-        let x = self.as_f64()?;
-        if x >= 0.0 && x.fract() == 0.0 && x < 9.0e15 {
-            Some(x as usize)
-        } else {
-            None
-        }
+        self.as_f64().and_then(usize_of)
     }
 
     /// The value as a `u64` (same constraints as [`Value::as_usize`]).
@@ -80,12 +88,7 @@ impl Value {
 
     /// The value as an `i64`, if it is an integral number.
     pub fn as_i64(&self) -> Option<i64> {
-        let x = self.as_f64()?;
-        if x.fract() == 0.0 && x.abs() < 9.0e15 {
-            Some(x as i64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(i64_of)
     }
 
     /// The boolean value, if this is a boolean.
@@ -122,20 +125,14 @@ impl Value {
         }
     }
 
-    /// Parses a JSON document. The entire input must be consumed (trailing
-    /// whitespace excepted).
+    /// Parses a JSON document (RFC 8259 numbers and escapes, at most
+    /// 128 levels of nesting). The entire input must be consumed
+    /// (trailing whitespace excepted).
     pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::<TREE>::new(input);
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -232,8 +229,11 @@ impl Value {
 pub fn write_f64(out: &mut String, x: f64) {
     use std::fmt::Write;
     if x.is_finite() {
-        if x.fract() == 0.0 && x.abs() < 9.0e15 {
-            let _ = write!(out, "{}", x as i64);
+        if let Some(n) = i64_of(x) {
+            if n < 0 {
+                out.push('-');
+            }
+            write_u64(out, n.unsigned_abs());
         } else {
             let _ = write!(out, "{x}");
         }
@@ -268,6 +268,24 @@ pub fn write_u32(out: &mut String, x: u32) {
     // SAFETY: buf[..n] holds only ASCII digits, so appending the raw bytes
     // keeps the String valid UTF-8.
     unsafe { out.as_mut_vec() }.extend_from_slice(&buf[..n]);
+}
+
+/// Appends a `u64` in decimal: [`write_u32`]'s digits, nine at a time past
+/// `u32`.
+pub fn write_u64(out: &mut String, x: u64) {
+    const BILLION: u64 = 1_000_000_000;
+    match u32::try_from(x) {
+        Ok(x) => write_u32(out, x),
+        Err(_) => {
+            write_u64(out, x / BILLION);
+            // the low nine digits, zeros included: those of 10^9 + low
+            let mut buf = [0u8; 10];
+            put_digits((BILLION + x % BILLION) as u32, |i, digit| buf[i] = digit);
+            // SAFETY: buf holds only ASCII digits, so appending the raw
+            // bytes keeps the String valid UTF-8.
+            unsafe { out.as_mut_vec() }.extend_from_slice(&buf[1..]);
+        }
+    }
 }
 
 /// Appends `[x0,x1,…]` for a `u32` slice.  The service's restoring walk
@@ -791,13 +809,220 @@ pub fn decode_nodes_compact(s: &str) -> Result<Vec<u32>, String> {
 /// needs two levels (`batch` of objects of arrays of arrays).
 pub(crate) const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// A checked JSON value inside a line: exactly its text, without the
+/// whitespace around it.  [`scan`] hands them out; reading one
+/// ([`Field`]) never fails on syntax, because the whole line was checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span<'a>(&'a str);
+
+/// Checks that `text` is one JSON document, with the grammar, depth limit
+/// and error texts of [`Value::parse`], without building it.  When the
+/// document is an object, hands each member to `member(key, value)` in
+/// order, the key decoded.  Returns the document's span.
+pub(crate) fn scan<'a>(
+    text: &'a str,
+    mut member: impl FnMut(&str, Span<'a>),
+) -> Result<Span<'a>, String> {
+    let mut p = Parser::<CHECK>::new(text);
+    p.skip_ws();
+    let span = p.value_with_members(&mut member)?;
+    p.end()?;
+    Ok(span)
+}
+
+impl<'a> Span<'a> {
+    /// The value's text.
+    pub(crate) fn text(self) -> &'a str {
+        self.0
+    }
+
+    /// Hands each member of a checked object to `member(key, value)`, as
+    /// [`scan`] does for a line; nothing for other values.
+    pub(crate) fn members(self, mut member: impl FnMut(&str, Span<'a>)) {
+        if self.0.starts_with('{') {
+            // checked already: the second pass cannot fail
+            let _ = Parser::<CHECK>::new(self.0).value_with_members(&mut member);
+        }
+    }
+}
+
+/// The items of a checked array, as spans.
+#[derive(Debug, Clone)]
+pub(crate) struct SpanItems<'a> {
+    array: &'a str,
+    pos: usize,
+}
+
+impl<'a> Iterator for SpanItems<'a> {
+    type Item = Span<'a>;
+
+    fn next(&mut self) -> Option<Span<'a>> {
+        let mut p = Parser::<CHECK>::new(self.array);
+        p.pos = self.pos;
+        p.skip_ws();
+        match p.peek()? {
+            b']' => return None,
+            b',' => {
+                p.pos += 1;
+                p.skip_ws();
+            }
+            _ => {}
+        }
+        let start = p.pos;
+        p.value().ok()?;
+        self.pos = p.pos;
+        Some(Span(&self.array[start..p.pos]))
+    }
+}
+
+/// A JSON value that the request rules read: a [`Value`] of a parsed tree,
+/// or the [`Span`] of a checked line.  The number accessors apply
+/// [`Value`]'s rules.
+pub(crate) trait Field<'a>: Copy {
+    /// The items of an array.
+    type Items: Iterator<Item = Self>;
+    /// The number, if this is one.
+    fn as_f64(self) -> Option<f64>;
+    /// The boolean, if this is one.
+    fn as_bool(self) -> Option<bool>;
+    /// The string, if this is one (decoded).
+    fn as_str(self) -> Option<Cow<'a, str>>;
+    /// The items, if this is an array.
+    fn items(self) -> Option<Self::Items>;
+    /// The value as a tree.
+    fn to_value(self) -> Value;
+
+    /// As [`Value::as_usize`].
+    fn as_usize(self) -> Option<usize> {
+        self.as_f64().and_then(usize_of)
+    }
+
+    /// As [`Value::as_u64`].
+    fn as_u64(self) -> Option<u64> {
+        self.as_usize().map(|x| x as u64)
+    }
+
+    /// As [`Value::as_i64`].
+    fn as_i64(self) -> Option<i64> {
+        self.as_f64().and_then(i64_of)
+    }
+}
+
+impl<'a> Field<'a> for &'a Value {
+    type Items = std::slice::Iter<'a, Value>;
+
+    fn as_f64(self) -> Option<f64> {
+        Value::as_f64(self)
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        Value::as_bool(self)
+    }
+
+    fn as_str(self) -> Option<Cow<'a, str>> {
+        Value::as_str(self).map(Cow::Borrowed)
+    }
+
+    fn items(self) -> Option<Self::Items> {
+        self.as_arr().map(<[Value]>::iter)
+    }
+
+    fn to_value(self) -> Value {
+        self.clone()
+    }
+}
+
+impl<'a> Field<'a> for Span<'a> {
+    type Items = SpanItems<'a>;
+
+    fn as_f64(self) -> Option<f64> {
+        let text = self.0.as_bytes();
+        if !matches!(text.first()?, b'-' | b'0'..=b'9') {
+            return None;
+        }
+        // up to 15 plain digits are an integer below 2^53, which the float
+        // parser returns exactly
+        if text.len() <= 15 && text.iter().all(u8::is_ascii_digit) {
+            let n = text.iter().fold(0u64, |n, &b| n * 10 + (b - b'0') as u64);
+            return Some(n as f64);
+        }
+        self.0.parse().ok()
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        match self.0 {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    fn as_str(self) -> Option<Cow<'a, str>> {
+        let inner = self.0.strip_prefix('"')?.strip_suffix('"')?;
+        Some(if inner.contains('\\') {
+            Cow::Owned(Parser::<TREE>::new(self.0).string().unwrap_or_default())
+        } else {
+            Cow::Borrowed(inner)
+        })
+    }
+
+    fn items(self) -> Option<SpanItems<'a>> {
+        self.0.starts_with('[').then_some(SpanItems {
+            array: self.0,
+            pos: 1,
+        })
+    }
+
+    fn to_value(self) -> Value {
+        Parser::<TREE>::new(self.0).value().unwrap_or(Value::Null)
+    }
+}
+
+/// A number as a non-negative integer (see [`Value::as_usize`]).
+fn usize_of(x: f64) -> Option<usize> {
+    (x >= 0.0 && x.fract() == 0.0 && x < 9.0e15).then_some(x as usize)
+}
+
+/// A number as an integer (see [`Value::as_i64`]).
+fn i64_of(x: f64) -> Option<i64> {
+    (x.fract() == 0.0 && x.abs() < 9.0e15).then_some(x as i64)
+}
+
+/// [`Parser`] modes: build the [`Value`] tree, or only check the syntax.
+const TREE: bool = true;
+const CHECK: bool = false;
+
+/// The recursive-descent parser of [`Value::parse`] (`BUILD` = [`TREE`])
+/// and of [`scan`] (`BUILD` = [`CHECK`]), so both share one grammar, one
+/// depth limit and one set of error texts.  A check builds nothing: it
+/// returns `Value::Null` placeholders and pushes no string, item or
+/// member, so it allocates nothing.
+struct Parser<'a, const BUILD: bool> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Skips trailing whitespace and requires the end of the input.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing input at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -852,7 +1077,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
         }
@@ -863,27 +1091,44 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
+        self.members(|p, key, _| {
+            let value = p.value()?;
+            if BUILD {
+                fields.push((key, value));
+            }
+            Ok(())
+        })?;
+        Ok(Value::Obj(fields))
+    }
+
+    /// The object grammar: `member(parser, key, key_span)` reads each
+    /// member's value; `key_span` is the key's byte range, quotes included.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String, (usize, usize)) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
+            let start = self.pos;
             let key = self.string()?;
+            let key_span = (start, self.pos);
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            member(self, key, key_span)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(fields));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -906,7 +1151,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            if BUILD {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -929,74 +1177,155 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // copy the run up to the next quote or backslash as one slice:
+            // take the run up to the next quote or backslash as one slice:
             // both are ASCII, so the run ends on a char boundary of the
-            // `&str` input and each byte is scanned and validated once
+            // `&str` input, and so does every escape, which is ASCII too
             let run = self.bytes[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .ok_or("unterminated string")?;
-            let text = &self.bytes[self.pos..self.pos + run];
-            out.push_str(std::str::from_utf8(text).map_err(|e| e.to_string())?);
+            if BUILD {
+                out.push_str(
+                    self.text
+                        .get(self.pos..self.pos + run)
+                        .ok_or("string run off a char boundary")?,
+                );
+            }
             self.pos += run + 1;
             if self.bytes[self.pos - 1] == b'"' {
                 return Ok(out);
             }
             let esc = self.peek().ok_or("unterminated escape")?;
             self.pos += 1;
-            match esc {
-                b'"' => out.push('"'),
-                b'\\' => out.push('\\'),
-                b'/' => out.push('/'),
-                b'b' => out.push('\u{8}'),
-                b'f' => out.push('\u{c}'),
-                b'n' => out.push('\n'),
-                b'r' => out.push('\r'),
-                b't' => out.push('\t'),
+            let c = match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
                 b'u' => {
                     let hex = self
                         .bytes
                         .get(self.pos..self.pos + 4)
                         .ok_or("truncated \\u escape")?;
-                    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                    if !hex.iter().all(u8::is_ascii_hexdigit) {
+                        return Err(invalid_hex(hex));
+                    }
+                    let code = hex.iter().fold(0, |code, &h| {
+                        code << 4 | (h as char).to_digit(16).unwrap_or(0)
+                    });
                     self.pos += 4;
                     // surrogate pairs are not needed by the protocol;
                     // lone surrogates map to the replacement char
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    char::from_u32(code).unwrap_or('\u{fffd}')
                 }
                 other => return Err(format!("invalid escape '\\{}'", other as char)),
+            };
+            if BUILD {
+                out.push(c);
             }
         }
     }
 
+    /// A number by RFC 8259, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    /// A run that breaks the rule is rejected as a whole.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        let int_at = self.pos;
+        let int = self.digits();
+        let mut valid = int == 1 || (int > 1 && self.bytes[int_at] != b'0');
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| format!("invalid number {text:?}: {e}"))
+        // the run holds only ASCII, so it is a whole `&str`
+        let text = &self.text[start..self.pos];
+        if !valid {
+            return Err(invalid_number(text));
+        }
+        Ok(if BUILD {
+            Value::Num(
+                text.parse()
+                    .expect("an RFC 8259 number is a Rust float literal"),
+            )
+        } else {
+            Value::Null
+        })
+    }
+
+    /// Skips a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let run = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += run;
+        run
+    }
+}
+
+impl<'a> Parser<'a, CHECK> {
+    /// Checks one value and returns its span; for an object, hands each
+    /// member to `member(key, value)`, the key decoded.
+    fn value_with_members(
+        &mut self,
+        member: &mut impl FnMut(&str, Span<'a>),
+    ) -> Result<Span<'a>, String> {
+        let start = self.pos;
+        if self.peek() != Some(b'{') {
+            self.value()?;
+        } else {
+            self.nested(|p| {
+                p.members(|p, _, (key_start, key_end)| {
+                    let at = p.pos;
+                    p.value()?;
+                    let (quoted, value) = (&p.text[key_start..key_end], Span(&p.text[at..p.pos]));
+                    let raw = &quoted[1..quoted.len() - 1];
+                    if raw.contains('\\') {
+                        member(&Parser::<TREE>::new(quoted).string()?, value);
+                    } else {
+                        member(raw, value);
+                    }
+                    Ok(())
+                })
+            })?;
+        }
+        Ok(Span(&self.text[start..self.pos]))
+    }
+}
+
+/// The error for a number outside RFC 8259.
+#[cold]
+fn invalid_number(text: &str) -> String {
+    // the texts the float parser rejects keep its message
+    let why = match text.parse::<f64>() {
+        Err(e) => e.to_string(),
+        Ok(_) => "not a JSON number".to_string(),
+    };
+    format!("invalid number {text:?}: {why}")
+}
+
+/// The error for a `\u` escape whose four bytes are not all hex digits,
+/// in the texts of `str::from_utf8` (the four bytes cut a UTF-8 sequence)
+/// and `u32::from_str_radix` (an invalid digit).
+#[cold]
+fn invalid_hex(hex: &[u8]) -> String {
+    match std::str::from_utf8(hex) {
+        Err(e) => e.to_string(),
+        Ok(_) => "invalid digit found in string".to_string(),
     }
 }
 
@@ -1506,6 +1835,165 @@ mod tests {
         w.finish();
         let want = Value::Arr(table.iter().map(|&x| Value::Num(x as f64)).collect());
         assert_eq!(out, want.compact());
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for good in [
+            "0", "-0", "4", "-4", "4.0", "0.5", "1e1", "1E+1", "1.5e-3", "-0.0e0",
+        ] {
+            assert!(Value::parse(good).is_ok(), "{good}");
+        }
+        for bad in [
+            "04", "4.", "1.e5", "-.5", "-01", "00", "-", "1e", "1e+", "-e5", "1.5E-",
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("invalid number {bad:?}: ")),
+                "{bad}: {err}"
+            );
+            assert_eq!(scan(bad, |_, _| {}).unwrap_err(), err, "{bad}");
+        }
+        // the texts the float parser rejected keep its message
+        assert_eq!(
+            Value::parse("[1e]").unwrap_err(),
+            "invalid number \"1e\": invalid float literal"
+        );
+        assert_eq!(
+            Value::parse("[04]").unwrap_err(),
+            "invalid number \"04\": not a JSON number"
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Value::parse(r#""\u0041\u00e9\u00E9""#).unwrap(),
+            Value::str("Aéé")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert_eq!(err, "invalid digit found in string", "{bad}");
+            assert_eq!(scan(bad, |_, _| {}).unwrap_err(), err, "{bad}");
+        }
+        // a window that cuts a UTF-8 sequence keeps the decoder's text
+        assert_eq!(
+            Value::parse("\"\\u00\u{20ac}\"").unwrap_err(),
+            "incomplete utf-8 byte sequence from index 2"
+        );
+        assert_eq!(
+            Value::parse(r#""\u00""#).unwrap_err(),
+            "truncated \\u escape"
+        );
+    }
+
+    #[test]
+    fn integral_numbers_print_their_i64_digits() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            9e15 - 1.0,
+            -(9e15 - 1.0),
+            -7.0,
+            4294967295.0,
+            4294967296.0,
+        ];
+        for k in 0..16 {
+            let p = 10f64.powi(k);
+            xs.extend([p - 1.0, p, p + 1.0, -(p - 1.0), -p, -(p + 1.0)]);
+        }
+        for x in xs.into_iter().filter(|x| x.abs() < 9e15) {
+            let mut out = String::new();
+            write_f64(&mut out, x);
+            assert_eq!(out, format!("{}", x as i64), "{x}");
+        }
+        for x in [
+            0,
+            1,
+            999_999_999,
+            1_000_000_000,
+            u32::MAX as u64,
+            1 << 32,
+            10u64.pow(19),
+            u64::MAX,
+        ] {
+            let mut out = String::new();
+            write_u64(&mut out, x);
+            assert_eq!(out, x.to_string());
+        }
+    }
+
+    /// `Value::parse` and `scan` over every member: the same verdict and
+    /// error text, and for an object the same members, each span reading as
+    /// the parsed value does.
+    fn assert_scan_agrees(text: &str) {
+        let mut members = Vec::new();
+        let scanned = scan(text, |key, value| members.push((key.to_string(), value)));
+        let parsed = Value::parse(text);
+        match (&parsed, &scanned) {
+            (Err(want), Err(got)) => assert_eq!(got, want, "{text:?}"),
+            (Ok(value), Ok(span)) => {
+                assert_eq!(span.to_value(), *value, "{text:?}");
+                let want: Vec<(String, Value)> = match value {
+                    Value::Obj(fields) => fields.clone(),
+                    _ => Vec::new(),
+                };
+                let got: Vec<(String, Value)> = members
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.to_value()))
+                    .collect();
+                assert_eq!(got, want, "{text:?}");
+                for ((_, span), (_, value)) in members.iter().zip(&want) {
+                    assert_eq!(Field::as_f64(*span), value.as_f64(), "{text:?}");
+                    assert_eq!(Field::as_bool(*span), value.as_bool(), "{text:?}");
+                    assert_eq!(Field::as_str(*span).as_deref(), value.as_str(), "{text:?}");
+                    assert_eq!(
+                        span.items()
+                            .map(|items| items.map(Span::to_value).collect::<Vec<_>>()),
+                        value.as_arr().map(<[Value]>::to_vec),
+                        "{text:?}"
+                    );
+                }
+            }
+            _ => panic!("{text:?}: parse {parsed:?}, scan {scanned:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The scan agrees with the parser on texts stitched from JSON
+        /// tokens, near-misses (signs, dots, exponents, bad escapes,
+        /// cut literals) and whitespace.
+        #[test]
+        fn scan_agrees_with_the_parser(tokens in proptest::collection::vec(0usize..40, 0..24)) {
+            const TOKENS: [&str; 40] = [
+                "{", "}", "[", "]", ",", ":", " ", "\t\n", "\"a\"", "\"dims\"",
+                "\"d\\u0069ms\"", "\"\\n\\\\\"", "\"\\u+041\"", "\"\\x\"", "\"", "0", "-0", "7",
+                "04", "4.", "1.e5", "-.5", "1e3", "2.5E-1", "-", "e", ".", "true", "tru",
+                "null", "false", "12345678901234567890", "1e999", "\"é€\"", "{\"a\":1}",
+                "[1,2]", "{\"id\":[1,{\"b\":null}]}", "\"batch\"", "\\", "9",
+            ];
+            let text: String = tokens.iter().map(|&t| TOKENS[t]).collect();
+            assert_scan_agrees(&text);
+            let wrapped = format!("{{\"k\":{text},\"dims\":[6,4]}}");
+            assert_scan_agrees(&wrapped);
+        }
+    }
+
+    #[test]
+    fn scan_agrees_with_the_parser_at_the_depth_limit() {
+        for depth in [127, 128, 129] {
+            assert_scan_agrees(&format!("{}1{}", "[".repeat(depth), "]".repeat(depth)));
+            assert_scan_agrees(&format!("{}{}", "{\"a\":".repeat(depth), "}".repeat(depth)));
+        }
+        assert_scan_agrees(&"[".repeat(100_000));
     }
 
     #[test]

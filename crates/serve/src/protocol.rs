@@ -1,7 +1,8 @@
 //! The newline-delimited JSON request/response protocol.
 //!
 //! Every line the client sends is one JSON document: either a single mapping
-//! request object or `{"batch": [request, …]}`.  The service answers with
+//! request object or `{"batch": [request, …]}`.  A repeated key's first
+//! occurrence wins.  The service answers with
 //! exactly one line per line received — a response object, or
 //! `{"batch": [response, …]}` with the responses in request order.
 //!
@@ -9,7 +10,7 @@
 //!
 //! | field            | type                  | meaning                                             |
 //! |------------------|-----------------------|-----------------------------------------------------|
-//! | `id`             | any (optional)        | echoed back verbatim in the response                |
+//! | `id`             | any (optional)        | echoed back in the response, re-serialised (`1.0` as `1`) |
 //! | `dims`           | `[int, …]`            | grid dimension sizes (required)                     |
 //! | `stencil`        | string or `[[int,…]]` | `"nearest_neighbor"` (default), `"hops"`, `"component"`, or explicit offsets |
 //! | `periodic`       | bool                  | torus boundaries (default `false`)                  |
@@ -40,8 +41,10 @@
 //! (see the README's failure-modes section).  Failures are reported as
 //! `{"id":…, "status":"error", "error":"…"}`; the connection stays usable.
 
-use crate::json::{write_f64, write_string, write_u32, write_u32_array, Value};
-use stencil_grid::{Dims, NodeAllocation, Stencil};
+use crate::json::{
+    scan, write_f64, write_string, write_u32_array, write_u64, Field, Span, U32ArrayWriter, Value,
+};
+use stencil_grid::{Dims, GridError, NamedStencil, NodeAllocation, Stencil};
 
 /// Mapping algorithms addressable over the wire, by their
 /// [`wire_name`](Algorithm::wire_name).
@@ -79,7 +82,7 @@ pub enum OverBudget {
 /// A parsed mapping request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MapRequest {
-    /// Client-chosen correlation id, echoed back verbatim.
+    /// Client-chosen correlation id, echoed back re-serialised.
     pub id: Option<Value>,
     /// Grid dimension sizes.
     pub dims: Dims,
@@ -117,202 +120,445 @@ pub const DEFAULT_SEED: u64 = 0x71EA;
 pub const MAX_GRID_VOLUME: usize = 1 << 24;
 
 impl MapRequest {
-    /// Parses one request object (not the batch wrapper).
+    /// Parses one request object (not the batch wrapper): the service's
+    /// request rules (`check`) read over the tree, then the owned build.
     pub fn from_value(v: &Value) -> Result<MapRequest, String> {
-        if !matches!(v, Value::Obj(_)) {
-            return Err("request must be a JSON object".to_string());
-        }
-        let id = v.get("id").cloned();
-        let dims_raw = v.get("dims").ok_or("missing required field \"dims\"")?;
-        let dims_vec: Vec<usize> = dims_raw
-            .as_arr()
-            .ok_or("\"dims\" must be an array of positive integers")?
-            .iter()
-            .map(|x| {
-                x.as_usize()
-                    .filter(|&d| d > 0)
-                    .ok_or("\"dims\" must be an array of positive integers")
-            })
-            .collect::<Result<_, _>>()?;
-        // bound the volume with checked arithmetic *before* anything
-        // multiplies the sizes unchecked
-        let p = dims_vec
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .filter(|&p| p <= MAX_GRID_VOLUME)
-            .ok_or(format!(
-                "grid volume exceeds the {MAX_GRID_VOLUME}-position limit"
-            ))?;
-        let dims = Dims::new(dims_vec).map_err(|e| format!("invalid dims: {e}"))?;
-        let ndims = dims.ndims();
+        Ok(check(&v)?.build())
+    }
+}
 
-        let stencil = match v.get("stencil") {
-            None => Stencil::nearest_neighbor(ndims),
-            Some(Value::Str(name)) => match name.as_str() {
-                "nearest_neighbor" => Stencil::nearest_neighbor(ndims),
-                "hops" | "nearest_neighbor_with_hops" => Stencil::nearest_neighbor_with_hops(ndims),
+/// The keys the service reads from a request line, a batch item or an
+/// admin envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Key {
+    Id,
+    Dims,
+    Stencil,
+    Periodic,
+    Nodes,
+    ProcsPerNode,
+    NodeSizes,
+    Algorithm,
+    Seed,
+    MaxJsum,
+    OnOverBudget,
+    WantMapping,
+    Encoding,
+    Query,
+    Ranks,
+    Admin,
+    Batch,
+    Log,
+    Request,
+}
+
+impl Key {
+    const COUNT: usize = Key::Request as usize + 1;
+
+    /// The wire name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Key::Id => "id",
+            Key::Dims => "dims",
+            Key::Stencil => "stencil",
+            Key::Periodic => "periodic",
+            Key::Nodes => "nodes",
+            Key::ProcsPerNode => "procs_per_node",
+            Key::NodeSizes => "node_sizes",
+            Key::Algorithm => "algorithm",
+            Key::Seed => "seed",
+            Key::MaxJsum => "max_jsum",
+            Key::OnOverBudget => "on_over_budget",
+            Key::WantMapping => "want_mapping",
+            Key::Encoding => "encoding",
+            Key::Query => "query",
+            Key::Ranks => "ranks",
+            Key::Admin => "admin",
+            Key::Batch => "batch",
+            Key::Log => "log",
+            Key::Request => "request",
+        }
+    }
+
+    fn of(name: &str) -> Option<Key> {
+        Some(match name {
+            "id" => Key::Id,
+            "dims" => Key::Dims,
+            "stencil" => Key::Stencil,
+            "periodic" => Key::Periodic,
+            "nodes" => Key::Nodes,
+            "procs_per_node" => Key::ProcsPerNode,
+            "node_sizes" => Key::NodeSizes,
+            "algorithm" => Key::Algorithm,
+            "seed" => Key::Seed,
+            "max_jsum" => Key::MaxJsum,
+            "on_over_budget" => Key::OnOverBudget,
+            "want_mapping" => Key::WantMapping,
+            "encoding" => Key::Encoding,
+            "query" => Key::Query,
+            "ranks" => Key::Ranks,
+            "admin" => Key::Admin,
+            "batch" => Key::Batch,
+            "log" => Key::Log,
+            "request" => Key::Request,
+            _ => return None,
+        })
+    }
+}
+
+/// A request object the rules read: a parsed [`Value`], or the [`Fields`]
+/// of a checked line.
+pub(crate) trait Object<'a> {
+    type Field: Field<'a>;
+    /// Whether this is a JSON object at all.
+    fn is_object(&self) -> bool;
+    /// The first member named `key`.
+    fn get(&self, key: Key) -> Option<Self::Field>;
+}
+
+impl<'a> Object<'a> for &'a Value {
+    type Field = &'a Value;
+
+    fn is_object(&self) -> bool {
+        matches!(self, Value::Obj(_))
+    }
+
+    fn get(&self, key: Key) -> Option<&'a Value> {
+        Value::get(self, key.name())
+    }
+}
+
+/// The members of a checked object that the service reads, by [`Key`]:
+/// the first span of each, so a repeated key's first occurrence wins, as
+/// in [`Value::get`].
+pub(crate) struct Fields<'a> {
+    object: bool,
+    spans: [Option<Span<'a>>; Key::COUNT],
+}
+
+impl<'a> Fields<'a> {
+    /// Checks a whole line and records its top-level members.
+    pub(crate) fn scan(line: &'a str) -> Result<Fields<'a>, String> {
+        let mut fields = Fields::empty();
+        let span = scan(line, |key, value| fields.record(key, value))?;
+        fields.object = span.text().starts_with('{');
+        Ok(fields)
+    }
+
+    /// The members of a checked value (a batch item, a write-through
+    /// request); none when it is not an object.
+    pub(crate) fn of(span: Span<'a>) -> Fields<'a> {
+        let mut fields = Fields::empty();
+        span.members(|key, value| fields.record(key, value));
+        fields.object = span.text().starts_with('{');
+        fields
+    }
+
+    fn empty() -> Fields<'a> {
+        Fields {
+            object: false,
+            spans: [None; Key::COUNT],
+        }
+    }
+
+    fn record(&mut self, key: &str, value: Span<'a>) {
+        if let Some(key) = Key::of(key) {
+            self.spans[key as usize].get_or_insert(value);
+        }
+    }
+}
+
+impl<'a> Object<'a> for Fields<'a> {
+    type Field = Span<'a>;
+
+    fn is_object(&self) -> bool {
+        self.object
+    }
+
+    fn get(&self, key: Key) -> Option<Span<'a>> {
+        self.spans[key as usize]
+    }
+}
+
+/// A request's stencil, checked: a named one is built (or canonicalised)
+/// only when needed.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum StencilSpec {
+    Named(NamedStencil),
+    Explicit(Stencil),
+}
+
+/// A request's node allocation, checked to cover the grid: a homogeneous
+/// one without its per-node size vector.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum AllocSpec {
+    Homogeneous { nodes: usize, per: usize },
+    Listed(NodeAllocation),
+}
+
+/// A request object that passed every rule of [`check`]: the scalars
+/// decoded, the lists still the fields they came in.
+pub(crate) struct Checked<F> {
+    pub(crate) id: Option<F>,
+    /// An array of `ndims` positive integers.
+    pub(crate) dims: F,
+    pub(crate) ndims: usize,
+    pub(crate) stencil: StencilSpec,
+    pub(crate) periodic: bool,
+    pub(crate) alloc: AllocSpec,
+    pub(crate) algorithm: Algorithm,
+    pub(crate) seed: u64,
+    pub(crate) max_jsum: Option<u64>,
+    pub(crate) on_over_budget: OverBudget,
+    pub(crate) want_mapping: bool,
+    pub(crate) encoding: Encoding,
+    /// A `new_rank_of` query's positions: integers below the grid volume.
+    pub(crate) ranks: Option<F>,
+}
+
+/// The integers of a checked integer array.
+pub(crate) fn usizes<'a, F: Field<'a>>(list: F) -> impl Iterator<Item = usize> + Clone + use<'a, F>
+where
+    F::Items: Clone,
+{
+    list.items()
+        .into_iter()
+        .flatten()
+        .filter_map(Field::as_usize)
+}
+
+impl<'a, F: Field<'a>> Checked<F>
+where
+    F::Items: Clone,
+{
+    /// The owned request.
+    pub(crate) fn build(self) -> MapRequest {
+        MapRequest {
+            id: self.id.map(Field::to_value),
+            dims: Dims::new(usizes(self.dims).collect()).expect("checked dims"),
+            stencil: match self.stencil {
+                StencilSpec::Named(named) => named.build(self.ndims),
+                StencilSpec::Explicit(stencil) => stencil,
+            },
+            periodic: self.periodic,
+            alloc: match self.alloc {
+                AllocSpec::Homogeneous { nodes, per } => NodeAllocation::homogeneous(nodes, per),
+                AllocSpec::Listed(alloc) => alloc,
+            },
+            algorithm: self.algorithm,
+            seed: self.seed,
+            max_jsum: self.max_jsum,
+            on_over_budget: self.on_over_budget,
+            want_mapping: self.want_mapping,
+            encoding: self.encoding,
+            query: self
+                .ranks
+                .map(|ranks| Query::NewRankOf(usizes(ranks).collect())),
+        }
+    }
+}
+
+/// The request rules, in their order, with their error texts: one
+/// routine over a parsed [`Value`] ([`MapRequest::from_value`]) and over
+/// the [`Fields`] of a checked line (the service).  A homogeneous
+/// allocation is checked against the grid before any per-node vector
+/// exists.
+pub(crate) fn check<'a, O: Object<'a>>(v: &O) -> Result<Checked<O::Field>, String> {
+    if !v.is_object() {
+        return Err("request must be a JSON object".to_string());
+    }
+    let id = v.get(Key::Id);
+    let dims = v.get(Key::Dims).ok_or("missing required field \"dims\"")?;
+    const BAD_DIMS: &str = "\"dims\" must be an array of positive integers";
+    let mut ndims = 0;
+    // bound the volume with checked arithmetic *before* anything
+    // multiplies the sizes unchecked
+    let mut volume = Some(1usize);
+    for x in dims.items().ok_or(BAD_DIMS)? {
+        let d = x.as_usize().filter(|&d| d > 0).ok_or(BAD_DIMS)?;
+        ndims += 1;
+        volume = volume.and_then(|p| p.checked_mul(d));
+    }
+    let p = volume
+        .filter(|&p| p <= MAX_GRID_VOLUME)
+        .ok_or_else(|| format!("grid volume exceeds the {MAX_GRID_VOLUME}-position limit"))?;
+    if ndims == 0 {
+        return Err(format!("invalid dims: {}", GridError::EmptyDims));
+    }
+
+    let stencil = match v.get(Key::Stencil) {
+        None => StencilSpec::Named(NamedStencil::NearestNeighbor),
+        Some(s) => match (s.as_str(), s.items()) {
+            (Some(name), _) => StencilSpec::Named(match &*name {
+                "nearest_neighbor" => NamedStencil::NearestNeighbor,
+                "hops" | "nearest_neighbor_with_hops" => NamedStencil::NearestNeighborWithHops,
                 "component" => {
                     if ndims < 2 {
                         return Err("component stencil requires at least 2 dims".to_string());
                     }
-                    Stencil::component(ndims)
+                    NamedStencil::Component
                 }
                 other => return Err(format!("unknown stencil name {other:?}")),
-            },
-            Some(Value::Arr(offsets)) => {
+            }),
+            (None, Some(offsets)) => {
+                const BAD_OFFSETS: &str = "stencil offsets must be arrays of integers";
                 let parsed: Vec<Vec<i64>> = offsets
-                    .iter()
                     .map(|o| {
-                        o.as_arr()
-                            .ok_or("stencil offsets must be arrays of integers")?
-                            .iter()
-                            .map(|x| {
-                                x.as_i64()
-                                    .ok_or("stencil offsets must be arrays of integers")
-                            })
+                        o.items()
+                            .ok_or(BAD_OFFSETS)?
+                            .map(|x| x.as_i64().ok_or(BAD_OFFSETS))
                             .collect::<Result<Vec<i64>, _>>()
                     })
                     .collect::<Result<_, _>>()?;
-                Stencil::new(ndims, parsed).map_err(|e| format!("invalid stencil: {e}"))?
+                StencilSpec::Explicit(
+                    Stencil::new(ndims, parsed).map_err(|e| format!("invalid stencil: {e}"))?,
+                )
             }
-            Some(_) => return Err("\"stencil\" must be a name or an offset array".to_string()),
-        };
+            (None, None) => return Err("\"stencil\" must be a name or an offset array".to_string()),
+        },
+    };
 
-        let periodic = match v.get("periodic") {
-            None => false,
-            Some(b) => b.as_bool().ok_or("\"periodic\" must be a boolean")?,
-        };
+    let periodic = match v.get(Key::Periodic) {
+        None => false,
+        Some(b) => b.as_bool().ok_or("\"periodic\" must be a boolean")?,
+    };
 
-        let alloc = match (v.get("node_sizes"), v.get("nodes")) {
-            (Some(sizes), _) => {
-                let sizes: Vec<usize> = sizes
-                    .as_arr()
-                    .ok_or("\"node_sizes\" must be an array of positive integers")?
-                    .iter()
-                    .map(|x| {
-                        x.as_usize()
-                            .filter(|&s| s > 0)
-                            .ok_or("\"node_sizes\" must be an array of positive integers")
-                    })
-                    .collect::<Result<_, _>>()?;
-                NodeAllocation::heterogeneous(sizes)
-                    .map_err(|e| format!("invalid node_sizes: {e}"))?
-            }
-            (None, Some(nodes)) => {
-                let nodes = nodes
+    let alloc = match (v.get(Key::NodeSizes), v.get(Key::Nodes)) {
+        (Some(sizes), _) => {
+            const BAD_SIZES: &str = "\"node_sizes\" must be an array of positive integers";
+            let sizes: Vec<usize> = sizes
+                .items()
+                .ok_or(BAD_SIZES)?
+                .map(|x| x.as_usize().filter(|&s| s > 0).ok_or(BAD_SIZES))
+                .collect::<Result<_, _>>()?;
+            let alloc = NodeAllocation::heterogeneous(sizes)
+                .map_err(|e| format!("invalid node_sizes: {e}"))?;
+            alloc
+                .check_total(p)
+                .map_err(|e| format!("allocation does not cover the grid: {e}"))?;
+            AllocSpec::Listed(alloc)
+        }
+        (None, Some(nodes)) => {
+            let nodes = nodes
+                .as_usize()
+                .filter(|&n| n > 0)
+                .ok_or("\"nodes\" must be a positive integer")?;
+            let per = match v.get(Key::ProcsPerNode) {
+                Some(x) => x
                     .as_usize()
                     .filter(|&n| n > 0)
-                    .ok_or("\"nodes\" must be a positive integer")?;
-                let per = match v.get("procs_per_node") {
-                    Some(x) => x
-                        .as_usize()
-                        .filter(|&n| n > 0)
-                        .ok_or("\"procs_per_node\" must be a positive integer")?,
-                    None => {
-                        if !p.is_multiple_of(nodes) {
-                            return Err(format!(
-                                "p = {p} is not divisible by nodes = {nodes}; give \
-                                 \"procs_per_node\" or \"node_sizes\""
-                            ));
-                        }
-                        p / nodes
+                    .ok_or("\"procs_per_node\" must be a positive integer")?,
+                None => {
+                    if !p.is_multiple_of(nodes) {
+                        return Err(format!(
+                            "p = {p} is not divisible by nodes = {nodes}; give \
+                             \"procs_per_node\" or \"node_sizes\""
+                        ));
                     }
-                };
-                NodeAllocation::homogeneous(nodes, per)
-            }
-            (None, None) => {
-                return Err("missing allocation: give \"nodes\" or \"node_sizes\"".to_string())
-            }
-        };
-        alloc
-            .check_total(p)
-            .map_err(|e| format!("allocation does not cover the grid: {e}"))?;
-
-        let algorithm = match v.get("algorithm") {
-            None => Algorithm::Hyperplane,
-            Some(a) => Algorithm::from_wire(a.as_str().ok_or("\"algorithm\" must be a string")?)?,
-        };
-
-        let seed = match v.get("seed") {
-            None => DEFAULT_SEED,
-            Some(s) => s
-                .as_u64()
-                .ok_or("\"seed\" must be a non-negative integer")?,
-        };
-
-        let max_jsum = match v.get("max_jsum") {
-            None => None,
-            Some(b) => Some(
-                b.as_u64()
-                    .ok_or("\"max_jsum\" must be a non-negative integer")?,
-            ),
-        };
-
-        let on_over_budget = match v.get("on_over_budget") {
-            None => OverBudget::Reject,
-            Some(m) => match m.as_str() {
-                Some("reject") => OverBudget::Reject,
-                Some("fallback") => OverBudget::Fallback,
-                _ => return Err("\"on_over_budget\" must be \"reject\" or \"fallback\"".into()),
-            },
-        };
-
-        let want_mapping = match v.get("want_mapping") {
-            None => true,
-            Some(b) => b.as_bool().ok_or("\"want_mapping\" must be a boolean")?,
-        };
-
-        let encoding = match v.get("encoding") {
-            None => Encoding::Verbose,
-            Some(e) => match e.as_str() {
-                Some("verbose") => Encoding::Verbose,
-                Some("compact") => Encoding::Compact,
-                _ => return Err("\"encoding\" must be \"verbose\" or \"compact\"".to_string()),
-            },
-        };
-
-        let query = match v.get("query") {
-            None => {
-                if v.get("ranks").is_some() {
-                    return Err("\"ranks\" requires \"query\":\"new_rank_of\"".to_string());
+                    p / nodes
                 }
-                None
+            };
+            let provided = nodes.saturating_mul(per);
+            if provided != p {
+                return Err(format!(
+                    "allocation does not cover the grid: {}",
+                    GridError::AllocationMismatch {
+                        required: p,
+                        provided,
+                    }
+                ));
             }
-            Some(q) => match q.as_str() {
-                Some("new_rank_of") => {
-                    let ranks: Vec<usize> = v
-                        .get("ranks")
-                        .ok_or("\"query\":\"new_rank_of\" requires a \"ranks\" array")?
-                        .as_arr()
-                        .ok_or("\"ranks\" must be an array of grid positions")?
-                        .iter()
-                        .map(|x| {
-                            x.as_usize()
-                                .filter(|&r| r < p)
-                                .ok_or(format!("\"ranks\" entries must be integers in [0, {p})"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    Some(Query::NewRankOf(ranks))
-                }
-                _ => return Err("unknown query (expected \"new_rank_of\")".to_string()),
-            },
-        };
+            AllocSpec::Homogeneous { nodes, per }
+        }
+        (None, None) => {
+            return Err("missing allocation: give \"nodes\" or \"node_sizes\"".to_string())
+        }
+    };
 
-        Ok(MapRequest {
-            id,
-            dims,
-            stencil,
-            periodic,
-            alloc,
-            algorithm,
-            seed,
-            max_jsum,
-            on_over_budget,
-            want_mapping,
-            encoding,
-            query,
-        })
-    }
+    let algorithm = match v.get(Key::Algorithm) {
+        None => Algorithm::Hyperplane,
+        Some(a) => Algorithm::from_wire(&a.as_str().ok_or("\"algorithm\" must be a string")?)?,
+    };
+
+    let seed = match v.get(Key::Seed) {
+        None => DEFAULT_SEED,
+        Some(s) => s
+            .as_u64()
+            .ok_or("\"seed\" must be a non-negative integer")?,
+    };
+
+    let max_jsum = match v.get(Key::MaxJsum) {
+        None => None,
+        Some(b) => Some(
+            b.as_u64()
+                .ok_or("\"max_jsum\" must be a non-negative integer")?,
+        ),
+    };
+
+    let on_over_budget = match v.get(Key::OnOverBudget) {
+        None => OverBudget::Reject,
+        Some(m) => match m.as_str().as_deref() {
+            Some("reject") => OverBudget::Reject,
+            Some("fallback") => OverBudget::Fallback,
+            _ => return Err("\"on_over_budget\" must be \"reject\" or \"fallback\"".into()),
+        },
+    };
+
+    let want_mapping = match v.get(Key::WantMapping) {
+        None => true,
+        Some(b) => b.as_bool().ok_or("\"want_mapping\" must be a boolean")?,
+    };
+
+    let encoding = match v.get(Key::Encoding) {
+        None => Encoding::Verbose,
+        Some(e) => match e.as_str().as_deref() {
+            Some("verbose") => Encoding::Verbose,
+            Some("compact") => Encoding::Compact,
+            _ => return Err("\"encoding\" must be \"verbose\" or \"compact\"".to_string()),
+        },
+    };
+
+    let ranks = match v.get(Key::Query) {
+        None => {
+            if v.get(Key::Ranks).is_some() {
+                return Err("\"ranks\" requires \"query\":\"new_rank_of\"".to_string());
+            }
+            None
+        }
+        Some(q) => match q.as_str().as_deref() {
+            Some("new_rank_of") => {
+                let ranks = v
+                    .get(Key::Ranks)
+                    .ok_or("\"query\":\"new_rank_of\" requires a \"ranks\" array")?;
+                for x in ranks
+                    .items()
+                    .ok_or("\"ranks\" must be an array of grid positions")?
+                {
+                    x.as_usize()
+                        .filter(|&r| r < p)
+                        .ok_or_else(|| format!("\"ranks\" entries must be integers in [0, {p})"))?;
+                }
+                Some(ranks)
+            }
+            _ => return Err("unknown query (expected \"new_rank_of\")".to_string()),
+        },
+    };
+
+    Ok(Checked {
+        id,
+        dims,
+        ndims,
+        stencil,
+        periodic,
+        alloc,
+        algorithm,
+        seed,
+        max_jsum,
+        on_over_budget,
+        want_mapping,
+        encoding,
+        ranks,
+    })
 }
 
 /// A response to one request.
@@ -476,7 +722,7 @@ impl MapResponse {
                         write_string(out, encoded);
                     }
                     Payload::Points { ranks, nodes } => {
-                        write_points(out, ranks, nodes.iter().copied());
+                        write_points(out, ranks.iter().copied(), nodes.iter().copied());
                     }
                 }
             }
@@ -556,23 +802,27 @@ impl OkHead<'_> {
 }
 
 /// Appends a point query's `,"ranks":[…],"nodes":[…]`; `nodes` yields the
-/// node of each rank in turn.
-pub(crate) fn write_points(out: &mut String, ranks: &[usize], nodes: impl Iterator<Item = u32>) {
+/// node of each rank in turn.  Ranks are grid positions, below
+/// [`MAX_GRID_VOLUME`], so the digit writer prints them as the tree writer
+/// does.
+pub(crate) fn write_points(
+    out: &mut String,
+    ranks: impl Iterator<Item = usize>,
+    nodes: impl Iterator<Item = u32>,
+) {
     out.push_str(",\"ranks\":[");
-    for (i, &r) in ranks.iter().enumerate() {
+    for (i, r) in ranks.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_f64(out, r as f64);
+        write_u64(out, r as u64);
     }
-    out.push_str("],\"nodes\":[");
-    for (i, n) in nodes.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_u32(out, n);
+    out.push_str("],\"nodes\":");
+    let mut w = U32ArrayWriter::new(out);
+    for n in nodes {
+        w.write(&[n]);
     }
-    out.push(']');
+    w.finish();
 }
 
 #[cfg(test)]

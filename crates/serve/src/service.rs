@@ -11,27 +11,43 @@
 //! cost rides along in the cache entry, so admission decisions on hits are
 //! free.
 //!
+//! A line is decoded in one pass: `Fields::scan` checks its syntax and
+//! records the first span of each member the service reads, the request
+//! rules (`protocol::check`, which [`MapRequest::from_value`] also runs)
+//! read those spans, a named stencil on at most [`MAX_CANONICAL_NDIMS`]
+//! dims is canonicalised inline ([`canonicalize_named`]), and a borrowed
+//! `KeyView` of the cache key is hashed once for both the shard and the
+//! in-shard probe ([`ShardedLru::get_tracking_mru_hashed`]).  A hit
+//! builds no `Value` (unless it echoes an id), request, canonical form or
+//! owned key; a miss builds the owned key and computes from it.
+//!
 //! Everything is deterministic: for a fixed request sequence the responses
 //! are byte-identical for every thread count (the engine's guarantee) and
 //! the hit/miss pattern is a pure function of the sequence.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cache::{CacheStats, EvictionPolicy, ShardedLru};
 use crate::faultpoint;
 use crate::json::{
-    base64_encode_into, encode_nodes_compact, CompactEncoder, U32ArrayWriter, Value,
+    base64_encode_into, encode_nodes_compact, CompactEncoder, Field, Span, U32ArrayWriter, Value,
 };
 use crate::persist::{
     insert_line, load_and_compact, parse_record, CacheSnapshotter, LoadReport, PersistLog,
     PersistStats, Record,
 };
 use crate::protocol::{
-    write_points, Algorithm, Encoding, MapRequest, MapResponse, OkHead, OverBudget, Query,
-    ResponseBody, COMPACT_NODES_FIELD, NODES_FIELD,
+    check, usizes, write_points, Algorithm, AllocSpec, Checked, Encoding, Fields, Key, MapRequest,
+    MapResponse, Object, OkHead, OverBudget, Query, ResponseBody, StencilSpec, COMPACT_NODES_FIELD,
+    NODES_FIELD,
 };
 use crate::server::MAX_LINE_BYTES;
-use stencil_mapping::canonical::{canonicalize, Canonical};
+use stencil_grid::{Dims, NodeAllocation, Stencil};
+use stencil_mapping::canonical::{
+    canonicalize, canonicalize_named, Canonical, NamedCanonical, Restore, MAX_CANONICAL_NDIMS,
+};
 use stencil_mapping::metrics::evaluate_streaming;
 use stencil_mapping::MappingProblem;
 
@@ -108,6 +124,91 @@ impl CacheKey {
         out.extend_from_slice(name);
         out.extend_from_slice(&self.seed.to_le_bytes());
         out
+    }
+}
+
+/// A borrowed [`CacheKey`]: what a lookup compares and hashes without
+/// building the key's vectors.  [`KeyView::key_hash`] feeds `DefaultHasher`
+/// the stream the derived `Hash` of the owned key does, so the view finds
+/// the key in [`ShardedLru`] (and picks its shard, so placement cannot
+/// move); equality is checked against the stored key.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyView<'a> {
+    dims: &'a [usize],
+    stencil: &'a [i64],
+    periodic: bool,
+    alloc: AllocView<'a>,
+    algorithm: Algorithm,
+    /// Normalised as [`CacheKey::of_canonical`] does.
+    seed: u64,
+}
+
+/// A key's per-node sizes: `nodes` copies of `per`, or a list.
+#[derive(Debug, Clone, Copy)]
+enum AllocView<'a> {
+    Homogeneous { nodes: usize, per: usize },
+    Listed(&'a [usize]),
+}
+
+impl KeyView<'_> {
+    /// [`crate::cache::hash_of`] the owned key.
+    pub(crate) fn key_hash(self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.dims.hash(&mut h);
+        self.stencil.hash(&mut h);
+        self.periodic.hash(&mut h);
+        match self.alloc {
+            AllocView::Listed(sizes) => sizes.hash(&mut h),
+            AllocView::Homogeneous { nodes, per } => {
+                // a slice hashes its length, then its bytes in one write;
+                // SipHash reads a byte stream, so they may go in pieces
+                h.write_usize(nodes);
+                let word = per.to_ne_bytes();
+                let mut words = [0u8; 64 * std::mem::size_of::<usize>()];
+                for w in words.chunks_exact_mut(word.len()) {
+                    w.copy_from_slice(&word);
+                }
+                let mut left = nodes * word.len();
+                while left > 0 {
+                    let n = left.min(words.len());
+                    h.write(&words[..n]);
+                    left -= n;
+                }
+            }
+        }
+        self.algorithm.hash(&mut h);
+        self.seed.hash(&mut h);
+        h.finish()
+    }
+
+    /// Whether `key` is the key this view borrows.
+    pub(crate) fn matches(self, key: &CacheKey) -> bool {
+        key.algorithm == self.algorithm
+            && key.seed == self.seed
+            && key.periodic == self.periodic
+            && key.dims == self.dims
+            && key.stencil == self.stencil
+            && match self.alloc {
+                AllocView::Listed(sizes) => key.alloc == sizes,
+                AllocView::Homogeneous { nodes, per } => {
+                    key.alloc.len() == nodes && key.alloc.iter().all(|&s| s == per)
+                }
+            }
+    }
+
+    /// The owned key.
+    pub(crate) fn to_key(self) -> CacheKey {
+        CacheKey {
+            dims: self.dims.to_vec(),
+            stencil: self.stencil.to_vec(),
+            periodic: self.periodic,
+            alloc: match self.alloc {
+                AllocView::Listed(sizes) => sizes.to_vec(),
+                AllocView::Homogeneous { nodes, per } => vec![per; nodes],
+            },
+            algorithm: self.algorithm,
+            seed: self.seed,
+        }
     }
 }
 
@@ -243,12 +344,142 @@ const FALLBACK_ORDER: [Algorithm; 4] = [
     Algorithm::Nodecart,
 ];
 
+/// A checked request with its canonical form: what the service looks up,
+/// computes and answers.
+struct Request<'a> {
+    id: Option<Value>,
+    canon: Canon,
+    /// How the canonical table reads in the request's dimension order.
+    restore: Restore,
+    periodic: bool,
+    alloc: AllocSpec,
+    algorithm: Algorithm,
+    seed: u64,
+    max_jsum: Option<u64>,
+    on_over_budget: OverBudget,
+    want: Want<'a>,
+}
+
+/// A request's canonical dims and flattened stencil.  The named form is
+/// held inline, large as it is, so that a hit allocates nothing.
+#[allow(clippy::large_enum_variant)]
+enum Canon {
+    /// A named stencil on at most [`MAX_CANONICAL_NDIMS`] dims, found inline.
+    Named(NamedCanonical),
+    /// Any other request, through [`canonicalize`].
+    Owned { dims: Dims, stencil: Vec<i64> },
+}
+
+/// What an answer carries after its head.
+enum Want<'a> {
+    /// Nothing: a cost-only answer.
+    Cost,
+    /// The whole table.
+    Table(Encoding),
+    /// The nodes of a `new_rank_of` query's positions.
+    Points(Ranks<'a>),
+}
+
+/// A `new_rank_of` query's positions, as checked in the line or listed.
+enum Ranks<'a> {
+    Span(Span<'a>),
+    Listed(Vec<usize>),
+}
+
+impl<'a> Want<'a> {
+    fn of(want_mapping: bool, encoding: Encoding, ranks: Option<Ranks<'a>>) -> Want<'a> {
+        match ranks {
+            Some(ranks) => Want::Points(ranks),
+            None if want_mapping => Want::Table(encoding),
+            None => Want::Cost,
+        }
+    }
+}
+
+impl<'a> Request<'a> {
+    /// The request of a checked line item: a named stencil on at most
+    /// [`MAX_CANONICAL_NDIMS`] dims is canonicalised inline, any other
+    /// request goes through the owned one.
+    fn checked(c: Checked<Span<'a>>) -> Request<'a> {
+        let (StencilSpec::Named(named), true) = (&c.stencil, c.ndims <= MAX_CANONICAL_NDIMS) else {
+            return Request::owned(c.build());
+        };
+        let mut sizes = [0; MAX_CANONICAL_NDIMS];
+        sizes
+            .iter_mut()
+            .zip(usizes(c.dims))
+            .for_each(|(s, d)| *s = d);
+        let Some(canon) = canonicalize_named(&sizes[..c.ndims], *named) else {
+            return Request::owned(c.build());
+        };
+        Request {
+            id: c.id.map(Field::to_value),
+            restore: canon.restore(),
+            canon: Canon::Named(canon),
+            periodic: c.periodic,
+            alloc: c.alloc,
+            algorithm: c.algorithm,
+            seed: c.seed,
+            max_jsum: c.max_jsum,
+            on_over_budget: c.on_over_budget,
+            want: Want::of(c.want_mapping, c.encoding, c.ranks.map(Ranks::Span)),
+        }
+    }
+
+    /// The request of an owned [`MapRequest`], canonicalised by
+    /// [`canonicalize`].
+    fn owned(req: MapRequest) -> Request<'a> {
+        let canon = canonicalize(&req.dims, &req.stencil);
+        Request {
+            id: req.id,
+            restore: canon.restore(&req.dims),
+            canon: Canon::Owned {
+                stencil: canon.stencil.to_flat(),
+                dims: canon.dims,
+            },
+            periodic: req.periodic,
+            alloc: AllocSpec::Listed(req.alloc),
+            algorithm: req.algorithm,
+            seed: req.seed,
+            max_jsum: req.max_jsum,
+            on_over_budget: req.on_over_budget,
+            want: Want::of(
+                req.want_mapping,
+                req.encoding,
+                req.query
+                    .map(|Query::NewRankOf(ranks)| Ranks::Listed(ranks)),
+            ),
+        }
+    }
+
+    /// The cache key of this request under `algorithm`, borrowed.
+    fn key(&self, algorithm: Algorithm) -> KeyView<'_> {
+        let (dims, stencil) = match &self.canon {
+            Canon::Named(canon) => (canon.dims(), canon.stencil_flat()),
+            Canon::Owned { dims, stencil } => (dims.as_slice(), stencil.as_slice()),
+        };
+        KeyView {
+            dims,
+            stencil,
+            periodic: self.periodic,
+            alloc: match &self.alloc {
+                AllocSpec::Homogeneous { nodes, per } => AllocView::Homogeneous {
+                    nodes: *nodes,
+                    per: *per,
+                },
+                AllocSpec::Listed(alloc) => AllocView::Listed(alloc.sizes()),
+            },
+            algorithm,
+            seed: if algorithm.uses_seed() { self.seed } else { 0 },
+        }
+    }
+}
+
 /// A request answered from a cache entry, written straight from the entry
 /// into the output by [`Served::write_into`]: no restored table, varint
 /// buffer or response value is built on the way.
-struct Served {
-    req: MapRequest,
-    canon: Canonical,
+struct Served<'a> {
+    req: Request<'a>,
     /// The algorithm whose entry is served (differs from the request's
     /// under budget fallback).
     algorithm: Algorithm,
@@ -258,13 +489,13 @@ struct Served {
     degraded: bool,
 }
 
-impl Served {
+impl Served<'_> {
     /// Appends the answer line, byte-identical to [`MapResponse::write_into`]
     /// over the materialised payload (`Payload::Table` of the restored
     /// table, `Payload::TableCompact` of its encoding, or
     /// `Payload::Points`).
     fn write_into(&self, out: &mut String) {
-        let (req, canon, entry) = (&self.req, &self.canon, &*self.entry);
+        let (req, entry) = (&self.req, &*self.entry);
         OkHead {
             id: req.id.as_ref(),
             algorithm: self.algorithm,
@@ -275,41 +506,40 @@ impl Served {
             j_max: entry.j_max,
         }
         .write(out);
-        match &req.query {
-            // point lookups: read the cached canonical table entry-wise,
-            // transporting each queried position through the relabeling —
-            // O(|ranks| · d), no table serialisation at all
-            Some(Query::NewRankOf(ranks)) => write_points(
-                out,
-                ranks,
-                ranks
-                    .iter()
-                    .map(|&x| entry.nodes[canon.canonical_index_of(&req.dims, x)]),
-            ),
-            None if !req.want_mapping || self.degraded => {}
-            None => match req.encoding {
-                Encoding::Verbose => {
-                    out.push_str(NODES_FIELD);
-                    let mut w = U32ArrayWriter::new(out);
-                    canon.for_each_restored(&req.dims, &entry.nodes, |run| w.write(run));
-                    w.finish();
+        // point lookups: read the cached canonical table entry-wise,
+        // transporting each queried position through the relabeling —
+        // O(|ranks| · d), no table serialisation at all
+        let node = |x| entry.nodes[req.restore.index_of(x)];
+        match &req.want {
+            Want::Points(Ranks::Span(ranks)) => {
+                write_points(out, usizes(*ranks), usizes(*ranks).map(node))
+            }
+            Want::Points(Ranks::Listed(ranks)) => {
+                write_points(out, ranks.iter().copied(), ranks.iter().map(|&x| node(x)))
+            }
+            Want::Cost => {}
+            Want::Table(_) if self.degraded => {}
+            Want::Table(Encoding::Verbose) => {
+                out.push_str(NODES_FIELD);
+                let mut w = U32ArrayWriter::new(out);
+                req.restore.for_each(&entry.nodes, |run| w.write(run));
+                w.finish();
+            }
+            Want::Table(Encoding::Compact) => {
+                out.push_str(COMPACT_NODES_FIELD);
+                out.push('"');
+                if req.restore.is_identity() {
+                    // the restored table is the canonical one, and base64
+                    // needs no escaping: the memoised encoding goes out as
+                    // it is
+                    out.push_str(entry.compact_encoding());
+                } else {
+                    let mut enc = CompactEncoder::new(out, entry.nodes.len());
+                    req.restore.for_each(&entry.nodes, |run| enc.write(run));
+                    enc.finish();
                 }
-                Encoding::Compact => {
-                    out.push_str(COMPACT_NODES_FIELD);
-                    out.push('"');
-                    if canon.is_identity_permutation() {
-                        // the restored table is the canonical one, and
-                        // base64 needs no escaping: the memoised encoding
-                        // goes out as it is
-                        out.push_str(entry.compact_encoding());
-                    } else {
-                        let mut enc = CompactEncoder::new(out, entry.nodes.len());
-                        canon.for_each_restored(&req.dims, &entry.nodes, |run| enc.write(run));
-                        enc.finish();
-                    }
-                    out.push('"');
-                }
-            },
+                out.push('"');
+            }
         }
         out.push('}');
     }
@@ -321,6 +551,33 @@ fn write_answer(answer: Result<Served, MapResponse>, out: &mut String) {
         Ok(served) => served.write_into(out),
         Err(error) => error.write_into(out),
     }
+}
+
+/// Computes the entry of `key` with the mapping engine and scores it once.
+fn compute(key: &CacheKey) -> Result<CacheEntry, String> {
+    let inconsistent = |e: &dyn std::fmt::Display| format!("inconsistent problem: {e}");
+    let problem = MappingProblem::with_periodicity(
+        Dims::new(key.dims.clone()).map_err(|e| inconsistent(&e))?,
+        Stencil::from_flat(key.dims.len(), &key.stencil).map_err(|e| inconsistent(&e))?,
+        NodeAllocation::heterogeneous(key.alloc.clone()).map_err(|e| inconsistent(&e))?,
+        key.periodic,
+    )
+    .map_err(|e| inconsistent(&e))?;
+    let mapping = key
+        .algorithm
+        .mapper(key.seed)
+        .compute(&problem)
+        .map_err(|e| format!("{}: {e}", key.algorithm.wire_name()))?;
+    let cost = evaluate_streaming(problem.dims(), problem.stencil(), key.periodic, &mapping);
+    Ok(CacheEntry::new(
+        mapping
+            .node_of_position_slice()
+            .iter()
+            .map(|&n| n as u32)
+            .collect(),
+        cost.j_sum,
+        cost.j_max,
+    ))
 }
 
 impl MappingService {
@@ -428,11 +685,12 @@ impl MappingService {
 
     /// Like [`MappingService::handle_line`], but appends the response line
     /// (without the trailing newline) to `out` instead of allocating a
-    /// fresh `String`.  An answer from a cache entry — a hit or a miss,
-    /// single line, batch item, write-through, budget fallback or degraded
-    /// — is written in one pass from the cached canonical table into
-    /// `out`: a verbose table streams through the restoring walk into the
-    /// digit writer, a permuted compact table through it into the compact
+    /// fresh `String`.  The line is decoded in one pass (see the module
+    /// doc), and an answer from a cache entry — a hit or a miss, single
+    /// line, batch item, write-through, budget fallback or degraded — is
+    /// written in one pass from the cached canonical table into `out`: a
+    /// verbose table streams through the restoring walk into the digit
+    /// writer, a permuted compact table through it into the compact
     /// encoder, and a compact table in canonical order appends the entry's
     /// memoised encoding.  No restored table, response value or [`Value`]
     /// tree is built (byte-identical to [`MapResponse::write_into`] over
@@ -446,8 +704,8 @@ impl MappingService {
     /// requests are already cheap and are served in full.
     pub fn handle_line_into(&self, line: &str, degrade: bool, out: &mut String) {
         faultpoint::reach("serve.request");
-        let parsed = match Value::parse(line) {
-            Ok(v) => v,
+        let fields = match Fields::scan(line) {
+            Ok(fields) => fields,
             Err(e) => {
                 MapResponse {
                     id: None,
@@ -457,12 +715,12 @@ impl MappingService {
                 return;
             }
         };
-        if let Some(cmd) = parsed.get("admin") {
-            self.handle_admin(&parsed, cmd, degrade, out);
+        if let Some(cmd) = fields.get(Key::Admin) {
+            self.handle_admin(&fields, cmd, degrade, out);
             return;
         }
-        if let Some(batch) = parsed.get("batch") {
-            let Some(items) = batch.as_arr() else {
+        if let Some(batch) = fields.get(Key::Batch) {
+            let Some(items) = batch.items() else {
                 MapResponse {
                     id: None,
                     body: ResponseBody::Error("\"batch\" must be an array".to_string()),
@@ -471,15 +729,15 @@ impl MappingService {
                 return;
             };
             out.push_str("{\"batch\":[");
-            for (i, item) in items.iter().enumerate() {
+            for (i, item) in items.enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_answer(self.handle_value(item, degrade), out);
+                write_answer(self.answer(&Fields::of(item), degrade), out);
             }
             out.push_str("]}");
         } else {
-            write_answer(self.handle_value(&parsed, degrade), out);
+            write_answer(self.answer(&fields, degrade), out);
         }
     }
 
@@ -509,8 +767,8 @@ impl MappingService {
     ///   records cannot ship (evicted again, or an absorb line would pass
     ///   the line limit).  The router sends every replicated request this
     ///   way, so a miss costs one round trip before its absorbs.
-    fn handle_admin(&self, v: &Value, cmd: &Value, degrade: bool, out: &mut String) {
-        let id = v.get("id").cloned();
+    fn handle_admin(&self, v: &Fields, cmd: Span, degrade: bool, out: &mut String) {
+        let id = v.get(Key::Id).map(Field::to_value);
         let error = |out: &mut String, msg: String| {
             MapResponse {
                 id: id.clone(),
@@ -518,7 +776,7 @@ impl MappingService {
             }
             .write_into(out)
         };
-        match cmd.as_str() {
+        match cmd.as_str().as_deref() {
             Some("handoff") => {
                 let Some(p) = &self.persist else {
                     error(out, "handoff requires --persist".to_string());
@@ -558,11 +816,11 @@ impl MappingService {
                 Value::obj(fields).write_into(out);
             }
             Some("absorb") => {
-                let Some(log) = v.get("log").and_then(Value::as_str) else {
+                let Some(log) = v.get(Key::Log).and_then(Field::as_str) else {
                     error(out, "absorb needs a base64 \"log\" string".to_string());
                     return;
                 };
-                let bytes = match crate::json::base64_decode(log) {
+                let bytes = match crate::json::base64_decode(&log) {
                     Ok(bytes) => bytes,
                     Err(e) => {
                         error(out, format!("absorb log is not valid base64: {e}"));
@@ -611,15 +869,13 @@ impl MappingService {
                 Value::obj(fields).write_into(out);
             }
             Some("write_through") => {
-                let Some(item) = v.get("request") else {
+                let Some(item) = v.get(Key::Request) else {
                     error(out, "write_through needs a \"request\" object".to_string());
                     return;
                 };
-                let answer = self.handle_value(item, degrade);
+                let answer = self.answer(&Fields::of(item), degrade);
                 let records = match &answer {
-                    Ok(served) if !served.cached => {
-                        Some(self.write_through_records(&served.req, &served.canon))
-                    }
+                    Ok(served) if !served.cached => Some(self.write_through_records(&served.req)),
                     _ => None,
                 };
                 out.push('{');
@@ -655,7 +911,7 @@ impl MappingService {
                 out,
                 format!(
                     "unknown admin command {} (expected \"handoff\", \"stats\", \"absorb\" or \"write_through\")",
-                    cmd.compact()
+                    cmd.to_value().compact()
                 ),
             ),
         }
@@ -664,15 +920,17 @@ impl MappingService {
     /// The write-through log of a request this service just answered: the
     /// persistence insert records ([`insert_line`]) of the resident entries
     /// `req` resolves to, one per line, in the order
-    /// [`MappingService::handle_request`] looks them up — the requested key,
+    /// [`MappingService::resolve`] looks them up — the requested key,
     /// then, for an over-budget `"on_over_budget":"fallback"` request,
     /// [`FALLBACK_ORDER`] up to the first entry within budget.  Lookup-only:
-    /// [`ShardedLru::peek`] leaves recency and the hit/miss counters alone.
-    /// Empty when the requested key is no longer resident.
-    fn write_through_records(&self, req: &MapRequest, canon: &Canonical) -> String {
+    /// [`ShardedLru::peek_hashed`] leaves recency and the hit/miss counters
+    /// alone.  Empty when the requested key is no longer resident.
+    fn write_through_records(&self, req: &Request) -> String {
         let peek = |algorithm| {
-            let key = CacheKey::of_canonical(req, canon, algorithm, req.seed);
-            self.cache.peek(&key).map(|entry| (key, entry))
+            let key = req.key(algorithm);
+            self.cache
+                .peek_hashed(key.key_hash(), |k| key.matches(k))
+                .map(|entry| (key.to_key(), entry))
         };
         let mut records = String::new();
         let Some((key, entry)) = peek(req.algorithm) else {
@@ -698,84 +956,36 @@ impl MappingService {
         records
     }
 
-    /// Handles one parsed request object: the entry that answers it, or
-    /// the error answer.
-    fn handle_value(&self, v: &Value, degrade: bool) -> Result<Served, MapResponse> {
-        match MapRequest::from_value(v) {
-            Ok(req) => self.handle_request(req, degrade),
+    /// Answers one request object of a checked line: the entry that
+    /// answers it, or the error answer.
+    fn answer<'a>(&self, fields: &Fields<'a>, degrade: bool) -> Result<Served<'a>, MapResponse> {
+        match check(fields) {
+            Ok(checked) => self.serve(Request::checked(checked), degrade),
             Err(e) => Err(MapResponse {
-                id: v.get("id").cloned(),
+                id: fields.get(Key::Id).map(Field::to_value),
                 body: ResponseBody::Error(e),
             }),
         }
     }
 
-    /// Handles one request end to end: canonicalise, cache lookup or
-    /// compute, admission control.  The answer is written from the entry
-    /// afterwards ([`Served::write_into`]).
-    fn handle_request(&self, req: MapRequest, degrade: bool) -> Result<Served, MapResponse> {
-        let canon = canonicalize(&req.dims, &req.stencil);
-        let fail = |e: String| {
-            Err(MapResponse {
-                id: req.id.clone(),
-                body: ResponseBody::Error(e),
-            })
-        };
-        let (entry, cached) = match self.lookup_or_compute(&req, &canon, req.algorithm, req.seed) {
-            Ok(hit) => hit,
-            Err(e) => return fail(e),
-        };
-
-        // admission control: the streaming-evaluated cost rides in the entry
-        let mut served = (req.algorithm, entry, cached, None);
-        if let Some(budget) = req.max_jsum {
-            if served.1.j_sum > budget {
-                match req.on_over_budget {
-                    OverBudget::Reject => {
-                        return fail(format!(
-                            "over budget: {} predicts Jsum = {} > max_jsum = {budget}",
-                            req.algorithm.wire_name(),
-                            served.1.j_sum
-                        ));
-                    }
-                    OverBudget::Fallback => {
-                        let mut found = None;
-                        for alg in FALLBACK_ORDER {
-                            if alg == req.algorithm {
-                                continue;
-                            }
-                            match self.lookup_or_compute(&req, &canon, alg, req.seed) {
-                                Ok((entry, cached)) if entry.j_sum <= budget => {
-                                    found = Some((alg, entry, cached, Some(req.algorithm)));
-                                    break;
-                                }
-                                // inapplicable or still over budget: keep trying
-                                Ok(_) | Err(_) => {}
-                            }
-                        }
-                        match found {
-                            Some(f) => served = f,
-                            None => {
-                                return fail(format!(
-                                    "over budget: no algorithm reaches Jsum <= {budget} \
-                                     (requested {} predicted {})",
-                                    req.algorithm.wire_name(),
-                                    served.1.j_sum
-                                ));
-                            }
-                        }
-                    }
-                }
+    /// Serves one request end to end: cache lookup or compute, admission
+    /// control.  The answer is written from the entry afterwards
+    /// ([`Served::write_into`]).
+    fn serve<'a>(&self, req: Request<'a>, degrade: bool) -> Result<Served<'a>, MapResponse> {
+        let (algorithm, entry, cached, fallback_from) = match self.resolve(&req) {
+            Ok(served) => served,
+            Err(e) => {
+                return Err(MapResponse {
+                    id: req.id,
+                    body: ResponseBody::Error(e),
+                })
             }
-        }
-
-        let (algorithm, entry, cached, fallback_from) = served;
+        };
         // overload degradation strips exactly the table payloads — the part
         // whose serialisation cost scales with the grid volume
-        let degraded = degrade && req.want_mapping && req.query.is_none();
+        let degraded = degrade && matches!(req.want, Want::Table(_));
         Ok(Served {
             req,
-            canon,
             algorithm,
             fallback_from,
             entry,
@@ -784,59 +994,73 @@ impl MappingService {
         })
     }
 
-    /// Returns the cache entry for `(canonical request, algorithm)`,
-    /// computing and inserting it on a miss.  The boolean is `true` on a
-    /// hit.  Concurrent misses on the same key may compute twice; both
-    /// compute the identical entry, so the race is benign.
-    fn lookup_or_compute(
+    /// The entry that answers `req` under admission control: the served
+    /// algorithm, its entry, whether it was cached, and the requested
+    /// algorithm when a budget fallback replaced it.
+    #[allow(clippy::type_complexity)]
+    fn resolve(
         &self,
-        req: &MapRequest,
-        canon: &Canonical,
-        algorithm: Algorithm,
-        seed: u64,
-    ) -> Result<(Arc<CacheEntry>, bool), String> {
-        let key = CacheKey::of_canonical(req, canon, algorithm, seed);
+        req: &Request,
+    ) -> Result<(Algorithm, Arc<CacheEntry>, bool, Option<Algorithm>), String> {
+        let (entry, cached) = self.lookup_or_compute(req.key(req.algorithm))?;
+        // admission control: the streaming-evaluated cost rides in the entry
+        let Some(budget) = req.max_jsum.filter(|&budget| entry.j_sum > budget) else {
+            return Ok((req.algorithm, entry, cached, None));
+        };
+        if req.on_over_budget == OverBudget::Reject {
+            return Err(format!(
+                "over budget: {} predicts Jsum = {} > max_jsum = {budget}",
+                req.algorithm.wire_name(),
+                entry.j_sum
+            ));
+        }
+        for alg in FALLBACK_ORDER.into_iter().filter(|&a| a != req.algorithm) {
+            match self.lookup_or_compute(req.key(alg)) {
+                Ok((found, cached)) if found.j_sum <= budget => {
+                    return Ok((alg, found, cached, Some(req.algorithm)));
+                }
+                // inapplicable or still over budget: keep trying
+                Ok(_) | Err(_) => {}
+            }
+        }
+        Err(format!(
+            "over budget: no algorithm reaches Jsum <= {budget} \
+             (requested {} predicted {})",
+            req.algorithm.wire_name(),
+            entry.j_sum
+        ))
+    }
+
+    /// Returns the cache entry of `key`, computing and inserting it on a
+    /// miss.  The boolean is `true` on a hit.  The view is hashed once, for
+    /// the shard (and its persist lock) and the probe; a miss builds the
+    /// owned key.  Concurrent misses on the same key may compute twice;
+    /// both compute the identical entry, so the race is benign.
+    fn lookup_or_compute(&self, key: KeyView) -> Result<(Arc<CacheEntry>, bool), String> {
+        let hash = key.key_hash();
+        let matches = |k: &CacheKey| key.matches(k);
         if let Some(p) = &self.persist {
             // hold the shard's persist lock across (lookup, touch record) so
             // the log's per-shard order matches the shard's operation order;
             // touches of an already-MRU key replay as no-ops and are skipped,
             // so a hot key costs one log record ever, not one per hit
-            let lock = &self.persist_locks[self.cache.shard_of(&key)];
+            let lock = &self.persist_locks[self.cache.shard_of_hash(hash)];
             let guard = lock.lock().expect("persist lock poisoned");
-            if let Some((entry, was_mru)) = self.cache.get_tracking_mru(&key) {
+            if let Some((entry, was_mru)) = self.cache.get_tracking_mru_hashed(hash, matches) {
                 if !was_mru {
-                    p.record_touch(&key);
+                    p.record_touch(&key.to_key());
                 }
                 return Ok((entry, true));
             }
             drop(guard);
-        } else if let Some(entry) = self.cache.get(&key) {
+        } else if let Some((entry, _)) = self.cache.get_tracking_mru_hashed(hash, matches) {
             return Ok((entry, true));
         }
-        let problem = MappingProblem::with_periodicity(
-            canon.dims.clone(),
-            canon.stencil.clone(),
-            req.alloc.clone(),
-            req.periodic,
-        )
-        .map_err(|e| format!("inconsistent problem: {e}"))?;
-        let mapping = algorithm
-            .mapper(seed)
-            .compute(&problem)
-            .map_err(|e| format!("{}: {e}", algorithm.wire_name()))?;
-        let cost = evaluate_streaming(&canon.dims, &canon.stencil, req.periodic, &mapping);
-        let entry = Arc::new(CacheEntry::new(
-            mapping
-                .node_of_position_slice()
-                .iter()
-                .map(|&n| n as u32)
-                .collect(),
-            cost.j_sum,
-            cost.j_max,
-        ));
+        let key = key.to_key();
+        let entry = Arc::new(compute(&key)?);
         let cost = entry_cost(&key);
         if let Some(p) = &self.persist {
-            let lock = &self.persist_locks[self.cache.shard_of(&key)];
+            let lock = &self.persist_locks[self.cache.shard_of_hash(hash)];
             let _guard = lock.lock().expect("persist lock poisoned");
             p.record_insert(&key, &entry);
             self.cache.insert_with_cost(key, Arc::clone(&entry), cost);
@@ -1567,6 +1791,431 @@ mod tests {
                 let j = (i..d).rev().find(|&j| perm[j] > perm[i - 1]).unwrap();
                 perm.swap(i - 1, j);
                 perm[i..].reverse();
+            }
+        }
+    }
+
+    /// A splitmix64 stream that draws the request lines below.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// Mostly `good`, otherwise one of `bad`.
+        fn member(&mut self, good: String, bad: &[&str]) -> String {
+            match self.below(4 * bad.len().max(1)) {
+                i if i < bad.len() => bad[i].to_string(),
+                _ => good,
+            }
+        }
+    }
+
+    /// A request object on a grid of at most 216 positions: every member
+    /// drawn mostly valid, and otherwise as a value that one of the
+    /// request rules rejects, so every rule's error answer comes up.
+    fn request_line(g: &mut Draw) -> String {
+        let d = 1 + g.below(3);
+        let dims: Vec<usize> = (0..d).map(|_| 1 + g.below(6)).collect();
+        let p: usize = dims.iter().product();
+        let list = |xs: &[usize]| {
+            xs.iter()
+                .map(|x| x.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut members = Vec::new();
+        let ids = [
+            "7",
+            "\"x\"",
+            "null",
+            "[1,{\"k\":\"v\"}]",
+            "1.0",
+            "-0",
+            "12345678901234567890",
+            "2.5e1",
+        ];
+        if g.below(3) > 0 {
+            members.push(format!("\"id\":{}", ids[g.below(ids.len())]));
+        }
+        let dims_text = g.member(
+            format!("[{}]", list(&dims)),
+            &[
+                "[]",
+                "[0,4]",
+                "\"x\"",
+                "[-1]",
+                "[1.5]",
+                "[4096,4096,2]",
+                "[4294967296,4294967296,4294967296]",
+            ],
+        );
+        if g.below(30) > 0 {
+            members.push(format!("\"dims\":{dims_text}"));
+        }
+        let explicit = match d {
+            1 => "[[1],[-1]]",
+            2 => "[[1,0],[0,-1],[2,0]]",
+            _ => "[[0,1,0],[1,0,0],[0,0,-1]]",
+        };
+        let stencils = [
+            "\"nearest_neighbor\"",
+            "\"hops\"",
+            "\"component\"",
+            explicit,
+        ];
+        if g.below(3) > 0 {
+            let good = stencils[g.below(4)].to_string();
+            let stencil = g.member(
+                good,
+                &[
+                    "\"torus\"",
+                    "5",
+                    "[[1,0,0,0,0]]",
+                    "[]",
+                    "[[0,0,0]]",
+                    "[7]",
+                    "[[1.5]]",
+                ],
+            );
+            members.push(format!("\"stencil\":{stencil}"));
+        }
+        if g.below(3) == 0 {
+            members.push(format!(
+                "\"periodic\":{}",
+                g.member("true".into(), &["\"x\""])
+            ));
+        }
+        let divisors: Vec<usize> = (1..=p).filter(|n| p.is_multiple_of(*n)).collect();
+        let nodes = divisors[g.below(divisors.len())];
+        match g.below(8) {
+            0 => {
+                let first = 1 + g.below(p);
+                let sizes = if first < p {
+                    vec![first, p - first]
+                } else {
+                    vec![p]
+                };
+                let good = format!("[{}]", list(&sizes));
+                let sizes = g.member(good, &["[]", "[0]", "7", "[1,1000]"]);
+                members.push(format!("\"node_sizes\":{sizes}"));
+            }
+            1 => members.push(format!(
+                "\"nodes\":{nodes},\"procs_per_node\":{}",
+                g.member((p / nodes).to_string(), &["0", "\"2\"", "1000"])
+            )),
+            2 => {}
+            _ => members.push(format!(
+                "\"nodes\":{}",
+                g.member(nodes.to_string(), &["0", "-2", "\"4\"", "1000001"])
+            )),
+        }
+        let algorithms = [
+            "\"hyperplane\"",
+            "\"kdtree\"",
+            "\"stencil_strips\"",
+            "\"nodecart\"",
+            "\"blocked\"",
+            "\"viem\"",
+        ];
+        if g.below(4) > 0 {
+            let good = algorithms[g.below(algorithms.len())].to_string();
+            members.push(format!(
+                "\"algorithm\":{}",
+                g.member(good, &["\"magic\"", "5"])
+            ));
+        }
+        if g.below(4) == 0 {
+            let seed = g.below(4).to_string();
+            members.push(format!("\"seed\":{}", g.member(seed, &["-1", "0.5"])));
+        }
+        if g.below(4) == 0 {
+            let budget = ["0", "8", "40", "1000"][g.below(4)].to_string();
+            members.push(format!("\"max_jsum\":{}", g.member(budget, &["-3"])));
+            if g.below(2) == 0 {
+                let policy = ["\"fallback\"", "\"reject\""][g.below(2)].to_string();
+                members.push(format!(
+                    "\"on_over_budget\":{}",
+                    g.member(policy, &["\"explode\""])
+                ));
+            }
+        }
+        match g.below(6) {
+            0 => members.push(format!(
+                "\"want_mapping\":{}",
+                g.member("false".into(), &["\"no\""])
+            )),
+            1 => members.push(format!(
+                "\"encoding\":{}",
+                g.member("\"compact\"".into(), &["\"gzip\""])
+            )),
+            2 => {
+                let ranks: Vec<usize> = (0..1 + g.below(4)).map(|_| g.below(p)).collect();
+                let good = format!("\"query\":\"new_rank_of\",\"ranks\":[{}]", list(&ranks));
+                let bad = format!("\"query\":\"new_rank_of\",\"ranks\":[{p}]");
+                members.push(g.member(
+                    good,
+                    &[
+                        &bad,
+                        "\"query\":\"new_rank_of\"",
+                        "\"query\":\"new_rank_of\",\"ranks\":7",
+                        "\"query\":\"old_rank_of\",\"ranks\":[0]",
+                        "\"ranks\":[0]",
+                    ],
+                ));
+            }
+            _ => {}
+        }
+        if g.below(8) == 0 {
+            members.push("\"extra\":{\"a\":[1,{\"b\":null}],\"c\":\"x\"}".to_string());
+        }
+        // members in any order: a rule's checks may not depend on it
+        for i in (1..members.len()).rev() {
+            members.swap(i, g.below(i + 1));
+        }
+        format!("{{{}}}", members.join(","))
+    }
+
+    /// `line` changed the way a client or a fault might: truncated, a byte
+    /// flipped, a key repeated or escaped, numbers in another form,
+    /// whitespace between tokens, nesting past the limit, or wrapped in a
+    /// batch or beside an admin command.
+    fn mutate(g: &mut Draw, line: &str) -> String {
+        const KEYS: [(&str, &str); 5] = [
+            ("\"dims\"", "\"d\\u0069ms\""),
+            ("\"nodes\"", "\"n\\u006fdes\""),
+            ("\"algorithm\"", "\"algorith\\u006d\""),
+            ("\"id\"", "\"\\u0069d\""),
+            ("\"want_mapping\"", "\"want\\u005fmapping\""),
+        ];
+        match g.below(10) {
+            0 => line[..g.below(line.len() + 1)].to_string(),
+            1 => {
+                let mut bytes = line.as_bytes().to_vec();
+                let at = g.below(bytes.len());
+                bytes[at] = b"{}[],:\" 0123-.eE\\x"[g.below(18)];
+                String::from_utf8(bytes).expect("ASCII lines stay UTF-8")
+            }
+            2 => {
+                // a second occurrence, before or after the first
+                let repeat = [
+                    "\"dims\":[2,3]",
+                    "\"nodes\":1",
+                    "\"algorithm\":\"blocked\"",
+                    "\"id\":\"again\"",
+                    "\"want_mapping\":false",
+                    "\"stencil\":\"hops\"",
+                ][g.below(6)];
+                match line.strip_suffix('}') {
+                    Some(body) if g.below(2) == 0 && body.len() > 1 => format!("{body},{repeat}}}"),
+                    _ => line
+                        .replacen('{', &format!("{{{repeat},"), 1)
+                        .replace(",}", "}"),
+                }
+            }
+            3 => {
+                let (key, escaped) = KEYS[g.below(KEYS.len())];
+                line.replacen(key, escaped, 1)
+            }
+            4 => {
+                let form = g.below(4);
+                let mut out = String::new();
+                let mut digits = String::new();
+                for c in line.chars().chain(std::iter::once(' ')) {
+                    if c.is_ascii_digit() {
+                        digits.push(c);
+                        continue;
+                    }
+                    if !digits.is_empty() {
+                        match (form, digits.as_str()) {
+                            (0, n) => out.push_str(&format!("{n}e0")),
+                            (1, n) => out.push_str(&format!("{n}.0")),
+                            (2, "0") => out.push_str("-0"),
+                            (2, n) => out.push_str(&format!("{n}0e-1")),
+                            (_, n) => out.push_str(&format!("{n}E+0")),
+                        }
+                        digits.clear();
+                    }
+                    out.push(c);
+                }
+                out.pop();
+                out
+            }
+            5 => line
+                .replace(',', " ,\t")
+                .replace(':', " : ")
+                .replace('[', "[ "),
+            6 => {
+                let depth = [128, 129][g.below(2)];
+                let deep = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+                line.replacen("\"dims\":", &format!("\"deep\":{deep},\"dims\":"), 1)
+            }
+            7 => match g.below(4) {
+                0 => format!("{{\"batch\":[{line},{line}]}}"),
+                1 => format!("{{\"batch\":[7,{line}]}}"),
+                2 => format!("{{\"batch\":{line}}}"),
+                _ => format!("[{line}]"),
+            },
+            8 => match g.below(3) {
+                0 => format!("{{\"admin\":\"stats\",\"batch\":[{line}]}}"),
+                1 => format!("{{\"id\":3,\"admin\":\"nope\",\"batch\":[{line}]}}"),
+                _ => format!("{{\"admin\":[1, 2e0],\"id\":{line}}}"),
+            },
+            _ => line.to_string(),
+        }
+    }
+
+    /// The answer of the decode the scan replaced: `Value::parse`, then
+    /// `MapRequest::from_value` and the owned canonical form.  Of the admin
+    /// commands it answers `stats` and unknown ones.
+    fn oracle_answer(s: &MappingService, line: &str, degrade: bool) -> String {
+        let mut out = String::new();
+        let error = |out: &mut String, id: Option<Value>, e: String| {
+            MapResponse {
+                id,
+                body: ResponseBody::Error(e),
+            }
+            .write_into(out)
+        };
+        let v = match Value::parse(line) {
+            Ok(v) => v,
+            Err(e) => {
+                error(&mut out, None, format!("invalid JSON: {e}"));
+                return out;
+            }
+        };
+        let item = |out: &mut String, v: &Value| match MapRequest::from_value(v) {
+            Ok(req) => write_answer(s.serve(Request::owned(req), degrade), out),
+            Err(e) => error(out, v.get("id").cloned(), e),
+        };
+        if let Some(cmd) = v.get("admin") {
+            let id = v.get("id").cloned();
+            if cmd.as_str() == Some("stats") {
+                let stats = s.cache_stats();
+                let mut fields: Vec<(&str, Value)> = id.map(|id| ("id", id)).into_iter().collect();
+                fields.push(("status", Value::str("ok")));
+                fields.push(("admin", Value::str("stats")));
+                fields.push(("hits", Value::Num(stats.hits as f64)));
+                fields.push(("misses", Value::Num(stats.misses as f64)));
+                fields.push(("entries", Value::Num(stats.len as f64)));
+                Value::obj(fields).write_into(&mut out);
+            } else {
+                error(
+                    &mut out,
+                    id,
+                    format!(
+                        "unknown admin command {} (expected \"handoff\", \"stats\", \"absorb\" or \"write_through\")",
+                        cmd.compact()
+                    ),
+                );
+            }
+        } else if let Some(batch) = v.get("batch") {
+            match batch.as_arr() {
+                None => error(&mut out, None, "\"batch\" must be an array".to_string()),
+                Some(items) => {
+                    out.push_str("{\"batch\":[");
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        item(&mut out, v);
+                    }
+                    out.push_str("]}");
+                }
+            }
+        } else {
+            item(&mut out, &v);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-pass decode answers every line as `Value::parse` +
+        /// `MapRequest::from_value` + `canonicalize` did, byte for byte and
+        /// with the same cache counters: request lines of every shape and
+        /// every rule's rejection, and their mutations (truncations, byte
+        /// flips, repeated and escaped keys, `1e1`/`4.0`/`-0` numbers,
+        /// whitespace, nesting at and past 128 levels, batches, admin
+        /// beside batch), degraded or not.  Two services of one
+        /// configuration see the same sequence, so hits and misses line up.
+        #[test]
+        fn the_scan_answers_as_the_value_tree_did(
+            seed in 0u64..u64::MAX,
+            degrade in proptest::bool::ANY,
+        ) {
+            let mut g = Draw(seed);
+            let (scanned, parsed) = (service(), service());
+            for _ in 0..6 {
+                let base = request_line(&mut g);
+                for line in [base.clone(), mutate(&mut g, &base), mutate(&mut g, &base)] {
+                    let mut got = String::new();
+                    scanned.handle_line_into(&line, degrade, &mut got);
+                    let want = oracle_answer(&parsed, &line, degrade);
+                    proptest::prop_assert_eq!(&got, &want, "{}", line);
+                    proptest::prop_assert_eq!(scanned.cache_stats(), parsed.cache_stats(), "{}", line);
+                }
+            }
+        }
+
+        /// A request's borrowed key hashes as the owned `CacheKey` does and
+        /// equals it (so its routing bytes do too): the shard and the
+        /// router's placement cannot move.  Named stencils on 1–8 dims
+        /// (the inline canonical form; up to one process per node, past the
+        /// hasher's 64-size pieces), other stencils (through
+        /// `canonicalize`), homogeneous and listed allocations, every
+        /// algorithm and seed.
+        #[test]
+        fn a_key_view_hashes_and_routes_as_the_owned_key(
+            sizes in proptest::collection::vec(1usize..6, 1..9),
+            stencil in 0usize..4,
+            periodic in proptest::bool::ANY,
+            per_node in 0usize..4,
+            listed in proptest::bool::ANY,
+            seed in 0u64..5,
+        ) {
+            let d = sizes.len();
+            let p: usize = sizes.iter().product();
+            let stencil = match stencil {
+                0 => "\"nearest_neighbor\"".to_string(),
+                1 => "\"hops\"".to_string(),
+                2 if d >= 2 => "\"component\"".to_string(),
+                _ => format!("[[{}],[{}]]", vec!["1"; d].join(","), vec!["-2"; d].join(",")),
+            };
+            let per = [1, p, 1, p][per_node].max(1);
+            let alloc = if listed {
+                format!("\"node_sizes\":[{}]", vec![per.to_string(); p / per].join(","))
+            } else {
+                format!("\"nodes\":{},\"procs_per_node\":{per}", p / per)
+            };
+            let line = format!(
+                "{{\"dims\":[{}],\"stencil\":{stencil},\"periodic\":{periodic},{alloc},\"seed\":{seed}}}",
+                sizes.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(",")
+            );
+            let fields = Fields::scan(&line).unwrap();
+            let scanned = Request::checked(check(&fields).unwrap());
+            let req = MapRequest::from_value(&Value::parse(&line).unwrap()).unwrap();
+            let canon = canonicalize(&req.dims, &req.stencil);
+            let owned_request = Request::owned(req.clone());
+            let cache: ShardedLru<CacheKey, ()> = ShardedLru::new(16, 8);
+            for algorithm in FALLBACK_ORDER.into_iter().chain([Algorithm::Viem, Algorithm::Blocked]) {
+                let owned = CacheKey::of_canonical(&req, &canon, algorithm, req.seed);
+                for view in [scanned.key(algorithm), owned_request.key(algorithm)] {
+                    proptest::prop_assert_eq!(view.key_hash(), crate::cache::hash_of(&owned), "{}", line);
+                    proptest::prop_assert_eq!(
+                        cache.shard_of_hash(view.key_hash()),
+                        cache.shard_of(&owned)
+                    );
+                    proptest::prop_assert!(view.matches(&owned), "{}", line);
+                    proptest::prop_assert_eq!(view.to_key().routing_bytes(), owned.routing_bytes());
+                    proptest::prop_assert_eq!(&view.to_key(), &owned);
+                }
             }
         }
     }

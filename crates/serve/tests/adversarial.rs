@@ -93,6 +93,10 @@ fn hostile_numbers_and_values_error_cleanly() {
         r#"{"dims":[65536,65536],"nodes":4}"#,
         // … and the dims product must not overflow usize
         r#"{"dims":[4294967296,4294967296,4294967296],"nodes":4}"#,
+        // an allocation is checked against the grid before any per-node
+        // vector exists, and nodes × procs_per_node must not overflow
+        r#"{"dims":[6,4],"nodes":1000000000000,"procs_per_node":1}"#,
+        r#"{"dims":[6,4],"nodes":1048576,"procs_per_node":17592186044416}"#,
         r#"{"dims":[6,4],"nodes":4,"stencil":[[1,0,0]]}"#,
         r#"{"batch":{"not":"an array"}}"#,
         r#"{"dims":[6,4],"nodes":4,"ranks":[0]}"#,
@@ -109,6 +113,31 @@ fn hostile_numbers_and_values_error_cleanly() {
             Some("error"),
             "{line} -> {response}"
         );
+    }
+}
+
+#[test]
+fn numbers_and_escapes_outside_rfc_8259_are_invalid_json() {
+    let s = service();
+    for line in [
+        // a `\u` escape is exactly four hex digits: no sign
+        r#"{"id":"\u+041","dims":[6,4],"nodes":4}"#,
+        // leading zeros, a bare '.', a missing integer part
+        r#"{"dims":[04,4],"nodes":4}"#,
+        r#"{"dims":[4.,6],"nodes":4}"#,
+        r#"{"dims":[6,4],"nodes":4,"seed":1.e5}"#,
+        r#"{"dims":[6,4],"nodes":4,"max_jsum":-.5}"#,
+    ] {
+        let response = s.handle_line(line);
+        let v = Value::parse(&response)
+            .unwrap_or_else(|e| panic!("{line}: unparseable response {response:?}: {e}"));
+        assert_eq!(
+            v.get("status").and_then(Value::as_str),
+            Some("error"),
+            "{line}"
+        );
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.starts_with("invalid JSON: "), "{line} -> {response}");
     }
 }
 

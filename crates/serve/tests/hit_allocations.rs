@@ -1,7 +1,9 @@
 //! A cache hit's answer is written from the cached entry into the caller's
-//! output buffer: once warm, a verbose or compact table hit allocates no
-//! more than a cost-only hit of the same entry (plus 1 KiB of slack), so
-//! no table-sized restore, varint or base64 buffer is built on the way.
+//! output buffer: once warm, a cost-only hit allocates nothing (the line is
+//! decoded from its bytes, and the key is looked up by a borrowed view), and
+//! a verbose or compact table hit allocates no more than a cost-only hit of
+//! the same entry (plus 1 KiB of slack), so no table-sized restore, varint
+//! or base64 buffer is built on the way.
 //! Into an empty buffer, no single allocation exceeds twice the answer
 //! plus one slice's reservation, so a buffer a worker keeps holds no
 //! table-sized reservation either.
@@ -66,6 +68,26 @@ fn hops_line(dims: [usize; 2], extra: &str) -> String {
         r#"{{"dims":[{},{}],"stencil":"hops","nodes":100,"algorithm":"hyperplane"{extra}}}"#,
         dims[0], dims[1]
     )
+}
+
+#[test]
+fn a_warm_cost_only_hit_allocates_nothing() {
+    let service = MappingService::new(&ServiceConfig::default());
+    let mut out = String::new();
+    // identity and permuted dims order of one entry
+    for dims in [[64, 75], [75, 64]] {
+        let line = hops_line(dims, r#","want_mapping":false"#);
+        for _ in 0..2 {
+            out.clear();
+            service.handle_line_into(&line, false, &mut out);
+        }
+        out.clear();
+        let before = ALLOCATED.with(Cell::get);
+        service.handle_line_into(&line, false, &mut out);
+        let bytes = ALLOCATED.with(Cell::get) - before;
+        assert!(out.contains(r#""cached":true"#), "{out}");
+        assert_eq!(bytes, 0, "{line}: {bytes} B allocated");
+    }
 }
 
 #[test]
