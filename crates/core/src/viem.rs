@@ -25,6 +25,9 @@ use crate::Mapping;
 use graph_partition::{partition, refine_kway_with, Graph, PartitionConfig, RefineConfig};
 use stencil_grid::CartGraph;
 
+/// Default seed of [`GraphMapper`]'s randomised components.
+pub const DEFAULT_SEED: u64 = 0x71EA;
+
 /// VieM-style general graph mapper (multilevel partitioning + swap search).
 #[derive(Debug, Clone)]
 pub struct GraphMapper {
@@ -41,7 +44,7 @@ pub struct GraphMapper {
 impl Default for GraphMapper {
     fn default() -> Self {
         GraphMapper {
-            seed: 0x71EA,
+            seed: DEFAULT_SEED,
             refine_rounds: 12,
             parallel: true,
         }
@@ -55,22 +58,6 @@ impl GraphMapper {
             seed,
             ..Default::default()
         }
-    }
-
-    /// Creates a mapper with an explicit local-search effort (number of
-    /// refinement rounds); `0` disables the local search.
-    pub fn with_effort(seed: u64, refine_rounds: usize) -> Self {
-        GraphMapper {
-            seed,
-            refine_rounds,
-            ..Default::default()
-        }
-    }
-
-    /// Enables or disables multi-threading (the mapping is unaffected).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 }
 
@@ -169,8 +156,12 @@ mod tests {
     #[test]
     fn effort_zero_skips_local_search_but_stays_valid() {
         let p = problem(&[8, 8], 4, 16, Stencil::nearest_neighbor(2));
-        let fast = GraphMapper::with_effort(2, 0).compute(&p).unwrap();
-        let slow = GraphMapper::with_effort(2, 10).compute(&p).unwrap();
+        let effort = |refine_rounds| GraphMapper {
+            refine_rounds,
+            ..GraphMapper::with_seed(2)
+        };
+        let fast = effort(0).compute(&p).unwrap();
+        let slow = effort(10).compute(&p).unwrap();
         assert!(fast.respects_allocation(p.alloc()));
         let g = stencil_grid::CartGraph::build(p.dims(), p.stencil(), false);
         assert!(evaluate(&g, &slow).j_sum <= evaluate(&g, &fast).j_sum);
@@ -180,10 +171,12 @@ mod tests {
     fn sequential_mode_matches_parallel_mapping_exactly() {
         let p = problem(&[12, 10], 10, 12, Stencil::nearest_neighbor(2));
         let par = GraphMapper::with_seed(7).compute(&p).unwrap();
-        let seq = GraphMapper::with_seed(7)
-            .with_parallel(false)
-            .compute(&p)
-            .unwrap();
+        let seq = GraphMapper {
+            parallel: false,
+            ..GraphMapper::with_seed(7)
+        }
+        .compute(&p)
+        .unwrap();
         assert_eq!(par, seq);
     }
 

@@ -16,8 +16,9 @@
 //! sharing the best gain).
 //!
 //! Scratch state (region flags, gains, the frontier queue, candidate
-//! partitions) lives in a [`Workspace`] so repeated bisections allocate
-//! nothing but the returned partition vector.
+//! partitions) lives in a [`Workspace`] and the result goes into a
+//! caller-owned buffer, so repeated bisections allocate nothing once the
+//! buffers have grown.
 
 use crate::fm::gain_bucket_bound;
 use crate::workspace::Workspace;
@@ -27,29 +28,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Grows part 0 to (approximately, exactly for unit weights) `target0` total
-/// vertex weight, trying `attempts` random seed vertices and returning the
-/// partition with the smallest cut.
-pub fn greedy_bisection(graph: &Graph, target0: u64, attempts: usize, seed: u64) -> Vec<u32> {
-    greedy_bisection_with(graph, target0, attempts, seed, &mut Workspace::new())
-}
-
-/// [`greedy_bisection`] with caller-provided scratch buffers.
-pub fn greedy_bisection_with(
-    graph: &Graph,
-    target0: u64,
-    attempts: usize,
-    seed: u64,
-    ws: &mut Workspace,
-) -> Vec<u32> {
-    let mut out = Vec::new();
-    greedy_bisection_into(graph, target0, attempts, seed, ws, &mut out);
-    out
-}
-
-/// [`greedy_bisection_with`] writing the best partition into a caller-owned
-/// buffer (cleared and refilled, capacity reused), so the recursive
-/// bisection performs no per-node partition allocation.
-pub(crate) fn greedy_bisection_into(
+/// vertex weight, trying `attempts` random seed vertices, and writes the
+/// partition with the smallest cut into `out` (refilled, its capacity
+/// reused).
+pub(crate) fn greedy_bisection(
     graph: &Graph,
     target0: u64,
     attempts: usize,
@@ -129,12 +111,12 @@ fn absorb(graph: &Graph, v: usize, ws: &mut Workspace, weight0: &mut u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{grid_graph, path_graph};
+    use crate::testutil::{bisection, grid_graph, path_graph};
 
     #[test]
     fn bisection_hits_exact_target_with_unit_weights() {
         let g = grid_graph(6, 6);
-        let part = greedy_bisection(&g, 18, 4, 11);
+        let part = bisection(&g, 18, 4, 11);
         let w = g.part_weights(&part, 2);
         assert_eq!(w[0], 18);
         assert_eq!(w[1], 18);
@@ -143,7 +125,7 @@ mod tests {
     #[test]
     fn bisection_of_path_is_contiguous_and_cheap() {
         let g = path_graph(10);
-        let part = greedy_bisection(&g, 5, 8, 3);
+        let part = bisection(&g, 5, 8, 3);
         assert_eq!(g.part_weights(&part, 2), vec![5, 5]);
         // the optimal cut of a path bisection is 1; greedy growing finds it
         assert_eq!(g.cut(&part), 1);
@@ -154,7 +136,7 @@ mod tests {
         // 8x8 grid split in half: optimal cut is 8; greedy growing from a
         // corner should find something close (allow small slack).
         let g = grid_graph(8, 8);
-        let part = greedy_bisection(&g, 32, 10, 5);
+        let part = bisection(&g, 32, 10, 5);
         assert_eq!(g.part_weights(&part, 2)[0], 32);
         assert!(g.cut(&part) <= 12, "cut = {}", g.cut(&part));
     }
@@ -162,14 +144,14 @@ mod tests {
     #[test]
     fn zero_target_leaves_everything_in_part1() {
         let g = path_graph(4);
-        let part = greedy_bisection(&g, 0, 2, 0);
+        let part = bisection(&g, 0, 2, 0);
         assert!(part.iter().all(|&p| p == 1));
     }
 
     #[test]
     fn full_target_absorbs_everything() {
         let g = path_graph(4);
-        let part = greedy_bisection(&g, 4, 2, 0);
+        let part = bisection(&g, 4, 2, 0);
         assert!(part.iter().all(|&p| p == 0));
         assert_eq!(g.cut(&part), 0);
     }
@@ -178,7 +160,7 @@ mod tests {
     fn works_on_disconnected_graphs() {
         // two disjoint edges
         let g = Graph::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        let part = greedy_bisection(&g, 2, 4, 9);
+        let part = bisection(&g, 2, 4, 9);
         assert_eq!(g.part_weights(&part, 2), vec![2, 2]);
     }
 
@@ -188,7 +170,7 @@ mod tests {
         g.set_vertex_weight(0, 3);
         // target 3 should be reachable by absorbing just vertex 0 (or a
         // combination); the grown weight must be at least the target.
-        let part = greedy_bisection(&g, 3, 4, 2);
+        let part = bisection(&g, 3, 4, 2);
         assert!(g.part_weights(&part, 2)[0] >= 3);
     }
 
@@ -196,9 +178,10 @@ mod tests {
     fn workspace_reuse_is_deterministic() {
         let g = grid_graph(9, 9);
         let mut ws = Workspace::new();
-        let a = greedy_bisection_with(&g, 40, 4, 3, &mut ws);
-        let b = greedy_bisection_with(&g, 40, 4, 3, &mut ws);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        greedy_bisection(&g, 40, 4, 3, &mut ws, &mut a);
+        greedy_bisection(&g, 40, 4, 3, &mut ws, &mut b);
         assert_eq!(a, b);
-        assert_eq!(a, greedy_bisection(&g, 40, 4, 3));
+        assert_eq!(a, bisection(&g, 40, 4, 3));
     }
 }

@@ -9,7 +9,7 @@
 //! # Matching scheme
 //!
 //! Matching runs in *propose-then-commit* rounds (the same discipline as
-//! `refine_kway`): each round, every unmatched vertex proposes its best
+//! `refine_kway_with`): each round, every unmatched vertex proposes its best
 //! unmatched neighbor — ranked by edge weight, then by a seeded hash of the
 //! undirected edge, then by vertex id — and mutual proposals commit.  The
 //! ranking is a pure function of the round's snapshot, and commits only read
@@ -27,7 +27,7 @@
 //!
 //! # Contraction
 //!
-//! [`contract_with`] assembles the coarse CSR directly: coarse vertices are
+//! `contract` assembles the coarse CSR directly: coarse vertices are
 //! numbered by their smallest member, per-row upper bounds (sum of the two
 //! members' degrees) are prefix-summed into workspace scratch, and every
 //! coarse row is gathered independently into its disjoint scratch slice —
@@ -46,7 +46,7 @@
 //!
 //! # Retention policy
 //!
-//! [`coarsen_hierarchy_with`] composes successive matchings until the graph
+//! [`coarsen_hierarchy`] composes successive matchings until the graph
 //! has shrunk to `RETAIN_SHRINK` of the previous *retained* level before
 //! keeping a level, so hierarchy levels decrease geometrically and total
 //! retained memory stays O(n) even on graphs where single matchings shrink
@@ -161,29 +161,17 @@ fn commit_chunk(chunk: &mut [u32], proposal: &[u32], base: usize) {
 }
 
 /// Computes a heavy-edge matching of `graph` by seeded propose-then-commit
-/// rounds (see the [module documentation](self)).
+/// rounds (see the [module documentation](self)).  `parallel` lets round 1
+/// run on several threads on large graphs; the matching is the same either
+/// way.
 ///
-/// Returns, for every vertex, its matched partner (or itself if unmatched).
-pub fn heavy_edge_matching(graph: &Graph, seed: u64) -> Vec<u32> {
-    heavy_edge_matching_with(graph, seed, &mut Workspace::new())
-}
-
-/// [`heavy_edge_matching`] with caller-provided scratch buffers.
-///
-/// The returned vector is *taken from* the workspace's partner buffer (so
-/// the result can outlive further workspace use).  To keep repeated calls
-/// allocation-free, hand it back when done — `ws.partner = partner;` — as
-/// [`coarsen_hierarchy_with`] does; otherwise each call allocates a fresh
-/// partner vector.
-pub fn heavy_edge_matching_with(graph: &Graph, seed: u64, ws: &mut Workspace) -> Vec<u32> {
-    heavy_edge_matching_impl(graph, seed, false, ws).0
-}
-
-/// Matching engine shared by the sequential and parallel entry points.
-/// Returns the partner array and the number of matched pairs, which is
-/// exactly the shrinkage the contraction will achieve
-/// (`coarse_n = n - pairs`).
-pub(crate) fn heavy_edge_matching_impl(
+/// Returns, for every vertex, its matched partner (or itself if unmatched),
+/// and the number of matched pairs, which is exactly the shrinkage the
+/// contraction will achieve (`coarse_n = n - pairs`).  The partner vector is
+/// *taken from* the workspace; hand it back when done (`ws.partner =
+/// partner;`), as [`coarsen_hierarchy`] does, to keep repeated calls
+/// allocation-free.
+pub(crate) fn heavy_edge_matching(
     graph: &Graph,
     seed: u64,
     parallel: bool,
@@ -288,25 +276,6 @@ pub(crate) fn heavy_edge_matching_impl(
     (partner, pairs)
 }
 
-/// Contracts a matching into a coarser graph.  Vertex weights are summed and
-/// parallel coarse edges are merged by summing their weights, both with
-/// saturation (see the [module documentation](self) for the overflow
-/// policy).  `partner` must be symmetric (`partner[partner[u]] == u`), as
-/// produced by [`heavy_edge_matching`].
-pub fn contract(graph: &Graph, partner: &[u32]) -> CoarseLevel {
-    contract_with(graph, partner, &mut Workspace::new())
-}
-
-/// [`contract`] with caller-provided scratch buffers.
-///
-/// The coarse CSR is assembled directly: per-row upper bounds (sum of both
-/// members' degrees) are prefix-summed into workspace scratch, every coarse
-/// row is gathered and duplicate-merged inside its own disjoint scratch
-/// slice, and the exact-size result arrays are the only allocations.
-pub fn contract_with(graph: &Graph, partner: &[u32], ws: &mut Workspace) -> CoarseLevel {
-    contract_impl(graph, partner, false, ws)
-}
-
 /// Gathers and duplicate-merges the coarse rows `c0..c0 + cdeg.len()` into
 /// `adj`/`wgt` (scratch slices covering exactly those rows' upper-bound
 /// ranges).  Each row is independent, so disjoint chunks run in parallel;
@@ -371,8 +340,18 @@ fn fill_rows(
     }
 }
 
-/// Contraction engine shared by the sequential and parallel entry points.
-pub(crate) fn contract_impl(
+/// Contracts a matching into a coarser graph.  Vertex weights are summed and
+/// parallel coarse edges are merged by summing their weights, both with
+/// saturation (see the [module documentation](self) for the overflow
+/// policy).  `partner` must be symmetric (`partner[partner[u]] == u`), as
+/// produced by [`heavy_edge_matching`].
+///
+/// The coarse CSR is assembled directly: per-row upper bounds (sum of both
+/// members' degrees) are prefix-summed into workspace scratch, every coarse
+/// row is gathered and duplicate-merged inside its own disjoint scratch
+/// slice (in parallel on large graphs when `parallel` is set, with the same
+/// result), and the exact-size result arrays are the only allocations.
+pub(crate) fn contract(
     graph: &Graph,
     partner: &[u32],
     parallel: bool,
@@ -508,25 +487,6 @@ pub(crate) fn contract_impl(
     }
 }
 
-/// Repeatedly coarsens `graph` until it has at most `target_vertices`
-/// vertices or matching stops making progress (pairs less than ~5% of the
-/// vertices).  Returns the hierarchy from finest (first) to coarsest (last);
-/// retained levels shrink geometrically (see the retention policy in the
-/// [module documentation](self)).
-pub fn coarsen_hierarchy(graph: &Graph, target_vertices: usize, seed: u64) -> Vec<CoarseLevel> {
-    coarsen_hierarchy_with(graph, target_vertices, seed, &mut Workspace::new())
-}
-
-/// [`coarsen_hierarchy`] with caller-provided scratch buffers.
-pub fn coarsen_hierarchy_with(
-    graph: &Graph,
-    target_vertices: usize,
-    seed: u64,
-    ws: &mut Workspace,
-) -> Vec<CoarseLevel> {
-    coarsen_hierarchy_impl(graph, target_vertices, seed, false, ws)
-}
-
 /// Composes two consecutive coarsening steps into one hierarchy level.
 fn compose(prev: CoarseLevel, next: CoarseLevel) -> CoarseLevel {
     let mut fine_to_coarse = prev.fine_to_coarse;
@@ -539,8 +499,14 @@ fn compose(prev: CoarseLevel, next: CoarseLevel) -> CoarseLevel {
     }
 }
 
-/// Hierarchy engine shared by the sequential and parallel entry points.
-pub(crate) fn coarsen_hierarchy_impl(
+/// Repeatedly coarsens `graph` until it has at most `target_vertices`
+/// vertices or matching stops making progress (pairs less than ~5% of the
+/// vertices).  Returns the hierarchy from finest (first) to coarsest (last);
+/// retained levels shrink geometrically (see the retention policy in the
+/// [module documentation](self)).  `parallel` lets matching and contraction
+/// use several threads on large levels; the hierarchy is the same either
+/// way.  All scratch comes from `ws`.
+pub fn coarsen_hierarchy(
     graph: &Graph,
     target_vertices: usize,
     seed: u64,
@@ -566,7 +532,7 @@ pub(crate) fn coarsen_hierarchy_impl(
                     break;
                 }
                 let (partner, pairs) =
-                    heavy_edge_matching_impl(g, seed.wrapping_add(round), parallel, ws);
+                    heavy_edge_matching(g, seed.wrapping_add(round), parallel, ws);
                 round += 1;
                 // Judge progress from the matching itself: `gn - pairs` is
                 // exactly the contracted size, so a no-progress matching
@@ -577,7 +543,7 @@ pub(crate) fn coarsen_hierarchy_impl(
                     stalled = true;
                     break;
                 }
-                let next = contract_impl(g, &partner, parallel, ws);
+                let next = contract(g, &partner, parallel, ws);
                 ws.partner = partner;
                 composed = Some(match composed {
                     None => next,
@@ -602,7 +568,7 @@ mod tests {
     #[test]
     fn matching_is_symmetric_and_valid() {
         let g = grid_graph(6, 6);
-        let partner = heavy_edge_matching(&g, 42);
+        let partner = heavy_edge_matching(&g, 42, false, &mut Workspace::new()).0;
         for u in 0..g.num_vertices() {
             let p = partner[u] as usize;
             assert_eq!(partner[p] as usize, u, "matching must be symmetric");
@@ -619,7 +585,7 @@ mod tests {
     fn matching_prefers_heavy_edges() {
         // triangle with one heavy edge 0-1
         let g = Graph::from_edges(3, &[(0, 1, 10), (1, 2, 1), (0, 2, 1)]);
-        let partner = heavy_edge_matching(&g, 0);
+        let partner = heavy_edge_matching(&g, 0, false, &mut Workspace::new()).0;
         assert_eq!(partner[0], 1);
         assert_eq!(partner[1], 0);
         assert_eq!(partner[2], 2);
@@ -629,7 +595,7 @@ mod tests {
     fn matching_reports_pair_count() {
         let g = grid_graph(8, 8);
         let mut ws = Workspace::new();
-        let (partner, pairs) = heavy_edge_matching_impl(&g, 5, false, &mut ws);
+        let (partner, pairs) = heavy_edge_matching(&g, 5, false, &mut ws);
         let expected = (0..g.num_vertices())
             .filter(|&u| (partner[u] as usize) > u)
             .count();
@@ -645,8 +611,8 @@ mod tests {
         let g = grid_graph(150, 120);
         assert!(g.num_vertices() >= super::PAR_MIN_VERTICES);
         let mut ws = Workspace::new();
-        let (seq, seq_pairs) = heavy_edge_matching_impl(&g, 11, false, &mut ws);
-        let (par, par_pairs) = heavy_edge_matching_impl(&g, 11, true, &mut ws);
+        let (seq, seq_pairs) = heavy_edge_matching(&g, 11, false, &mut ws);
+        let (par, par_pairs) = heavy_edge_matching(&g, 11, true, &mut ws);
         assert_eq!(seq, par);
         assert_eq!(seq_pairs, par_pairs);
     }
@@ -654,8 +620,8 @@ mod tests {
     #[test]
     fn contract_preserves_total_vertex_weight() {
         let g = grid_graph(5, 4);
-        let partner = heavy_edge_matching(&g, 1);
-        let level = contract(&g, &partner);
+        let partner = heavy_edge_matching(&g, 1, false, &mut Workspace::new()).0;
+        let level = contract(&g, &partner, false, &mut Workspace::new());
         assert_eq!(level.graph.total_vertex_weight(), g.total_vertex_weight());
         assert!(level.graph.num_vertices() < g.num_vertices());
         assert!(level.graph.num_vertices() >= g.num_vertices() / 2);
@@ -672,8 +638,8 @@ mod tests {
         // the direct-CSR contraction must agree with the reference
         // construction via Graph::from_edges
         let g = grid_graph(7, 5);
-        let partner = heavy_edge_matching(&g, 9);
-        let level = contract(&g, &partner);
+        let partner = heavy_edge_matching(&g, 9, false, &mut Workspace::new()).0;
+        let level = contract(&g, &partner, false, &mut Workspace::new());
         let mut edges = Vec::new();
         for u in 0..g.num_vertices() {
             let cu = level.fine_to_coarse[u];
@@ -696,9 +662,9 @@ mod tests {
     fn contract_is_identical_with_parallel_flag() {
         let g = grid_graph(150, 120);
         let mut ws = Workspace::new();
-        let (partner, _) = heavy_edge_matching_impl(&g, 3, false, &mut ws);
-        let seq = contract_impl(&g, &partner, false, &mut ws);
-        let par = contract_impl(&g, &partner, true, &mut ws);
+        let (partner, _) = heavy_edge_matching(&g, 3, false, &mut ws);
+        let seq = contract(&g, &partner, false, &mut ws);
+        let par = contract(&g, &partner, true, &mut ws);
         assert_eq!(seq.graph, par.graph);
         assert_eq!(seq.fine_to_coarse, par.fine_to_coarse);
     }
@@ -706,8 +672,8 @@ mod tests {
     #[test]
     fn contract_path_preserves_cut_structure() {
         let g = path_graph(8);
-        let partner = heavy_edge_matching(&g, 3);
-        let level = contract(&g, &partner);
+        let partner = heavy_edge_matching(&g, 3, false, &mut Workspace::new()).0;
+        let level = contract(&g, &partner, false, &mut Workspace::new());
         // a path stays connected after contraction
         assert!(level.graph.num_edges() >= level.graph.num_vertices() - 1);
     }
@@ -731,7 +697,7 @@ mod tests {
         g.set_vertex_weight(1, 3_000_000_000);
         // match 0-1 and 2-3 explicitly
         let partner = vec![1, 0, 3, 2];
-        let level = contract(&g, &partner);
+        let level = contract(&g, &partner, false, &mut Workspace::new());
         assert_eq!(level.graph.num_vertices(), 2);
         // vertex weight saturates, not wraps
         assert_eq!(level.graph.vertex_weight(0), u32::MAX);
@@ -773,11 +739,11 @@ mod tests {
         let (mut h, mut saturated) = (0xcbf2_9ce4_8422_2325, 0);
         let mut ws = Workspace::new();
         for seed in 0..200 {
-            let (partner, pairs) = heavy_edge_matching_impl(g, seed, false, &mut ws);
+            let (partner, pairs) = heavy_edge_matching(g, seed, false, &mut ws);
             h = partner
                 .iter()
                 .fold(fnv(h, pairs as u64), |h, &p| fnv(h, p as u64));
-            let level = contract_impl(g, &partner, false, &mut ws);
+            let level = contract(g, &partner, false, &mut ws);
             ws.partner = partner;
             let coarse = &level.graph;
             for c in 0..coarse.num_vertices() {
@@ -810,7 +776,7 @@ mod tests {
     #[test]
     fn hierarchy_reaches_target() {
         let g = grid_graph(16, 16);
-        let levels = coarsen_hierarchy(&g, 30, 7);
+        let levels = coarsen_hierarchy(&g, 30, 7, false, &mut Workspace::new());
         assert!(!levels.is_empty());
         let coarsest = &levels.last().unwrap().graph;
         assert!(
@@ -826,7 +792,7 @@ mod tests {
         // retained levels must shrink by at least RETAIN_SHRINK (except a
         // possible final stalled level), keeping total memory O(n)
         let g = grid_graph(40, 40);
-        let levels = coarsen_hierarchy(&g, 25, 2);
+        let levels = coarsen_hierarchy(&g, 25, 2, false, &mut Workspace::new());
         let mut prev = g.num_vertices();
         for (i, level) in levels.iter().enumerate() {
             let n = level.graph.num_vertices();
@@ -847,7 +813,7 @@ mod tests {
         // stop via the matched-pair-count check (before paying for any
         // contraction) and return no levels
         let g = Graph::from_edges(64, &[]);
-        let levels = coarsen_hierarchy(&g, 8, 1);
+        let levels = coarsen_hierarchy(&g, 8, 1, false, &mut Workspace::new());
         assert!(levels.is_empty());
     }
 
@@ -857,7 +823,7 @@ mod tests {
         // must still map every fine vertex onto the retained coarse graph
         // with conserved vertex weight
         let g = grid_graph(32, 32);
-        let levels = coarsen_hierarchy(&g, 20, 9);
+        let levels = coarsen_hierarchy(&g, 20, 9, false, &mut Workspace::new());
         let mut fine_n = g.num_vertices();
         let mut fine_weights: Vec<u64> = (0..fine_n).map(|u| g.vertex_weight(u) as u64).collect();
         for level in &levels {
@@ -879,7 +845,7 @@ mod tests {
     #[test]
     fn hierarchy_on_tiny_graph_is_empty_or_small() {
         let g = path_graph(3);
-        let levels = coarsen_hierarchy(&g, 10, 0);
+        let levels = coarsen_hierarchy(&g, 10, 0, false, &mut Workspace::new());
         assert!(levels.is_empty());
     }
 
@@ -887,8 +853,8 @@ mod tests {
     fn hierarchy_reuses_one_workspace_across_levels() {
         let g = grid_graph(20, 20);
         let mut ws = Workspace::new();
-        let a = coarsen_hierarchy_with(&g, 16, 5, &mut ws);
-        let b = coarsen_hierarchy_with(&g, 16, 5, &mut ws);
+        let a = coarsen_hierarchy(&g, 16, 5, false, &mut ws);
+        let b = coarsen_hierarchy(&g, 16, 5, false, &mut ws);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.graph, y.graph);

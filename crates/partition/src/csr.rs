@@ -264,22 +264,6 @@ impl Graph {
         cut
     }
 
-    /// The summed weight of cut edges incident to each part ("egress" per
-    /// part, counting every cut edge once per side — this is the directed
-    /// `Jmax` numerator of the paper when edge weights are one and the
-    /// stencil is symmetric).
-    pub fn per_part_cut(&self, part: &[u32], num_parts: usize) -> Vec<u64> {
-        let mut egress = vec![0u64; num_parts];
-        for u in 0..self.num_vertices() {
-            for (v, w) in self.edges_of(u) {
-                if part[u] != part[v as usize] {
-                    egress[part[u] as usize] += w as u64;
-                }
-            }
-        }
-        egress
-    }
-
     /// The weights of each part of a partition.
     pub fn part_weights(&self, part: &[u32], num_parts: usize) -> Vec<u64> {
         let mut weights = vec![0u64; num_parts];
@@ -331,8 +315,6 @@ mod tests {
         assert_eq!(g.cut(&[0, 0, 1, 1]), 1);
         assert_eq!(g.cut(&[0, 1, 0, 1]), 3);
         assert_eq!(g.cut(&[0, 0, 0, 0]), 0);
-        assert_eq!(g.per_part_cut(&[0, 0, 1, 1], 2), vec![1, 1]);
-        assert_eq!(g.per_part_cut(&[0, 1, 0, 1], 2), vec![3, 3]);
         assert_eq!(g.part_weights(&[0, 0, 1, 1], 2), vec![2, 2]);
     }
 

@@ -40,19 +40,8 @@
 use crate::workspace::Workspace;
 use crate::Graph;
 
-/// Refines a two-way partition in place.  `target0` is the required total
-/// vertex weight of part 0.  Returns the cut after refinement.
-///
-/// The partition handed in should already satisfy the balance constraint
-/// (part-0 weight equal to `target0`, as produced by
-/// [`greedy_bisection`](crate::bisect::greedy_bisection)); the refined
-/// partition satisfies it again on return.
-pub fn fm_refine(graph: &Graph, part: &mut [u32], target0: u64, max_passes: usize) -> u64 {
-    fm_refine_with(graph, part, target0, max_passes, &mut Workspace::new())
-}
-
 /// Number of deterministic tie-breaking variants cycled through once a pass
-/// stops improving (see [`fm_refine_with`]).
+/// stops improving (see [`fm_refine`]).
 const TIE_BREAK_VARIANTS: u8 = 4;
 
 /// Above this many vertices, refinement stops after the first stale pass
@@ -77,56 +66,27 @@ const STALL_MOVE_CAP: usize = 64;
 const LARGE_PASS_CAP: usize = 3;
 
 /// Tie-break variant and pass budget on *interior* hierarchy levels (see
-/// [`fm_refine_interior`]): refinement there only guides the projection —
-/// the finest level re-refines with the full budget — so interior levels
-/// settle for the first two variants and fewer passes.
+/// [`fm_refine`]): refinement there only guides the projection — the finest
+/// level re-refines with the full budget — so interior levels settle for the
+/// first two variants and fewer passes.
 const INTERIOR_VARIANTS: u8 = 2;
 
 /// Maximum passes per interior hierarchy level (see [`INTERIOR_VARIANTS`]).
 const INTERIOR_PASS_CAP: usize = 6;
 
-/// [`fm_refine`] with caller-provided scratch buffers.
-pub fn fm_refine_with(
-    graph: &Graph,
-    part: &mut [u32],
-    target0: u64,
-    max_passes: usize,
-    ws: &mut Workspace,
-) -> u64 {
-    fm_refine_impl(graph, part, target0, max_passes, false, None, ws)
-}
-
-/// [`fm_refine_with`] for *interior* hierarchy levels of a multilevel
+/// Refines a two-way partition in place.  `target0` is the required total
+/// vertex weight of part 0.  Returns the cut after refinement.
+///
+/// The partition is first [rebalanced](rebalance) towards `target0`; with
+/// unit vertex weights the refined partition then meets it exactly on
+/// return.  `interior` marks an interior hierarchy level of a multilevel
 /// bisection: the result is only projected further and re-refined on a finer
 /// level, so a reduced variant/pass budget loses almost no final quality
-/// while skipping the most expensive stale sweeps.  The finest level (and
-/// every direct [`fm_refine`] caller) keeps the full budget.
-pub(crate) fn fm_refine_interior(
-    graph: &Graph,
-    part: &mut [u32],
-    target0: u64,
-    max_passes: usize,
-    cut_hint: Option<u64>,
-    ws: &mut Workspace,
-) -> u64 {
-    fm_refine_impl(graph, part, target0, max_passes, true, cut_hint, ws)
-}
-
-/// [`fm_refine_with`] plus a caller-provided exact starting cut (full
-/// refinement budget; used on the finest level of a multilevel bisection,
-/// where the projected cut is known).
-pub(crate) fn fm_refine_hinted(
-    graph: &Graph,
-    part: &mut [u32],
-    target0: u64,
-    max_passes: usize,
-    cut_hint: Option<u64>,
-    ws: &mut Workspace,
-) -> u64 {
-    fm_refine_impl(graph, part, target0, max_passes, false, cut_hint, ws)
-}
-
-fn fm_refine_impl(
+/// while skipping the most expensive stale sweeps.  `cut_hint`, if given,
+/// must be the exact cut of `part` (the multilevel projection preserves the
+/// coarse cut); it skips the O(E) recomputation unless rebalancing moves a
+/// vertex.
+pub(crate) fn fm_refine(
     graph: &Graph,
     part: &mut [u32],
     target0: u64,
@@ -136,11 +96,8 @@ fn fm_refine_impl(
     ws: &mut Workspace,
 ) -> u64 {
     assert_eq!(part.len(), graph.num_vertices());
-    let moved = rebalance_impl(graph, part, target0);
+    let moved = rebalance(graph, part, target0);
     let gain_bound = gain_bucket_bound(graph);
-    // An exact caller-provided cut (the multilevel projection preserves the
-    // coarse cut) skips the O(E) recomputation per hierarchy level; any
-    // rebalance move invalidates it.
     let mut best_cut = match cut_hint {
         Some(c) if !moved => c,
         _ => graph.cut(part),
@@ -222,14 +179,9 @@ pub(crate) fn gain_bucket_bound(graph: &Graph) -> i64 {
 /// `target0`) by moving the highest-gain vertices from the overweight side,
 /// as long as every move strictly reduces the imbalance.  With unit vertex
 /// weights this always reaches exact balance; with heavier vertices it stops
-/// as close to the target as possible.
-pub fn rebalance(graph: &Graph, part: &mut [u32], target0: u64) {
-    rebalance_impl(graph, part, target0);
-}
-
-/// [`rebalance`], reporting whether any vertex was moved (used to decide
-/// whether a caller-provided cut hint is still valid).
-pub(crate) fn rebalance_impl(graph: &Graph, part: &mut [u32], target0: u64) -> bool {
+/// as close to the target as possible.  Returns whether any vertex moved
+/// (which invalidates a caller-provided cut hint).
+fn rebalance(graph: &Graph, part: &mut [u32], target0: u64) -> bool {
     let mut weight0: u64 = (0..graph.num_vertices())
         .filter(|&v| part[v] == 0)
         .map(|v| graph.vertex_weight(v) as u64)
@@ -534,8 +486,7 @@ fn debug_check_incremental_gains(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bisect::greedy_bisection;
-    use crate::testutil::{grid_graph, path_graph};
+    use crate::testutil::{bisection, grid_graph, path_graph};
     use proptest::prelude::*;
 
     #[test]
@@ -543,7 +494,7 @@ mod tests {
         let g = path_graph(8);
         // interleaved partition: cut = 7
         let mut part = vec![0u32, 1, 0, 1, 0, 1, 0, 1];
-        let cut = fm_refine(&g, &mut part, 4, 10);
+        let cut = fm_refine(&g, &mut part, 4, 10, false, None, &mut Workspace::new());
         assert_eq!(g.part_weights(&part, 2), vec![4, 4]);
         assert!(cut <= 3, "cut = {cut}");
         assert_eq!(cut, g.cut(&part));
@@ -553,7 +504,7 @@ mod tests {
     fn fm_does_not_worsen_an_optimal_bisection() {
         let g = path_graph(8);
         let mut part = vec![0u32, 0, 0, 0, 1, 1, 1, 1];
-        let cut = fm_refine(&g, &mut part, 4, 5);
+        let cut = fm_refine(&g, &mut part, 4, 5, false, None, &mut Workspace::new());
         assert_eq!(cut, 1);
         assert_eq!(g.part_weights(&part, 2), vec![4, 4]);
     }
@@ -561,9 +512,9 @@ mod tests {
     #[test]
     fn fm_improves_grid_bisection_to_near_optimal() {
         let g = grid_graph(8, 8);
-        let mut part = greedy_bisection(&g, 32, 3, 17);
+        let mut part = bisection(&g, 32, 3, 17);
         let before = g.cut(&part);
-        let after = fm_refine(&g, &mut part, 32, 20);
+        let after = fm_refine(&g, &mut part, 32, 20, false, None, &mut Workspace::new());
         assert!(after <= before);
         assert_eq!(g.part_weights(&part, 2), vec![32, 32]);
         assert!(after <= 10, "cut = {after}");
@@ -573,7 +524,7 @@ mod tests {
     fn fm_preserves_balance_even_when_no_improvement_possible() {
         let g = grid_graph(2, 2);
         let mut part = vec![0u32, 0, 1, 1];
-        let cut = fm_refine(&g, &mut part, 2, 3);
+        let cut = fm_refine(&g, &mut part, 2, 3, false, None, &mut Workspace::new());
         assert_eq!(g.part_weights(&part, 2), vec![2, 2]);
         assert_eq!(cut, g.cut(&part));
     }
@@ -582,15 +533,15 @@ mod tests {
     fn fm_with_reused_workspace_matches_fresh_workspace() {
         let g = grid_graph(6, 7);
         let mut ws = Workspace::new();
-        let mut a = greedy_bisection(&g, 21, 3, 4);
+        let mut a = bisection(&g, 21, 3, 4);
         let mut b = a.clone();
-        let cut_a = fm_refine_with(&g, &mut a, 21, 8, &mut ws);
-        let cut_b = fm_refine(&g, &mut b, 21, 8);
+        let cut_a = fm_refine(&g, &mut a, 21, 8, false, None, &mut ws);
+        let cut_b = fm_refine(&g, &mut b, 21, 8, false, None, &mut Workspace::new());
         assert_eq!(cut_a, cut_b);
         assert_eq!(a, b);
         // run again with the warm workspace
-        let mut c = greedy_bisection(&g, 21, 3, 4);
-        let cut_c = fm_refine_with(&g, &mut c, 21, 8, &mut ws);
+        let mut c = bisection(&g, 21, 3, 4);
+        let cut_c = fm_refine(&g, &mut c, 21, 8, false, None, &mut ws);
         assert_eq!(cut_c, cut_b);
     }
 
@@ -610,7 +561,7 @@ mod tests {
         assert_eq!(gain_bucket_bound(&g), 256);
         let mut part = vec![0u32, 1, 0, 1, 0, 1];
         let before = g.cut(&part);
-        let cut = fm_refine(&g, &mut part, 3, 10);
+        let cut = fm_refine(&g, &mut part, 3, 10, false, None, &mut Workspace::new());
         assert_eq!(g.part_weights(&part, 2), vec![3, 3]);
         assert_eq!(cut, g.cut(&part));
         assert!(cut <= before);
@@ -621,7 +572,7 @@ mod tests {
         // a weighted path where the cheap cut is between the light edges
         let g = Graph::from_edges(6, &[(0, 1, 9), (1, 2, 9), (2, 3, 1), (3, 4, 9), (4, 5, 9)]);
         let mut part = vec![0u32, 1, 0, 1, 0, 1];
-        let cut = fm_refine(&g, &mut part, 3, 10);
+        let cut = fm_refine(&g, &mut part, 3, 10, false, None, &mut Workspace::new());
         assert_eq!(g.part_weights(&part, 2), vec![3, 3]);
         assert_eq!(cut, g.cut(&part));
         assert!(cut <= 1, "cut = {cut}");
@@ -631,14 +582,17 @@ mod tests {
         #[test]
         fn prop_fm_never_increases_cut_and_keeps_balance(
             rows in 2u32..7, cols in 2u32..7, seed in 0u64..50,
+            interior in proptest::bool::ANY, hinted in proptest::bool::ANY,
         ) {
             let g = grid_graph(rows, cols);
             let total = (rows * cols) as u64;
             let target0 = total / 2;
-            let mut part = greedy_bisection(&g, target0, 2, seed);
+            let mut part = bisection(&g, target0, 2, seed);
             let before = g.cut(&part);
             let w_before = g.part_weights(&part, 2);
-            let after = fm_refine(&g, &mut part, target0, 8);
+            // the hint, when given, is the exact cut before refinement
+            let hint = hinted.then_some(before);
+            let after = fm_refine(&g, &mut part, target0, 8, interior, hint, &mut Workspace::new());
             prop_assert!(after <= before);
             prop_assert_eq!(after, g.cut(&part));
             prop_assert_eq!(g.part_weights(&part, 2), w_before);
@@ -667,9 +621,9 @@ mod tests {
                 .collect();
             let g = Graph::from_edges(n, &edges);
             let target0 = (n / 2) as u64;
-            let mut part = greedy_bisection(&g, target0, 2, seed);
+            let mut part = bisection(&g, target0, 2, seed);
             let before = g.cut(&part);
-            let after = fm_refine(&g, &mut part, target0, 6);
+            let after = fm_refine(&g, &mut part, target0, 6, false, None, &mut Workspace::new());
             prop_assert!(after <= before);
             prop_assert_eq!(after, g.cut(&part));
         }

@@ -24,9 +24,9 @@
 //!    ([`RefineConfig::parallel`]).
 //!
 //! All per-level scratch lives in a reusable [`Workspace`] threaded through
-//! the pipeline (`*_with` entry points), so a steady-state multilevel run
-//! performs no per-level scratch allocation.  The worker count is controlled
-//! by the `RAYON_NUM_THREADS` environment variable.
+//! every stage of the pipeline, so a steady-state multilevel run performs no
+//! per-level scratch allocation.  The worker count is controlled by the
+//! `RAYON_NUM_THREADS` environment variable.
 //!
 //! The objective is the (unit- or weighted-) edge cut, which for a
 //! homogeneous two-level machine model (`distance 0:1` in VieM terms) is
@@ -64,13 +64,27 @@ pub mod workspace;
 
 pub use bucket::BucketQueue;
 pub use csr::Graph;
-pub use partitioner::{partition, partition_with, PartitionConfig, PartitionError};
-pub use refine::{refine_kway, refine_kway_with, RefineConfig, RefineStats};
+pub use partitioner::{partition, PartitionConfig, PartitionError};
+pub use refine::{refine_kway_with, RefineConfig, RefineStats};
 pub use workspace::Workspace;
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use crate::Graph;
+    use crate::{Graph, Workspace};
+
+    /// [`crate::bisect::greedy_bisection`] into a fresh partition vector.
+    pub fn bisection(g: &Graph, target0: u64, attempts: usize, seed: u64) -> Vec<u32> {
+        let mut part = Vec::new();
+        crate::bisect::greedy_bisection(
+            g,
+            target0,
+            attempts,
+            seed,
+            &mut Workspace::new(),
+            &mut part,
+        );
+        part
+    }
 
     /// Builds the communication graph of a `rows x cols` grid with 4-point
     /// nearest-neighbor connectivity and unit weights.

@@ -33,15 +33,27 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::bisect::greedy_bisection_into;
-use crate::coarsen::coarsen_hierarchy_impl;
-use crate::fm::{fm_refine_hinted, fm_refine_interior, rebalance};
+use crate::bisect::greedy_bisection;
+use crate::coarsen::coarsen_hierarchy;
+use crate::fm::fm_refine;
 use crate::workspace::Workspace;
 use crate::Graph;
 
 /// Sub-problems below this vertex count are recursed sequentially; spawning a
 /// task (plus its fresh workspace) costs more than the bisection itself.
 const PARALLEL_THRESHOLD: usize = 1 << 11;
+
+/// Coarsening of a bisection stops once the graph has at most this many
+/// vertices.
+const COARSEN_THRESHOLD: usize = 48;
+
+/// Random seed vertices tried by the initial bisection.
+const BISECTION_ATTEMPTS: usize = 6;
+
+/// Maximum FM passes per hierarchy level (the refiner cycles through its
+/// deterministic tie-breaking variants within this budget and stops early
+/// once all of them are stale).
+const FM_PASSES: usize = 12;
 
 /// Configuration of the multilevel partitioner.
 #[derive(Debug, Clone)]
@@ -50,14 +62,6 @@ pub struct PartitionConfig {
     pub target_sizes: Vec<usize>,
     /// Seed for all randomised components.
     pub seed: u64,
-    /// Stop coarsening once the graph has at most this many vertices.
-    pub coarsen_threshold: usize,
-    /// Number of random seeds tried for the initial bisection.
-    pub bisection_attempts: usize,
-    /// Maximum FM passes per level (the refiner cycles through its
-    /// deterministic tie-breaking variants within this budget and stops
-    /// early once all of them are stale; see [`crate::fm::fm_refine_with`]).
-    pub fm_passes: usize,
     /// Whether the independent halves of each bisection may run on separate
     /// threads.  The result does not depend on this flag (or on the thread
     /// count); disable it to benchmark the sequential baseline.
@@ -65,14 +69,11 @@ pub struct PartitionConfig {
 }
 
 impl PartitionConfig {
-    /// Creates a configuration with default tuning parameters.
+    /// Creates a parallel configuration with the default seed.
     pub fn new(target_sizes: Vec<usize>) -> Self {
         PartitionConfig {
             target_sizes,
             seed: 0xC0FFEE,
-            coarsen_threshold: 48,
-            bisection_attempts: 6,
-            fm_passes: 12,
             parallel: true,
         }
     }
@@ -125,16 +126,6 @@ impl std::error::Error for PartitionError {}
 /// requested sizes (for unit vertex weights), minimising the edge cut.
 /// Returns the part index of every vertex.
 pub fn partition(graph: &Graph, cfg: &PartitionConfig) -> Result<Vec<u32>, PartitionError> {
-    partition_with(graph, cfg, &mut Workspace::new())
-}
-
-/// [`partition`] with a caller-provided [`Workspace`] (reused by the
-/// sequential spine of the recursion; parallel branches start their own).
-pub fn partition_with(
-    graph: &Graph,
-    cfg: &PartitionConfig,
-    ws: &mut Workspace,
-) -> Result<Vec<u32>, PartitionError> {
     if cfg.target_sizes.is_empty() {
         return Err(PartitionError::NoParts);
     }
@@ -154,7 +145,8 @@ pub fn partition_with(
         .collect();
     let all: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     let part_ids: Vec<u32> = (0..cfg.target_sizes.len() as u32).collect();
-    recurse(graph, cfg, all, &part_ids, &assignment, cfg.seed, ws);
+    let mut ws = Workspace::new();
+    recurse(graph, cfg, all, &part_ids, &assignment, cfg.seed, &mut ws);
     Ok(assignment.into_iter().map(AtomicU32::into_inner).collect())
 }
 
@@ -165,6 +157,8 @@ pub fn partition_with(
 /// the buffer is recycled through the workspace pool once the sub-problem
 /// bottoms out, so the sequential spine of the recursion reuses a bounded
 /// set of vertex-list buffers instead of allocating two fresh ones per node.
+/// A sub-problem without vertices (its parts all have size zero) assigns
+/// nothing.
 fn recurse(
     graph: &Graph,
     cfg: &PartitionConfig,
@@ -174,7 +168,7 @@ fn recurse(
     seed: u64,
     ws: &mut Workspace,
 ) {
-    if part_ids.len() == 1 {
+    if part_ids.len() == 1 || vertices.is_empty() {
         for &v in &vertices {
             assignment[v as usize].store(part_ids[0], Ordering::Relaxed);
         }
@@ -279,13 +273,11 @@ fn multilevel_bisection(
     ws: &mut Workspace,
     out: &mut Vec<u32>,
 ) {
-    let mut levels =
-        coarsen_hierarchy_impl(graph, cfg.coarsen_threshold.max(4), seed, cfg.parallel, ws);
+    let mut levels = coarsen_hierarchy(graph, COARSEN_THRESHOLD, seed, cfg.parallel, ws);
     // initial bisection on the coarsest graph
     let coarsest = levels.last().map(|l| &l.graph).unwrap_or(graph);
-    greedy_bisection_into(coarsest, target0, cfg.bisection_attempts, seed, ws, out);
-    rebalance(coarsest, out, target0);
-    let mut cut = fm_refine_hinted(coarsest, out, target0, cfg.fm_passes, None, ws);
+    greedy_bisection(coarsest, target0, BISECTION_ATTEMPTS, seed, ws, out);
+    let mut cut = fm_refine(coarsest, out, target0, FM_PASSES, false, None, ws);
     // project back through the hierarchy, refining at every level; popping
     // drops each level right after its projection (drop-as-you-project)
     let mut finer_part = std::mem::take(&mut ws.part_a);
@@ -295,28 +287,18 @@ fn multilevel_bisection(
         finer_part.extend((0..finer.num_vertices()).map(|v| out[level.fine_to_coarse[v] as usize]));
         // Projection preserves the cut exactly (contraction sums parallel
         // edge weights), so each level starts from the coarser level's
-        // refined cut instead of an O(E) recomputation.
-        cut = if levels.is_empty() {
-            // finest level: full refinement budget
-            fm_refine_hinted(
-                finer,
-                &mut finer_part,
-                target0,
-                cfg.fm_passes,
-                Some(cut),
-                ws,
-            )
-        } else {
-            fm_refine_interior(
-                finer,
-                &mut finer_part,
-                target0,
-                cfg.fm_passes,
-                Some(cut),
-                ws,
-            )
-        };
-        let _ = cut;
+        // refined cut instead of an O(E) recomputation.  Only the finest
+        // level gets the full refinement budget.
+        let interior = !levels.is_empty();
+        cut = fm_refine(
+            finer,
+            &mut finer_part,
+            target0,
+            FM_PASSES,
+            interior,
+            Some(cut),
+            ws,
+        );
         std::mem::swap(out, &mut finer_part);
     }
     ws.part_a = finer_part;
@@ -393,6 +375,18 @@ mod tests {
         let cfg = PartitionConfig::new(vec![10, 8, 7]);
         let parts = partition(&g, &cfg).unwrap();
         assert_eq!(g.part_weights(&parts, 3), vec![10, 8, 7]);
+        // zero-size parts, including sub-problems left with no vertices
+        let g = path_graph(10);
+        for sizes in [
+            vec![10, 0, 0],
+            vec![0, 0, 0, 10],
+            vec![5, 0, 5],
+            vec![0, 0, 10],
+        ] {
+            let parts = partition(&g, &PartitionConfig::new(sizes.clone())).unwrap();
+            let expected: Vec<u64> = sizes.iter().map(|&s| s as u64).collect();
+            assert_eq!(g.part_weights(&parts, sizes.len()), expected);
+        }
     }
 
     #[test]
@@ -471,25 +465,15 @@ mod tests {
     }
 
     #[test]
-    fn partition_with_reused_workspace_is_deterministic() {
-        // the recycled buffer pool and reused side buffer must not leak
-        // state between runs
-        let g = grid_graph(10, 9);
-        let cfg = PartitionConfig::new(vec![30, 30, 30]).with_seed(8);
-        let mut ws = Workspace::new();
-        let a = partition_with(&g, &cfg, &mut ws).unwrap();
-        let b = partition_with(&g, &cfg, &mut ws).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, partition(&g, &cfg).unwrap());
-    }
-
-    #[test]
     fn parallel_and_sequential_agree() {
-        // 48x48 grid (2304 vertices, above the parallel threshold) into 12
-        // parts: the parallel and sequential runs must produce the identical
-        // assignment for the same seed.
-        let g = grid_graph(48, 48);
-        let sizes = vec![192usize; 12];
+        // 72x64 grid into 12 parts of 384: the top split leaves 2304
+        // vertices on each side, so both halves cross PARALLEL_THRESHOLD and
+        // the parallel run recurses on two threads (the right half with a
+        // fresh workspace), while the sequential run reuses one workspace.
+        // Both must produce the identical assignment for the same seed.
+        let g = grid_graph(72, 64);
+        let sizes = vec![384usize; 12];
+        assert!(g.num_vertices() / 2 >= PARALLEL_THRESHOLD);
         let par = partition(&g, &PartitionConfig::new(sizes.clone()).with_seed(3)).unwrap();
         let seq = partition(
             &g,
@@ -499,7 +483,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(par, seq);
-        assert_eq!(g.part_weights(&par, 12), vec![192u64; 12]);
+        assert_eq!(g.part_weights(&par, 12), vec![384u64; 12]);
     }
 
     #[test]
@@ -523,16 +507,29 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn prop_partition_sizes_always_exact(
-            rows in 2u32..7, cols in 2u32..7, parts in 2usize..5, seed in 0u64..20,
+            rows in 2u32..7, cols in 2u32..7,
+            cuts in proptest::collection::vec(0usize..1000, 1..5), seed in 0u64..20,
         ) {
             let g = grid_graph(rows, cols);
             let total = (rows * cols) as usize;
-            if total.is_multiple_of(parts) {
-                let cfg = PartitionConfig::new(vec![total / parts; parts]).with_seed(seed);
-                let assignment = partition(&g, &cfg).unwrap();
-                let w = g.part_weights(&assignment, parts);
-                prop_assert!(w.iter().all(|&x| x == (total / parts) as u64), "{w:?}");
+            // unequal sizes summing to `total`: the gaps between sorted cut
+            // points in 0..=total, with extra weight on both ends so that
+            // runs of zero-size parts come up
+            let mut cuts: Vec<usize> = cuts
+                .iter()
+                .map(|&c| (c % (total + 9)).saturating_sub(4).min(total))
+                .collect();
+            cuts.sort_unstable();
+            let (mut sizes, mut prev) = (Vec::new(), 0);
+            for c in cuts.into_iter().chain([total]) {
+                sizes.push(c - prev);
+                prev = c;
             }
+            let cfg = PartitionConfig::new(sizes.clone()).with_seed(seed);
+            let assignment = partition(&g, &cfg).unwrap();
+            let w = g.part_weights(&assignment, sizes.len());
+            let expected: Vec<u64> = sizes.iter().map(|&s| s as u64).collect();
+            prop_assert_eq!(w, expected);
         }
     }
 }

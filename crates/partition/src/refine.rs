@@ -107,12 +107,8 @@ impl RefineConfig {
 }
 
 /// Refines a k-way partition in place by pairwise vertex swaps, running the
-/// parallel sweep described in the [module documentation](self).
-pub fn refine_kway(graph: &Graph, part: &mut [u32], rounds: usize, seed: u64) -> RefineStats {
-    refine_kway_with(graph, part, &RefineConfig::new(rounds, seed))
-}
-
-/// [`refine_kway`] with an explicit [`RefineConfig`].
+/// sweep described in the [module documentation](self) with the rounds, seed
+/// and parallelism of `cfg`.
 pub fn refine_kway_with(graph: &Graph, part: &mut [u32], cfg: &RefineConfig) -> RefineStats {
     let n = graph.num_vertices();
     assert_eq!(part.len(), n);
@@ -303,7 +299,7 @@ fn propose_swap(
         if parts[u].load(Ordering::Relaxed) == pv {
             return;
         }
-        let gain = swap_gain_view(graph, parts, v, u);
+        let gain = swap_gain(graph, parts, v, u);
         if gain > 0 && best.is_none_or(|(_, bg)| gain > bg) {
             *best = Some((u as u32, gain));
         }
@@ -336,7 +332,7 @@ fn commit_pair(
         if !((pv == a && pu == b) || (pv == b && pu == a)) {
             continue;
         }
-        if swap_gain_view(graph, parts, v, u) > 0 {
+        if swap_gain(graph, parts, v, u) > 0 {
             parts[v].store(pu, Ordering::Relaxed);
             parts[u].store(pv, Ordering::Relaxed);
             applied += 1;
@@ -384,8 +380,9 @@ fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Uniform read access to a partition, so the gain computation serves both
-/// the plain public API and the atomic view used by the parallel sweep.
+/// Uniform read access to a partition, so the gain computation and the
+/// proposer bound serve both plain slices (tests) and the atomic view used
+/// by the parallel sweep.
 trait PartView {
     fn part(&self, v: usize) -> u32;
 }
@@ -406,11 +403,7 @@ impl PartView for [AtomicU32] {
 
 /// The reduction of the edge cut obtained by swapping the part assignments of
 /// vertices `a` and `b` (positive = improvement).
-pub fn swap_gain(graph: &Graph, part: &[u32], a: usize, b: usize) -> i64 {
-    swap_gain_view(graph, part, a, b)
-}
-
-fn swap_gain_view<P: PartView + ?Sized>(graph: &Graph, part: &P, a: usize, b: usize) -> i64 {
+fn swap_gain<P: PartView + ?Sized>(graph: &Graph, part: &P, a: usize, b: usize) -> i64 {
     if a == b || part.part(a) == part.part(b) {
         return 0;
     }
@@ -458,18 +451,18 @@ mod tests {
         let g = path_graph(4);
         let part = vec![0u32, 1, 0, 1];
         assert_eq!(g.cut(&part), 3);
-        let gain = swap_gain(&g, &part, 1, 2);
+        let gain = swap_gain(&g, &part[..], 1, 2);
         assert_eq!(gain, 2);
         // swapping same-part vertices is a no-op
-        assert_eq!(swap_gain(&g, &part, 0, 2), 0);
-        assert_eq!(swap_gain(&g, &part, 1, 1), 0);
+        assert_eq!(swap_gain(&g, &part[..], 0, 2), 0);
+        assert_eq!(swap_gain(&g, &part[..], 1, 1), 0);
     }
 
     #[test]
     fn refine_fixes_interleaved_path() {
         let g = path_graph(8);
         let mut part = vec![0u32, 1, 0, 1, 0, 1, 0, 1];
-        let stats = refine_kway(&g, &mut part, 10, 1);
+        let stats = refine_kway_with(&g, &mut part, &RefineConfig::new(10, 1));
         assert_eq!(stats.cut_before, 7);
         assert!(stats.cut_after < stats.cut_before);
         assert_eq!(stats.cut_after, g.cut(&part));
@@ -483,7 +476,7 @@ mod tests {
         let cfg = PartitionConfig::new(vec![16; 4]).with_seed(3);
         let mut part = partition(&g, &cfg).unwrap();
         let before_sizes = g.part_weights(&part, 4);
-        let stats = refine_kway(&g, &mut part, 5, 9);
+        let stats = refine_kway_with(&g, &mut part, &RefineConfig::new(5, 9));
         assert_eq!(g.part_weights(&part, 4), before_sizes);
         assert!(stats.cut_after <= stats.cut_before);
     }
@@ -498,7 +491,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
         part.shuffle(&mut rng);
         let before = g.cut(&part);
-        let stats = refine_kway(&g, &mut part, 30, 5);
+        let stats = refine_kway_with(&g, &mut part, &RefineConfig::new(30, 5));
         assert!(
             stats.cut_after < before / 2,
             "{} -> {}",
@@ -605,7 +598,7 @@ mod tests {
             let mut assignment: Vec<u32> = (0..n).map(|i| (i % parts) as u32).collect();
             let sizes_before = g.part_weights(&assignment, parts);
             let before = g.cut(&assignment);
-            let stats = refine_kway(&g, &mut assignment, 4, seed);
+            let stats = refine_kway_with(&g, &mut assignment, &RefineConfig::new(4, seed));
             prop_assert!(stats.cut_after <= before);
             prop_assert_eq!(g.part_weights(&assignment, parts), sizes_before);
         }
@@ -648,7 +641,7 @@ mod tests {
             let (boundary, proposers) = proposers_of(&g, &part, k);
             for &(v, _) in boundary.iter().filter(|(v, _)| !proposers.contains(v)) {
                 for u in 0..n {
-                    let gain = swap_gain(&g, &part, v as usize, u);
+                    let gain = swap_gain(&g, &part[..], v as usize, u);
                     prop_assert!(gain <= 0, "skipped {} gains {} with {}", v, gain, u);
                 }
             }

@@ -8,14 +8,10 @@
 //! capacity, so a full multilevel run performs no per-level scratch
 //! allocation once the buffers have grown to the finest level's size.
 //!
-//! The workspace is deliberately `!Sync`: every parallel branch of the
+//! No workspace is shared between threads: every parallel branch of the
 //! recursive bisection owns its own workspace (the left branch inherits the
 //! parent's, the right branch starts a fresh one), so no locking is needed
 //! and results stay deterministic.
-//!
-//! Entry points that take a workspace are suffixed `_with`
-//! (e.g. [`crate::partition_with`]); the plain variants allocate a transient
-//! workspace for API compatibility.
 
 use crate::bucket::BucketQueue;
 
@@ -23,7 +19,7 @@ use crate::bucket::BucketQueue;
 ///
 /// See the [module documentation](self) for the reuse contract.  All buffers
 /// are implementation details; user code only constructs the workspace and
-/// threads it through `*_with` entry points.
+/// passes it to a stage such as [`crate::coarsen::coarsen_hierarchy`].
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Matched partner per vertex (taken/returned to avoid double borrows).

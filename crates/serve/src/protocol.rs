@@ -108,8 +108,8 @@ pub struct MapRequest {
     pub query: Option<Query>,
 }
 
-/// Default seed of the `viem` pipeline (mirrors `GraphMapper::default`).
-pub const DEFAULT_SEED: u64 = 0x71EA;
+/// Default seed of the `viem` pipeline (the one `GraphMapper::default` uses).
+pub use stencil_mapping::viem::DEFAULT_SEED;
 
 /// Maximum grid volume (total process count) one request may ask for.  A
 /// 40-byte line like `{"dims":[65536,65536],"nodes":4}` must not be able to

@@ -29,7 +29,7 @@ pub enum Weighting {
 
 /// The fixed instance set: `(rows, cols, parts, seed, weighting)` grid
 /// partitioning problems.  Instances are large enough that every one runs
-/// through multiple coarsening levels (`coarsen_threshold` is 48).
+/// through multiple coarsening levels (coarsening stops at 48 vertices).
 pub const INSTANCES: &[(u32, u32, usize, u64, Weighting)] = &[
     (40, 40, 8, 1, Weighting::Unit),
     (40, 40, 8, 5, Weighting::Unit),

@@ -17,7 +17,7 @@
 //! `coarsen_hierarchy` stays O(n + m) regardless of instance shape or seed.
 
 use stencilmap::partition::coarsen::coarsen_hierarchy;
-use stencilmap::partition::{partition, Graph, PartitionConfig};
+use stencilmap::partition::{partition, Graph, PartitionConfig, Workspace};
 
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ enum Weighting {
 /// `(rows, cols, parts, seed, weighting, cut)` — cuts recorded from the
 /// flat-array coarsening rework (PR 10).  Must match the instance list in
 /// `examples/multilevel_goldens.rs`.  Every instance is large enough to run
-/// through multiple coarsening levels (`coarsen_threshold` is 48).
+/// through multiple coarsening levels (coarsening stops at 48 vertices).
 const GOLDENS: &[(u32, u32, usize, u64, Weighting, u64)] = &[
     (40, 40, 8, 1, Weighting::Unit, 160),
     (40, 40, 8, 5, Weighting::Unit, 160),
@@ -148,7 +148,7 @@ proptest! {
         let g = instance_graph(rows, cols, Weighting::Unit);
         let n = g.num_vertices();
         let m = g.num_edges();
-        let levels = coarsen_hierarchy(&g, target, seed);
+        let levels = coarsen_hierarchy(&g, target, seed, false, &mut Workspace::new());
         // geometric decrease: every retained level except possibly the last
         // (which may stall near the target) shrinks below the retention
         // fraction of its predecessor

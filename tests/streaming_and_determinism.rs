@@ -422,7 +422,7 @@ fn child_fingerprints(children: Vec<(&'static str, Child)>) -> Vec<(&'static str
         .collect()
 }
 
-/// The parallel `refine_kway` yields identical partitions for
+/// The parallel `refine_kway_with` yields identical partitions for
 /// `RAYON_NUM_THREADS` ∈ {1, 2, 4}: each thread count runs in a child
 /// process (this same test re-invoked with `CHILD_VAR` set) that prints a
 /// fingerprint of the refined partition.
@@ -619,8 +619,12 @@ fn graph_mapper_parallel_path_is_deterministic() {
         NodeAllocation::homogeneous(40, 120),
     )
     .unwrap();
-    let a = GraphMapper::with_effort(5, 0).compute(&problem).unwrap();
-    let b = GraphMapper::with_effort(5, 0).compute(&problem).unwrap();
+    let mapper = GraphMapper {
+        refine_rounds: 0,
+        ..GraphMapper::with_seed(5)
+    };
+    let a = mapper.compute(&problem).unwrap();
+    let b = mapper.compute(&problem).unwrap();
     assert_eq!(a, b);
     assert!(a.respects_allocation(problem.alloc()));
 }
